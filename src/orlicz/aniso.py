@@ -37,6 +37,10 @@ class NDimYoung:
     def __call__(self, xi) -> float:  # pragma: no cover - abstract
         raise NotImplementedError
 
+    def values(self, points) -> np.ndarray:
+        """One value per row of an (m, n) array of points."""
+        return np.array([self(p) for p in np.asarray(points, dtype=float)], dtype=float)
+
     def scalar_profile(self) -> YoungFunction:
         raise YoungError(f"{type(self).__name__} has no scalar reduction")
 
@@ -61,6 +65,12 @@ class Isotropic(NDimYoung):
         if np.any(np.isinf(xi)):
             return INF
         return self.a(float(np.linalg.norm(xi)))
+
+    def values(self, points) -> np.ndarray:
+        points = np.asarray(points, dtype=float)
+        out = self.a.values(np.linalg.norm(points, axis=1))
+        out[np.isinf(points).any(axis=1)] = INF
+        return out
 
     def scalar_profile(self) -> YoungFunction:
         return self.a
@@ -401,6 +411,14 @@ class ThetaSolver:
             return 0.0 if not np.any(xi) else INF
         return self.phi(xi / e)
 
+    def _rhs_many(self, xis: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        """``_rhs`` for nonzero rows ``xis`` at scales ``ts``."""
+        e = np.array([self.envelope(t) for t in ts.tolist()])
+        out = np.full(len(ts), INF)
+        pos = e > 0.0
+        out[pos] = self.phi.values(xis[pos] / e[pos, None])
+        return out
+
     def solve(self, xi, rel_tol: float = 1e-8) -> float:
         xi = np.asarray(xi, dtype=float)
         if not np.any(xi):
@@ -416,7 +434,7 @@ class ThetaSolver:
             hi *= 2.0
             expansions += 1
             if expansions > 120:
-                raise YoungError("failed to bracket the theta root")
+                raise YoungError(f"failed to bracket the theta root at xi={xi!r}")
         for _ in range(200):
             mid = 0.5 * (lo + hi)
             if an(mid) < self._rhs(xi, mid):
@@ -431,6 +449,54 @@ class ThetaSolver:
             if abs(lhs - rhs) > max(1e-6, 100 * rel_tol) * (1.0 + lhs):
                 raise YoungError(
                     f"theta residual too large at xi={xi!r}: {lhs} vs {rhs}")
+        return theta
+
+    def solve_many(self, xis, rel_tol: float = 1e-8) -> np.ndarray:
+        """``solve`` for every row of an (m, n) array: the rows are bracketed
+        and bisected together, with the same doubling cap, stopping rule and
+        residual check; the first bad row raises ``solve``'s error."""
+        xis = np.asarray(xis, dtype=float)
+        theta = np.zeros(len(xis))
+        rows = np.flatnonzero(np.any(xis, axis=1))
+        lo0 = self._t_pos
+        if lo0 > 0.0 and rows.size:
+            at_lo = (self._rhs_many(xis[rows], np.full(rows.size, lo0))
+                     <= self.conj.an_value(lo0))
+            theta[rows[at_lo]] = lo0
+            rows = rows[~at_lo]
+        an = self.conj.an_values
+        xs = xis[rows]
+        lo = np.full(rows.size, lo0)
+        hi = np.full(rows.size, max(lo0, 1.0))
+        grow = np.arange(rows.size)
+        for doublings in range(121):
+            grow = grow[an(hi[grow]) < self._rhs_many(xs[grow], hi[grow])]
+            if not grow.size or doublings == 120:
+                break
+            hi[grow] *= 2.0
+        live = np.setdiff1d(np.arange(rows.size), grow)
+        for _ in range(200):
+            if not live.size:
+                break
+            mid = 0.5 * (lo[live] + hi[live])
+            below = an(mid) < self._rhs_many(xs[live], mid)
+            lo[live[below]] = mid[below]
+            hi[live[~below]] = mid[~below]
+            live = live[hi[live] - lo[live] > 1e-13 * np.maximum(hi[live], 1.0)]
+        th = 0.5 * (lo + hi)
+        lhs, rhs = an(th), self._rhs_many(xs, th)
+        with np.errstate(invalid="ignore"):
+            bad = (np.isfinite(lhs) & np.isfinite(rhs)
+                   & (np.abs(lhs - rhs) > max(1e-6, 100 * rel_tol) * (1.0 + lhs)))
+        bad[grow] = True
+        if bad.any():
+            i = int(np.argmax(bad))
+            xi = xs[i]
+            if i in grow:
+                raise YoungError(f"failed to bracket the theta root at xi={xi!r}")
+            raise YoungError(f"theta residual too large at xi={xi!r}: "
+                             f"{float(lhs[i])} vs {float(rhs[i])}")
+        theta[rows] = th
         return theta
 
 

@@ -130,10 +130,9 @@ def _cmd_aniso(args) -> int:
         try:
             env = parse_envelope(args.E)
             solver = ThetaSolver(phi, env, phi.n, conj=conj)
-            for chunk in args.xi.split(";"):
-                xi = np.array(_floats(chunk))
-                rows.append(("theta", "", solver.solve(xi),
-                             "|".join(_fmt(v) for v in xi)))
+            xis = np.array([_floats(chunk) for chunk in args.xi.split(";")])
+            for xi, theta in zip(xis, solver.solve_many(xis).tolist()):
+                rows.append(("theta", "", theta, "|".join(_fmt(v) for v in xi)))
         except YoungError as exc:
             # tables are still useful when the coupling is undefined
             sys.stderr.write(f"theta unavailable: {exc}\n")
@@ -222,9 +221,12 @@ def _cmd_check(args) -> int:
         payload = {"condition": args.cond, "verdict": _verdict_payload(v)}
         indeterminate = v.indeterminate
     elif args.cond == "aniso":
-        phi = _parse_phi(args.A, args.n)
-        psi = _parse_phi(args.B, args.n)
-        v = conditions.check_aniso(phi, psi, env, args.n,
+        if not args.n.is_integer():
+            raise YoungError("aniso needs an integral dimension --n")
+        dim = int(args.n)
+        phi = _parse_phi(args.A, dim)
+        psi = _parse_phi(args.B, dim)
+        v = conditions.check_aniso(phi, psi, env, dim,
                                    with_constant=not args.no_constant)
         payload = {"condition": args.cond, "verdict": _verdict_payload(v)}
         indeterminate = v.indeterminate

@@ -639,26 +639,24 @@ def check_aniso(phi: NDimYoung, psi: NDimYoung, envelope, n: Optional[int] = Non
         from .aniso import _unit_directions
         dirs = _unit_directions(phi.n, directions)
         rs = np.geomspace(1e-2, r_hi, radii)
-        worst = 0.0
-        worst_xi = None
-        rhs_max = 1.0
-        for d in dirs:
-            for r in rs:
-                xi = r * d
-                try:
-                    theta = solver.solve(xi)
-                except YoungError as exc:
-                    raise YoungError(f"theta solver failed at xi={xi!r}") from exc
-                rhs = conj.an_value(theta)
-                lhs = psi(xi)
-                if lhs == INF and rhs == INF:
-                    continue
-                if rhs != INF:
-                    rhs_max = max(rhs_max, rhs)
-                e = (lhs - rhs) if lhs != INF else INF
-                if e > worst:
-                    worst, worst_xi = e, xi
-        return worst, worst_xi, rhs_max
+        # one row per (direction, radius), radii fastest; argmax below takes
+        # the first of equal maxima, which fixes the witness among ties
+        xis = (dirs[:, None, :] * rs[None, :, None]).reshape(-1, phi.n)
+        try:
+            thetas = solver.solve_many(xis)
+        except YoungError as exc:
+            raise YoungError(f"theta solver failed: {exc}") from exc
+        rhs = conj.an_values(thetas)
+        lhs = psi.values(xis)
+        with np.errstate(invalid="ignore"):
+            e = np.where(lhs == INF, INF, lhs - rhs)
+        e[(lhs == INF) & (rhs == INF)] = -INF
+        finite = rhs[rhs != INF]
+        rhs_max = max(1.0, float(finite.max())) if finite.size else 1.0
+        i = int(np.argmax(e))
+        if e[i] > 0.0:
+            return float(e[i]), xis[i], rhs_max
+        return 0.0, None, rhs_max
 
     c1, xi1, scale1 = excess(32, 64, 1e2)
     c2, xi2, scale2 = excess(32, 96, 4e2)

@@ -8,19 +8,21 @@ behaviour near infinity unchanged up to equivalence).
 
 H is tabulated once on a geometric grid at build time (panel Gauss rule on a
 log axis, exponent-fit extrapolation at the improper endpoint) and wrapped in
-a monotone cubic interpolant, so conjugate evaluations inside modular
-integrals stay cheap and the result is safe to share across threads.
+an in-house Fritsch–Carlson monotone cubic, so conjugate evaluations inside
+modular integrals stay cheap and the result is safe to share across threads.
+Scalar queries run on plain floats; ``inverse_many`` and ``an_values`` run
+the same Newton iteration on whole arrays.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from ._quad import gauss15 as _gauss15
 from ._quad import quad_interval as _quad_interval
@@ -166,6 +168,69 @@ def _head_integral(g, s_min: float) -> tuple:
 
 
 # ---------------------------------------------------------------------------
+# Monotone cubic kernel
+# ---------------------------------------------------------------------------
+
+def _end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
+    """Shape-preserving three-point derivative estimate at an end knot."""
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return float(d)
+
+
+class _MonotoneCubic:
+    """Piecewise cubic Hermite interpolant with Fritsch–Carlson slopes
+    (SIAM J. Numer. Anal. 17, 1980): weighted harmonic means of the secants
+    at interior knots, the three-point rule at the ends (the PCHIP rule).
+
+    The coefficients of s^0..s^3 on each interval and those of the derivative
+    are kept twice: as float tuples for ``at`` and as arrays for ``at_many``;
+    both evaluate the same expressions, so they agree bit for bit.
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray):
+        h = np.diff(x)
+        m = np.diff(y) / h
+        d = np.zeros_like(y)
+        w1, w2 = 2.0 * h[1:] + h[:-1], h[1:] + 2.0 * h[:-1]
+        flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0.0) | (m[:-1] == 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+            d[1:-1] = np.where(flat, 0.0, 1.0 / whmean)
+        if len(h) == 1:  # two knots: the secant line, as scipy does
+            d[:] = m[0]
+        else:
+            d[0] = _end_slope(h[0], h[1], m[0], m[1])
+            d[-1] = _end_slope(h[-1], h[-2], m[-1], m[-2])
+        t = (d[:-1] + d[1:] - 2.0 * m) / h
+        c2, c3 = (m - d[:-1]) / h - t, t / h
+        self.x = x
+        self.coef = np.array([y[:-1], d[:-1], c2, c3, 2.0 * c2, 3.0 * c3])
+        self._x = x.tolist()
+        self._coef = list(zip(*self.coef.tolist()))
+        self._last = len(self._x) - 2
+
+    def at(self, x: float) -> tuple:
+        """(value, derivative) at a float inside the knot range."""
+        i = min(max(bisect_right(self._x, x) - 1, 0), self._last)
+        c0, c1, c2, c3, d2, d3 = self._coef[i]
+        s = x - self._x[i]
+        s2 = s * s
+        return c0 + c1 * s + c2 * s2 + c3 * (s2 * s), c1 + d2 * s + d3 * s2
+
+    def at_many(self, x: np.ndarray) -> tuple:
+        """Array version of ``at``."""
+        i = np.clip(np.searchsorted(self.x, x, side="right") - 1, 0, self._last)
+        c0, c1, c2, c3, d2, d3 = self.coef[:, i]
+        s = x - self.x[i]
+        s2 = s * s
+        return c0 + c1 * s + c2 * s2 + c3 * (s2 * s), c1 + d2 * s + d3 * s2
+
+
+# ---------------------------------------------------------------------------
 # Tabulated H with monotone interpolation
 # ---------------------------------------------------------------------------
 
@@ -223,8 +288,7 @@ class HnTable:
         self._xs = np.array(xs)
         self._lnI = np.array(lnI)
         self._lnH = self._lnI / self.nprime
-        self._pchip = PchipInterpolator(self._xs, self._lnH, extrapolate=False)
-        self._dpchip = self._pchip.derivative()
+        self._cubic = _MonotoneCubic(self._xs, self._lnH)
         # total integral and limit of H at infinity
         if diverges_at_inf:
             self._I_total = INF
@@ -246,30 +310,33 @@ class HnTable:
             self._I_total = math.exp(self._lnI[-1]) + tail
         self.limit = (self._I_total ** (1.0 / self.nprime)
                       if self._I_total != INF else INF)
-        self._h_lo = math.exp(self._lnH[0])
-        self._h_hi = math.exp(self._lnH[-1])
-        self._s_lo = math.exp(self._xs[0])
-        self._s_hi = math.exp(self._xs[-1])
+        # plain-float copies of the table ends for the scalar paths
+        self._x_lo, self._x_hi = float(self._xs[0]), float(self._xs[-1])
+        self._lnH_lo, self._lnH_hi = float(self._lnH[0]), float(self._lnH[-1])
+        self._lnI_lo = float(self._lnI[0])
+        k = min(5, len(self._xs))  # the last four panels, fewer on a short table
+        self._tail_slope = float((self._lnH[-1] - self._lnH[-k])
+                                 / (self._xs[-1] - self._xs[-k]))
 
     # -- forward -----------------------------------------------------------
     def __call__(self, s: float) -> float:
         if s <= 0.0:
             return 0.0
         x = math.log(s)
-        if x < self._xs[0]:
+        if x < self._x_lo:
             # head power law: I ~ c s^{m0+1}
-            lnI = self._lnI[0] + (self._m0 + 1.0) * (x - self._xs[0])
+            lnI = self._lnI_lo + (self._m0 + 1.0) * (x - self._x_lo)
             return math.exp(lnI / self.nprime)
-        if x > self._xs[-1]:
+        if x > self._x_hi:
             return self.refined(s)
-        return float(math.exp(self._pchip(x)))
+        return math.exp(self._cubic.at(x)[0])
 
     def refined(self, s: float) -> float:
         """H(s) from the cumulative table plus an exact local panel."""
         if s <= 0.0:
             return 0.0
         x = math.log(s)
-        if x < self._xs[0]:
+        if x < self._x_lo:
             return self(s)
         j = int(np.searchsorted(self._xs, x, side="right")) - 1
         j = min(j, len(self._xs) - 1)
@@ -290,37 +357,64 @@ class HnTable:
         if self.limit != INF and t >= self.limit:
             return INF
         lt = math.log(t)
-        if lt < self._lnH[0]:
+        if lt < self._lnH_lo:
             # head power law inverts in closed form
-            x = self._xs[0] + (lt - self._lnH[0]) * self.nprime / (self._m0 + 1.0)
+            x = self._x_lo + (lt - self._lnH_lo) * self.nprime / (self._m0 + 1.0)
             return math.exp(x)
-        if lt > self._lnH[-1]:
-            lo, hi = self._lnH[-5], self._lnH[-1]
-            xlo, xhi = self._xs[-5], self._xs[-1]
-            slope = (hi - lo) / (xhi - xlo)
-            if slope <= 1e-12:
+        if lt > self._lnH_hi:
+            if self._tail_slope <= 1e-12:
                 return INF
-            x = xhi + (lt - hi) / slope
+            x = self._x_hi + (lt - self._lnH_hi) / self._tail_slope
             return INF if x > 700.0 else math.exp(x)
         x = float(np.interp(lt, self._lnH, self._xs))
+        at = self._cubic.at
         for _ in range(12):
-            fx = float(self._pchip(x)) - lt
-            dfx = float(self._dpchip(x))
+            fx, dfx = at(x)
             if dfx <= 0.0:
                 break
-            step = fx / dfx
+            step = (fx - lt) / dfx
             x -= step
-            x = min(max(x, self._xs[0]), self._xs[-1])
+            x = min(max(x, self._x_lo), self._x_hi)
             if abs(step) < 1e-14 * max(1.0, abs(x)):
                 break
         return math.exp(x)
 
-    def inverse_many(self, ts: np.ndarray) -> np.ndarray:
+    def inverse_many(self, ts) -> np.ndarray:
+        """``inverse`` on an array: the same branches, and the same Newton
+        iteration run on the entries that have not yet stopped."""
         ts = np.asarray(ts, dtype=float)
-        out = np.empty_like(ts)
-        for i, t in enumerate(ts.ravel()):
-            out.ravel()[i] = self.inverse(float(t))
-        return out
+        t = ts.ravel()
+        out = np.zeros(t.shape)
+        live = t > 0.0
+        if self.limit != INF:
+            out[t >= self.limit] = INF
+            live &= t < self.limit
+        lt = np.log(t, where=live, out=np.zeros(t.shape))
+        head = live & (lt < self._lnH_lo)
+        tail = live & (lt > self._lnH_hi)
+        out[head] = np.exp(self._x_lo + (lt[head] - self._lnH_lo)
+                           * self.nprime / (self._m0 + 1.0))
+        if self._tail_slope <= 1e-12:
+            out[tail] = INF
+        else:
+            x = self._x_hi + (lt[tail] - self._lnH_hi) / self._tail_slope
+            out[tail] = np.where(x > 700.0, INF, np.exp(np.minimum(x, 700.0)))
+        idx = np.flatnonzero(live & ~head & ~tail)
+        target = lt[idx]
+        x = np.interp(target, self._lnH, self._xs)
+        act = np.arange(idx.size)
+        for _ in range(12):
+            if not act.size:
+                break
+            fx, dfx = self._cubic.at_many(x[act])
+            up = dfx > 0.0
+            act = act[up]
+            step = (fx[up] - target[act]) / dfx[up]
+            xa = np.clip(x[act] - step, self._x_lo, self._x_hi)
+            x[act] = xa
+            act = act[np.abs(step) >= 1e-14 * np.maximum(1.0, np.abs(xa))]
+        out[idx] = np.exp(x)
+        return out.reshape(ts.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +444,13 @@ class SobolevConjugate:
         return INF if s == INF else self.modified(s)
 
     def an_values(self, ts) -> np.ndarray:
+        """``an_value`` on an array, through ``HnTable.inverse_many``."""
         ts = np.asarray(ts, dtype=float)
-        return np.array([self.an_value(float(t)) for t in ts.ravel()]).reshape(ts.shape)
+        s = self.hn.inverse_many(ts.ravel())
+        out = np.where(s == INF, INF, 0.0)
+        ok = (ts.ravel() > 0.0) & (s != INF)
+        out[ok] = self.modified.values(s[ok])
+        return out.reshape(ts.shape)
 
 
 def _an_orders(y: YoungFunction, nexp: float, was_modified: bool):

@@ -1,19 +1,21 @@
 """Vector Young functions: reduction, rearrangement, conjugates, theta."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
-import scipy.special as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import orlicz as oz
 from orlicz.aniso import _phi_circ_young
-from orlicz.young import INF
+from orlicz.young import INF, GrowthOrder, Piecewise
 
 
 def pball_volume(p: float, n: int, level: float) -> float:
     # closed form: |{sum |x_i|^p <= 1}| = 2^n Gamma(1+1/p)^n / Gamma(1+n/p)
-    unit = 2.0 ** n * sp.gamma(1 + 1 / p) ** n / sp.gamma(1 + n / p)
+    unit = 2.0 ** n * math.gamma(1 + 1 / p) ** n / math.gamma(1 + n / p)
     return unit * level ** (n / p)
 
 
@@ -218,3 +220,64 @@ class TestTheta:
         # p > n gives a finite-level conjugate, no strictly increasing map
         with pytest.raises(oz.YoungError):
             oz.ThetaSolver(oz.Isotropic(oz.Power(3), 2), oz.Envelope.one(), 2)
+
+
+ENVELOPES = {
+    "one": oz.Envelope.one(),
+    "power": oz.Envelope.power(1.0),        # zero at 0: the plateau-edge exit
+    "log_power": oz.Envelope.log_power(2.0),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def iso_solver(env_name: str):
+    return oz.ThetaSolver(oz.Isotropic(oz.Power(2), 3), ENVELOPES[env_name], 3)
+
+
+def solve_error(solve, xi) -> str:
+    """The message of the YoungError ``solve(xi)`` raises, without its numbers."""
+    with pytest.raises(oz.YoungError) as info:
+        solve(xi)
+    return str(info.value).split(":")[0]
+
+
+class TestThetaMany:
+    @settings(max_examples=30, deadline=None)
+    @given(env_name=st.sampled_from(sorted(ENVELOPES)),
+           rows=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
+                                   st.floats(-1.0, 1.0), st.floats(-60.0, 3.0)),
+                         min_size=1, max_size=16))
+    def test_solve_many_matches_solve(self, env_name, rows):
+        solver = iso_solver(env_name)
+        xis = np.array([[a, b, c] for a, b, c, _ in rows])
+        xis *= np.array([10.0 ** e for *_, e in rows])[:, None]
+        for xi, theta in zip(xis, solver.solve_many(xis).tolist()):
+            assert theta == pytest.approx(solver.solve(xi), rel=1e-12, abs=0.0)
+
+    def test_orthotropic_rows(self):
+        # the default NDimYoung.values row loop; any unbounded conjugate will
+        # do, and a ready one skips the slow orthotropic table build
+        phi = oz.Orthotropic((oz.Power(1.5), oz.Power(2), oz.Power(2.5)))
+        solver = oz.ThetaSolver(phi, oz.Envelope.power(0.5), 3,
+                                conj=oz.sobolev_conjugate(oz.Power(2), 3))
+        xis = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [0.5, 0.0, 0.0],
+                        [-20.0, 3.0, 0.1]])
+        for xi, theta in zip(xis, solver.solve_many(xis).tolist()):
+            assert theta == pytest.approx(solver.solve(xi), rel=1e-12, abs=0.0)
+
+    def test_saturating_conjugate_raises_the_same_error(self):
+        # a gated base: the conjugate stays below 1 and then jumps to +inf,
+        # so large xi have no root and fail the residual check
+        gated = Piecewise(breaks=(1.0,), branches=(lambda t: t * t, lambda t: INF),
+                          jump=1.0, zero=GrowthOrder(2.0),
+                          inf_=GrowthOrder(0.0, family="jump"))
+        solver = oz.ThetaSolver(oz.Isotropic(oz.Power(2), 3), oz.Envelope.one(), 3)
+        solver.conj = oz.sobolev_conjugate(gated, 3)
+        xis = np.array([[0.1, 0.0, 0.0], [0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
+        assert solve_error(solver.solve_many, xis) == solve_error(solver.solve, xis[2])
+        assert "xi=array([2., 0., 0.])" in solve_error(solver.solve_many, xis)
+
+    def test_isotropic_values_match_rows(self):
+        phi = oz.Isotropic(oz.PowerLog(2, 1), 3)
+        pts = np.array([[0.0, 0.0, 0.0], [1.0, -2.0, 0.5], [INF, 0.0, 1.0], [3e5, 0.0, 0.0]])
+        assert phi.values(pts).tolist() == [phi(p) for p in pts]

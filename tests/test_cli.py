@@ -2,12 +2,14 @@
 
 import json
 import pathlib
+import shlex
 
 import pytest
 
 from orlicz.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+README = pathlib.Path(__file__).parent.parent / "README.md"
 
 
 def run(args):
@@ -46,6 +48,20 @@ class TestCheck:
         assert run([]) == 1
         assert run(["check", "--cond", "bogus", "--A", "power:2",
                     "--B", "power:1"]) == 1
+
+    def test_aniso_takes_an_integral_dimension(self, tmp_path):
+        out = tmp_path / "verdict.json"
+        code = run(["check", "--cond", "aniso", "--A", "iso:power:2",
+                    "--B", "iso:power:1.2", "--E", "power:1", "--n", "3",
+                    "--json-out", str(out)])
+        assert code == 0
+        assert json.loads(out.read_text())["verdict"]["holds"] is True
+
+    def test_aniso_rejects_a_fractional_dimension(self, capsys):
+        code = run(["check", "--cond", "aniso", "--A", "iso:power:2",
+                    "--B", "iso:power:1.2", "--n", "2.5"])
+        assert code == 1
+        assert "integral dimension" in capsys.readouterr().err
 
 
 class TestTableGolden:
@@ -122,6 +138,14 @@ class TestAnisoCommand:
         body = out.read_text()
         assert "circ_inverse" in body and "conjugate" in body
         assert body.count("theta") == 2
+
+    def test_readme_example(self, capsys):
+        line = next(ln for ln in README.read_text().splitlines()
+                    if ln.startswith("orlicz aniso "))
+        code = run(shlex.split(line)[1:])
+        assert code == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert len([r for r in rows if r.startswith("theta,")]) == 2
 
 
 class TestNormCommand:

@@ -162,6 +162,23 @@ class TestAniso:
         v = oz.check_aniso(phi, psi, oz.Envelope.power(1.0), 3)
         assert not v.holds and v.witness is not None
 
+    def test_batched_sampling_matches_row_loop(self, monkeypatch):
+        phi = oz.Isotropic(oz.Power(2), 3)
+        psi = oz.Isotropic(oz.Power(2.4, scale=10.0), 3)
+        env = oz.Envelope.power(1.0)
+        batched = oz.check_aniso(phi, psi, env, 3)
+        # reference: every sample point solved and evaluated on its own
+        monkeypatch.setattr(oz.ThetaSolver, "solve_many",
+                            lambda self, xis: np.array([self.solve(xi) for xi in xis]))
+        monkeypatch.setattr(oz.SobolevConjugate, "an_values",
+                            lambda self, ts: np.array([self.an_value(t) for t in ts.tolist()]))
+        monkeypatch.setattr(oz.Isotropic, "values", oz.NDimYoung.values)
+        rows = oz.check_aniso(phi, psi, env, 3)
+        assert batched.holds is rows.holds is False
+        assert batched.constant == pytest.approx(rows.constant, rel=1e-12)
+        assert batched.worst_margin == pytest.approx(rows.worst_margin, rel=1e-12)
+        assert np.array_equal(batched.witness, rows.witness)
+
 
 class TestZygmundTable:
     def test_reference_row(self):

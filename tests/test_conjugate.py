@@ -1,12 +1,18 @@
 """Sobolev conjugates: the monotone map, classifications, growth fits."""
 
+import functools
 import math
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import orlicz as oz
-from orlicz.conjugate import IntegralClass
+from orlicz.conjugate import IntegralClass, _MonotoneCubic
 from orlicz.young import INF
 
 
@@ -181,3 +187,100 @@ class TestHat:
 
         assert slope(h.tstar / 16) == pytest.approx(2.0, abs=1e-2)
         assert slope(h.tstar * 16) == pytest.approx(6.0, abs=1e-2)
+
+
+# ---------------------------------------------------------------------------
+# The monotone-cubic kernel and the array paths against their references
+# ---------------------------------------------------------------------------
+
+# n = 3: the power-type ones diverge at infinity, exp and power_3.5 saturate;
+# the tiny scale makes H pass 1e12 within the first panel, a two-knot table
+FAMILIES = {
+    "power": oz.Power(2),
+    "power_log": oz.PowerLog(2, 1),
+    "power_loglog": oz.PowerLogLog(2, 1),
+    "exp": oz.Exp(1.0),
+    "power_3.5": oz.Power(3.5),
+    "power_tiny_scale": oz.Power(2, scale=1e-55),
+}
+BRANCHES = ("nonpositive", "head", "interior", "tail", "saturated")
+
+
+@functools.lru_cache(maxsize=None)
+def conjugate_of(name: str):
+    return oz.sobolev_conjugate(FAMILIES[name], 3)
+
+
+def branch_point(hn, branch: str, u: float) -> float:
+    """A level in ``branch`` of HnTable.inverse; u in [0, 1] places it."""
+    lo, hi = math.exp(hn._lnH_lo), math.exp(hn._lnH_hi)
+    top = hn.limit if hn.limit != INF else hi * 1e120  # past x = 700 too
+    if branch == "nonpositive":
+        return -10.0 * u
+    if branch == "head":
+        return lo * 10.0 ** (-1.0 - 29.0 * u)
+    if branch == "interior":
+        return lo * (hi / lo) ** u
+    if branch == "tail" or hn.limit == INF:
+        return hi * (top / hi) ** u
+    return hn.limit * (1.0 + u)
+
+
+branch_points = st.lists(st.tuples(st.sampled_from(BRANCHES), st.floats(0.0, 1.0)),
+                         min_size=1, max_size=32)
+
+
+class TestMonotoneCubic:
+    @settings(max_examples=30, deadline=None)
+    @given(name=st.sampled_from(["power", "power_log", "power_loglog", "exp"]),
+           us=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=32))
+    def test_matches_pchip_on_table_knots(self, name, us):
+        interpolate = pytest.importorskip("scipy.interpolate")
+        hn = conjugate_of(name).hn
+        ref = interpolate.PchipInterpolator(hn._xs, hn._lnH, extrapolate=False)
+        xs = np.concatenate([hn._xs, hn._xs[0] + np.array(us) * (hn._xs[-1] - hn._xs[0])])
+        kernel = _MonotoneCubic(hn._xs, hn._lnH)
+        value, slope = kernel.at_many(xs)
+        np.testing.assert_allclose(value, ref(xs), rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(slope, ref.derivative()(xs), rtol=1e-14, atol=0.0)
+        # the scalar path evaluates the same expressions
+        assert [kernel.at(x) for x in xs.tolist()] == list(zip(value.tolist(), slope.tolist()))
+
+
+class TestArrayPaths:
+    def test_two_knot_table(self):
+        hn = conjugate_of("power_tiny_scale").hn
+        assert len(hn._xs) == 2
+        for t in (1e-3, 1.0, 1e20, 1e30):
+            assert hn(hn.inverse(t)) == pytest.approx(t, rel=1e-8)
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(sorted(FAMILIES)), points=branch_points)
+    def test_inverse_many_matches_inverse(self, name, points):
+        hn = conjugate_of(name).hn
+        ts = np.array([branch_point(hn, b, u) for b, u in points])
+        for t, s in zip(ts.tolist(), hn.inverse_many(ts).tolist()):
+            assert s == pytest.approx(hn.inverse(t), rel=1e-12, abs=0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(sorted(FAMILIES)), points=branch_points)
+    def test_an_values_matches_an_value(self, name, points):
+        conj = conjugate_of(name)
+        ts = np.array([branch_point(conj.hn, b, u) for b, u in points])
+        for t, v in zip(ts.tolist(), conj.an_values(ts).tolist()):
+            assert v == pytest.approx(conj.an_value(t), rel=1e-12, abs=0.0)
+
+    def test_shape_is_kept(self):
+        conj = conjugate_of("power")
+        ts = np.geomspace(1e-3, 1e3, 12).reshape(3, 4)
+        assert conj.hn.inverse_many(ts).shape == (3, 4)
+        assert conj.an_values(ts).shape == (3, 4)
+
+
+def test_package_imports_without_scipy():
+    src = pathlib.Path(oz.__file__).resolve().parent.parent
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); sys.modules['scipy'] = None; "
+            "import orlicz, orlicz.cli; orlicz.sobolev_conjugate(orlicz.Power(2), 3)")
+    proc = subprocess.run([sys.executable, "-c", code, str(src)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
