@@ -1,4 +1,11 @@
-"""Shared Gauss panel quadrature primitives."""
+"""Shared Gauss panel quadrature primitives.
+
+Integrands take arrays of nodes.  ``quad_rows`` is the one adaptive engine:
+it integrates many integrands that share one interval, each row with its own
+stopping rule, and evaluates every panel of every active row in one call.
+Panel sums accumulate node by node in a fixed order, so a row's result does
+not depend on which other rows share its calls, and equals the scalar rule's.
+"""
 
 from __future__ import annotations
 
@@ -9,43 +16,108 @@ import numpy as np
 INF = math.inf
 
 G15_X, G15_W = np.polynomial.legendre.leggauss(15)
+_W15 = G15_W.tolist()
+
+
+def _nodes(a: float, b: float) -> np.ndarray:
+    return 0.5 * (a + b) + 0.5 * (b - a) * G15_X
+
+
+def _panel_sums(vals: np.ndarray, halfwidths) -> np.ndarray:
+    """Gauss sums of consecutive 15-node panels, one row per integrand.
+
+    ``vals`` is (m, 15 p); the result is (m, p).  A panel with a non-finite
+    sample is +inf.
+    """
+    v = vals.reshape(vals.shape[0], -1, 15)
+    # a running sum adds the nodes in order, as a scalar loop does
+    terms = v * G15_W
+    total = np.cumsum(terms, axis=2, out=terms)[:, :, -1] * halfwidths
+    total[~np.isfinite(v).all(axis=2)] = INF
+    return total
 
 
 def gauss15(f, a: float, b: float) -> float:
-    """15-node Gauss-Legendre rule on [a, b]; non-finite samples yield inf."""
-    h = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
+    """15-node Gauss-Legendre rule on [a, b] for an array integrand;
+    non-finite samples yield inf."""
     total = 0.0
-    for x, w in zip(G15_X, G15_W):
-        v = f(mid + h * x)
+    for w, v in zip(_W15, np.asarray(f(_nodes(a, b)), dtype=float).tolist()):
         if not math.isfinite(v):
             return INF
         total += w * v
-    return total * h
+    return total * (0.5 * (b - a))
 
 
-def quad_interval(f, a: float, b: float, rel: float = 1e-10, depth: int = 14,
-                  abs_floor: float = 0.0) -> float:
-    """Adaptive bisection of the panel rule with a relative stop.
+def quad_rows(F, a: float, b: float, rel: float = 1e-10, depth: int = 14,
+              rows: int = 1) -> np.ndarray:
+    """Adaptive bisection of the panel rule for ``rows`` integrands on [a, b].
 
-    ``abs_floor`` is an absolute error budget for the whole interval; it
-    halves with each split so that panels whose contribution is negligible
-    against the full integral stop refining (flat tails of smooth bumps
-    otherwise grind at full depth).
+    ``F(xs, idx)`` returns the (len(idx), len(xs)) values of rows ``idx`` at
+    nodes ``xs``.  Each row stops when its halves agree with the whole panel
+    to ``rel`` relative plus an absolute floor, ``rel * (|whole| + 1e-300)``
+    on [a, b], halved with each split, so that panels negligible against
+    the whole integral stop refining; at ``depth`` levels it takes the
+    halves as they are.  A non-finite sample makes the row +inf.  A child's
+    whole panel is its parent's half, so a split evaluates only the new
+    halves, and only for the rows that have not stopped.
     """
-    whole = gauss15(f, a, b)
-    if whole == INF:
-        return INF
-    if abs_floor == 0.0:
-        abs_floor = rel * (abs(whole) + 1e-300)
+    idx = np.arange(rows)
     mid = 0.5 * (a + b)
-    left = gauss15(f, a, mid)
-    right = gauss15(f, mid, b)
-    if left == INF or right == INF:
-        return INF
+    xs = np.concatenate([_nodes(a, b), _nodes(a, mid), _nodes(mid, b)])
+    sums = _panel_sums(np.asarray(F(xs, idx), dtype=float),
+                       np.array([0.5 * (b - a), 0.5 * (mid - a), 0.5 * (b - mid)]))
+    whole = sums[:, 0]
+    out = np.full(rows, INF)
+    ok = whole != INF
+    if ok.any():
+        out[ok] = _refine(F, idx[ok], a, b, whole[ok], sums[ok, 1], sums[ok, 2],
+                          rel, depth, np.zeros(np.count_nonzero(ok)))
+    return out
+
+
+def _refine(F, idx, a, b, whole, left, right, rel, depth, floor):
+    """Rows ``idx`` on [a, b], given their whole and half panel sums."""
+    # a zero floor (at the top, or halved to underflow) is set from this panel
+    floor = np.where(floor == 0.0, rel * (np.abs(whole) + 1e-300), floor)
     halves = left + right
-    err = abs(halves - whole)
-    if err <= rel * abs(halves) + abs_floor or depth <= 0:
-        return halves
-    return (quad_interval(f, a, mid, rel, depth - 1, 0.5 * abs_floor)
-            + quad_interval(f, mid, b, rel, depth - 1, 0.5 * abs_floor))
+    out = halves
+    out[(left == INF) | (right == INF)] = INF
+    go = (out != INF) & ~(np.abs(halves - whole) <= rel * np.abs(halves) + floor)
+    if depth <= 0 or not go.any():
+        return out
+    sub, fl, mid = idx[go], 0.5 * floor[go], 0.5 * (a + b)
+    out[go] = (_split(F, sub, a, mid, left[go], rel, depth - 1, fl)
+               + _split(F, sub, mid, b, right[go], rel, depth - 1, fl))
+    return out
+
+
+def _split(F, idx, a, b, whole, rel, depth, floor):
+    """Evaluate the halves of [a, b] for rows ``idx``, then refine."""
+    mid = 0.5 * (a + b)
+    sums = _panel_sums(np.asarray(F(np.concatenate([_nodes(a, mid), _nodes(mid, b)]), idx),
+                                  dtype=float),
+                       np.array([0.5 * (mid - a), 0.5 * (b - mid)]))
+    return _refine(F, idx, a, b, whole, sums[:, 0], sums[:, 1], rel, depth, floor)
+
+
+def quad_interval(f, a: float, b: float, rel: float = 1e-10, depth: int = 14) -> float:
+    """Adaptive bisection of the panel rule for one array integrand."""
+    return float(quad_rows(lambda xs, idx: np.asarray(f(xs), dtype=float)[None, :],
+                           a, b, rel, depth)[0])
+
+
+def tensor_rule(lower, upper, nodes: int) -> tuple:
+    """Tensor Gauss-Legendre rule on a box: (points (N, n), weights (N,)),
+    N = nodes ** n, the last axis varying fastest."""
+    xs, ws = [], []
+    gx, gw = np.polynomial.legendre.leggauss(nodes)
+    for lo, hi in zip(lower, upper):
+        h = 0.5 * (hi - lo)
+        xs.append(0.5 * (lo + hi) + h * gx)
+        ws.append(h * gw)
+    mesh = np.meshgrid(*xs, indexing="ij")
+    pts = np.stack([m.ravel() for m in mesh], axis=-1)
+    w = ws[0]
+    for arr in ws[1:]:
+        w = np.multiply.outer(w, arr)
+    return pts, w.ravel()

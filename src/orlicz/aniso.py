@@ -15,15 +15,12 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import conjugate as conj_mod
-from .conjugate import IntegralClass, SobolevConjugate, sobolev_conjugate
+from .conjugate import SobolevConjugate, sobolev_conjugate
 from .young import (
     INF,
     ConstructionError,
-    Custom,
     FromInverse,
     GrowthOrder,
-    Power,
     YoungError,
     YoungFunction,
 )

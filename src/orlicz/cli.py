@@ -3,7 +3,8 @@ condition checks, exponent tables, and the counterexample driver.
 
 Output is deterministic for a fixed argument list and seed; CSV headers are
 fixed and JSON carries ``schema: 1`` for golden-file regression testing.
-Exit codes: 0 success, 2 indeterminate verdict, 1 usage or runtime error.
+Exit codes: 0 success; 2 indeterminate verdict, or a quadrature that found
+neither convergence nor divergence; 1 usage or runtime error.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from typing import Optional
 
@@ -20,7 +20,7 @@ import numpy as np
 from . import conditions, corpus, nemytskii
 from .aniso import Isotropic, Orthotropic, ThetaSolver, phi_circ, phi_n
 from .conjugate import sobolev_conjugate, sobolev_conjugate_sigma
-from .modular import BoxDomain, modular_convergence
+from .modular import BoxDomain, QuadratureError, modular_convergence
 from .modular import luxemburg_norm as _lux
 from .nemytskii import counterexample_run, parse_envelope
 from .young import INF, IndeterminateError, YoungError, from_config
@@ -301,10 +301,7 @@ def _cmd_counterexample(args) -> int:
             k *= 8
     deltas = _floats(args.deltas)
     lams = _floats(args.lambdas)
-    import os
-    workers = int(os.environ.get("ORLICZ_THREADS", "1"))
-    report = counterexample_run(ks, deltas, dim=args.dim, lambda_grid=lams,
-                                workers=workers)
+    report = counterexample_run(ks, deltas, dim=args.dim, lambda_grid=lams)
     rows = []
     for i, k in enumerate(report.k_list):
         for j, lam in enumerate(report.lambda_grid):
@@ -466,7 +463,7 @@ def main(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except IndeterminateError as exc:
+    except (IndeterminateError, QuadratureError) as exc:
         sys.stderr.write(f"indeterminate: {exc}\n")
         return 2
     except (YoungError, OSError, ValueError, KeyError) as exc:

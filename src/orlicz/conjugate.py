@@ -66,6 +66,13 @@ def _integrand(y: YoungFunction, nexp: float):
     return g
 
 
+def _in_log_variable(g):
+    """Array integrand u -> g(e^u) e^u, g mapped over the nodes."""
+    def f(us):
+        return np.array([g(e) * e for e in map(math.exp, us)])
+    return f
+
+
 def _fit_slope(g, ts) -> Optional[float]:
     """Local log-log slopes over consecutive points; None when unstable."""
     vals = []
@@ -269,7 +276,7 @@ class HnTable:
         while True:
             step = tail_step if in_tail else core_step
             xn = x + step
-            inc = _gauss15(lambda u: g(math.exp(u)) * math.exp(u), x, xn)
+            inc = _gauss15(_in_log_variable(g), x, xn)
             if inc == INF:
                 raise IndeterminateError("integrand blow-up inside the table range")
             acc += inc
@@ -341,7 +348,7 @@ class HnTable:
         j = int(np.searchsorted(self._xs, x, side="right")) - 1
         j = min(j, len(self._xs) - 1)
         base = math.exp(self._lnI[j])
-        inc = _quad_interval(lambda u: self._g(math.exp(u)) * math.exp(u),
+        inc = _quad_interval(_in_log_variable(self._g),
                              float(self._xs[j]), x, rel=1e-11)
         if inc == INF:
             return INF
@@ -546,7 +553,7 @@ def h_n(y: YoungFunction, n: float, s: float) -> float:
     steps = max(1, int(math.ceil((x1 - x0) / (math.log(10.0) / 16.0))))
     edges = np.linspace(x0, x1, steps + 1)
     for a, b in zip(edges[:-1], edges[1:]):
-        inc = _quad_interval(lambda u: g(math.exp(u)) * math.exp(u),
+        inc = _quad_interval(_in_log_variable(g),
                              float(a), float(b), rel=1e-11)
         if inc == INF:
             return INF

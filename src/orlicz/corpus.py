@@ -23,78 +23,95 @@ from .young import YoungError
 
 
 def coordinate_field(dim: int, axis: int = 0) -> TestFunction:
-    def grad(x, _a=axis, _d=dim):
-        g = np.zeros(_d)
-        g[_a] = 1.0
+    def gradients(X):
+        g = np.zeros((len(X), dim))
+        g[:, axis] = 1.0
         return g
 
-    return TestFunction(lambda x: float(x[axis]), grad, label=f"x{axis + 1}")
+    return TestFunction.from_batch(lambda X: X[:, axis].copy(), gradients,
+                                   f"x{axis + 1}")
 
 
 def product_sine(dim: int) -> TestFunction:
-    def val(x):
-        out = 1.0
+    def values(X):
+        out = np.ones(len(X))
         for i in range(dim):
-            out *= math.sin(math.pi * float(x[i]))
+            out *= np.sin(np.pi * X[:, i])
         return out
 
-    def grad(x):
-        g = np.zeros(dim)
+    def gradients(X):
+        g = np.empty((len(X), dim))
         for i in range(dim):
-            g[i] = math.pi
+            g[:, i] = np.pi
             for j in range(dim):
-                s = float(x[j])
-                g[i] *= math.cos(math.pi * s) if j == i else math.sin(math.pi * s)
+                g[:, i] *= np.cos(np.pi * X[:, j]) if j == i else np.sin(np.pi * X[:, j])
         return g
 
-    return TestFunction(val, grad, label="product_sine")
+    return TestFunction.from_batch(values, gradients, "product_sine")
 
 
 def radial_bump(center, width: float, height: float = 1.0) -> TestFunction:
     """Smooth compactly supported bump exp(1 - 1/(1 - s^2)) on |x-c| < width."""
     c = np.asarray(center, dtype=float)
-    dim = len(c)
 
-    def profile(s: float) -> float:
-        if s >= 1.0:
-            return 0.0
-        return math.exp(1.0 - 1.0 / (1.0 - s * s))
-
-    def val(x):
-        s = float(np.linalg.norm(np.asarray(x) - c)) / width
-        return height * profile(s)
-
-    def grad(x):
-        d = np.asarray(x, dtype=float) - c
-        r = float(np.linalg.norm(d))
+    def polar(X):
+        """Offsets from the centre, radii, scaled radii, 1 - s^2 inside the
+        support (1 outside) and the profile."""
+        d = X - c
+        r = np.linalg.norm(d, axis=1)
         s = r / width
-        if s >= 1.0 or r == 0.0:
-            return np.zeros(dim)
-        dp = profile(s) * (-2.0 * s / (1.0 - s * s) ** 2)
-        return height * dp * d / (r * width)
+        q = 1.0 - np.where(s < 1.0, s, 0.0) ** 2
+        return d, r, s, q, np.where(s < 1.0, np.exp(1.0 - 1.0 / q), 0.0)
 
-    return TestFunction(val, grad, label=f"bump(w={width:g})")
+    def values(X):
+        return height * polar(X)[4]
+
+    def gradients(X):
+        d, r, s, q, prof = polar(X)
+        live = (s < 1.0) & (r > 0.0)
+        dp = prof * (-2.0 * s / q ** 2)
+        rw = np.where(live, r, 1.0) * width
+        return np.where(live[:, None], (height * dp)[:, None] * d / rw[:, None], 0.0)
+
+    return TestFunction.from_batch(values, gradients, f"bump(w={width:g})")
+
+
+def _columns(value, partials, label: str) -> TestFunction:
+    """Field from formulas in the coordinate columns: ``value(x1, x2, ...)``
+    and ``partials(x1, x2, ...)``, a tuple with one entry per axis; constant
+    entries broadcast."""
+    def values(X):
+        return np.broadcast_to(np.asarray(value(*X.T), dtype=float), (len(X),)).copy()
+
+    def gradients(X):
+        return np.stack([np.broadcast_to(np.asarray(g, dtype=float), (len(X),))
+                         for g in partials(*X.T)], axis=1)
+
+    return TestFunction.from_batch(values, gradients, label)
+
+
+def _parabola():
+    return _columns(lambda t: t * (1 - t), lambda t: (1 - 2 * t,), "parabola")
+
+
+def _sine():
+    return _columns(lambda t: np.sin(np.pi * t),
+                    lambda t: (np.pi * np.cos(np.pi * t),), "sine")
 
 
 def interval_vanishing_corpus():
     """Fields on (0, 1) vanishing at both endpoints, with exact derivatives."""
-    fns = []
-    fns.append(TestFunction(lambda x: float(x[0]) * (1 - float(x[0])),
-                            lambda x: np.array([1 - 2 * float(x[0])]),
-                            label="parabola"))
-    fns.append(TestFunction(lambda x: math.sin(math.pi * float(x[0])),
-                            lambda x: np.array([math.pi * math.cos(math.pi * float(x[0]))]),
-                            label="sine"))
-    fns.append(TestFunction(lambda x: float(x[0]) ** 2 * (1 - float(x[0])),
-                            lambda x: np.array([2 * float(x[0]) - 3 * float(x[0]) ** 2]),
-                            label="skew_cubic"))
-    fns.append(TestFunction(lambda x: float(x[0]) * (1 - float(x[0])) ** 2,
-                            lambda x: np.array([(1 - float(x[0])) * (1 - 3 * float(x[0]))]),
-                            label="skew_cubic_mirror"))
-    fns.append(TestFunction(lambda x: min(float(x[0]), 1 - float(x[0])),
-                            lambda x: np.array([1.0 if float(x[0]) < 0.5 else -1.0]),
-                            label="tent"))
-    fns.append(radial_bump([0.5], 0.5))
+    fns = [
+        _parabola(),
+        _sine(),
+        _columns(lambda t: t ** 2 * (1 - t), lambda t: (2 * t - 3 * t ** 2,),
+                 "skew_cubic"),
+        _columns(lambda t: t * (1 - t) ** 2, lambda t: ((1 - t) * (1 - 3 * t),),
+                 "skew_cubic_mirror"),
+        _columns(lambda t: np.minimum(t, 1 - t),
+                 lambda t: (np.where(t < 0.5, 1.0, -1.0),), "tent"),
+        radial_bump([0.5], 0.5),
+    ]
     return [(u, BoxDomain.interval(0.0, 1.0)) for u in fns]
 
 
@@ -117,36 +134,25 @@ def unit_ball_corpus():
     out = []
     i1 = BoxDomain.interval(0.0, 1.0)
     b2 = BoxDomain.unit(2)
-    out.append((TestFunction(lambda x: 1.0, lambda x: np.zeros(1), "one"), i1))
-    out.append((TestFunction(lambda x: 0.25, lambda x: np.zeros(1), "quarter"), i1))
-    out.append((TestFunction(lambda x: 3.0, lambda x: np.zeros(1), "three"), i1))
+    for c, label in ((1.0, "one"), (0.25, "quarter"), (3.0, "three")):
+        out.append((_columns(lambda t, c=c: c, lambda t: (0.0,), label), i1))
     out.append((coordinate_field(1), i1))
-    out.append((TestFunction(lambda x: float(x[0]) * (1 - float(x[0])),
-                             lambda x: np.array([1 - 2 * float(x[0])]), "parabola"), i1))
-    out.append((TestFunction(lambda x: math.sin(math.pi * float(x[0])),
-                             lambda x: np.array([math.pi * math.cos(math.pi * float(x[0]))]),
-                             "sine"), i1))
+    out.append((_parabola(), i1))
+    out.append((_sine(), i1))
     out.append((radial_bump([0.5], 0.4), i1))
     out.append((coordinate_field(2), b2))
-    out.append((TestFunction(lambda x: float(x[0]) + float(x[1]),
-                             lambda x: np.ones(2), "x_plus_y"), b2))
+    out.append((_columns(lambda x, y: x + y, lambda x, y: (1.0, 1.0), "x_plus_y"), b2))
     out.append((product_sine(2), b2))
-    out.append((TestFunction(
-        lambda x: 16.0 * x[0] * (1 - x[0]) * x[1] * (1 - x[1]),
-        lambda x: 16.0 * np.array([(1 - 2 * x[0]) * x[1] * (1 - x[1]),
-                                   x[0] * (1 - x[0]) * (1 - 2 * x[1])]),
+    out.append((_columns(
+        lambda x, y: 16.0 * x * (1 - x) * y * (1 - y),
+        lambda x, y: (16.0 * ((1 - 2 * x) * y * (1 - y)), 16.0 * (x * (1 - x) * (1 - 2 * y))),
         "poly_bump"), b2))
-    out.append((TestFunction(lambda x: 2.0 * float(x[0]) * float(x[1]),
-                             lambda x: np.array([2 * float(x[1]), 2 * float(x[0])]),
-                             "saddle"), b2))
+    out.append((_columns(lambda x, y: 2.0 * x * y, lambda x, y: (2 * y, 2 * x), "saddle"), b2))
     return out
 
 
 def shifted_sequence(base: TestFunction, ks, offset: Callable[[int], float]):
-    return [TestFunction(
-        value=lambda x, _k=k: base.value(x) + offset(_k),
-        gradient=base.gradient,
-        label=f"{base.label}+{offset(k):g}") for k in ks]
+    return [base.shifted(offset(k)) for k in ks]
 
 
 FIELDS: Dict[str, Callable[[int], TestFunction]] = {

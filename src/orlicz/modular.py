@@ -5,17 +5,25 @@ with analytic gradients.  Integration uses nested adaptive Gauss panels with
 geometric refinement toward faces declared singular; a panel trend that stops
 decaying is reported as a divergent integral (+inf) rather than ground
 through endless refinement.
+
+Integrands are batch functions.  ``integrate_box(fn, box)`` calls ``fn`` on
+an (m, n) array of points and expects their (m,) values; a non-finite value
+makes its panel +inf.  A ``TestFunction`` evaluates a batch through
+``values(X)`` and ``gradients(X)``: the library fields and combinators do it
+in numpy, and a field given only by its scalar ``value`` and ``gradient`` is
+evaluated row by row.  Modulars evaluate Young functions through
+``values``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._quad import G15_W, G15_X, gauss15, quad_interval
+from ._quad import quad_interval, quad_rows
 from .young import INF, YoungError, YoungFunction
 
 
@@ -82,25 +90,55 @@ class BoxDomain:
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Scalar field with analytically supplied gradient."""
+    """Scalar field with analytically supplied gradient.
+
+    ``value(x)`` and ``gradient(x)`` act on one point, an (n,) array.  The
+    optional ``batch_value(X)`` and ``batch_gradient(X)`` act on an (m, n)
+    array of points and return the (m,) values and the (m, n) gradients;
+    without them, ``values`` and ``gradients`` loop over the rows.
+    """
 
     value: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
     label: str = ""
+    batch_value: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    batch_gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
+
+    @classmethod
+    def from_batch(cls, values, gradients, label: str = "") -> "TestFunction":
+        """Field given by its batch forms; one point is a batch of one row."""
+        return cls(lambda x: float(values(_one_row(x))[0]),
+                   lambda x: gradients(_one_row(x))[0], label, values, gradients)
+
+    def values(self, X) -> np.ndarray:
+        X = np.asarray(X, dtype=float)
+        if self.batch_value is not None:
+            return self.batch_value(X)
+        return np.array([self.value(x) for x in X], dtype=float)
+
+    def gradients(self, X) -> np.ndarray:
+        X = np.asarray(X, dtype=float)
+        if self.batch_gradient is not None:
+            return self.batch_gradient(X)
+        return np.array([np.asarray(self.gradient(x), dtype=float) for x in X]).reshape(X.shape)
 
     def __sub__(self, other: "TestFunction") -> "TestFunction":
-        return TestFunction(
-            value=lambda x: self.value(x) - other.value(x),
-            gradient=lambda x: np.asarray(self.gradient(x)) - np.asarray(other.gradient(x)),
-            label=f"{self.label}-{other.label}",
-        )
+        return TestFunction.from_batch(
+            lambda X: self.values(X) - other.values(X),
+            lambda X: self.gradients(X) - other.gradients(X),
+            f"{self.label}-{other.label}")
 
     def scaled(self, c: float) -> "TestFunction":
-        return TestFunction(
-            value=lambda x: c * self.value(x),
-            gradient=lambda x: c * np.asarray(self.gradient(x)),
-            label=f"{c:g}*{self.label}",
-        )
+        return TestFunction.from_batch(
+            lambda X: c * self.values(X),
+            lambda X: c * self.gradients(X),
+            f"{c:g}*{self.label}")
+
+    def shifted(self, c: float, label: Optional[str] = None) -> "TestFunction":
+        """u + c, with the gradient of u."""
+        return TestFunction.from_batch(
+            lambda X: self.values(X) + c, self.gradients,
+            label if label is not None else f"{self.label}+{c:g}")
 
     def gradient_consistent(self, box: BoxDomain, points: int = 32,
                             rel_tol: float = 1e-4, seed: int = 7,
@@ -128,8 +166,13 @@ class TestFunction:
         return ok
 
 
+def _one_row(x) -> np.ndarray:
+    return np.asarray(x, dtype=float).reshape(1, -1)
+
+
 def constant_function(c: float, n: int) -> TestFunction:
-    return TestFunction(lambda x: c, lambda x: np.zeros(n), label=f"const{c:g}")
+    return TestFunction.from_batch(lambda X: np.full(len(X), float(c)),
+                                   lambda X: np.zeros((len(X), n)), f"const{c:g}")
 
 
 def sup_norm(u: TestFunction, box: BoxDomain, samples_per_axis: int = 2049) -> float:
@@ -137,17 +180,10 @@ def sup_norm(u: TestFunction, box: BoxDomain, samples_per_axis: int = 2049) -> f
     axes = [np.linspace(lo, hi, samples_per_axis if box.n == 1 else 129)
             for lo, hi in zip(box.lower, box.upper)]
     # trim exact face hits to dodge declared singularities
-    axes = [ax[1:-1] for ax in axes]
-    best = 0.0
-    if box.n == 1:
-        for x in axes[0]:
-            best = max(best, abs(u.value(np.array([x]))))
-        return best
-    mesh = np.meshgrid(*axes, indexing="ij")
+    mesh = np.meshgrid(*[ax[1:-1] for ax in axes], indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    for p in pts:
-        best = max(best, abs(u.value(p)))
-    return best
+    # fmax skips NaN samples, as a running max(best, |u|) does
+    return float(np.fmax.reduce(np.abs(u.values(pts)), initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +191,9 @@ def sup_norm(u: TestFunction, box: BoxDomain, samples_per_axis: int = 2049) -> f
 # ---------------------------------------------------------------------------
 
 _MAX_PANELS = 900
-_MAG_CAP = 1e12
+# points per block of outer rows times nodes; larger blocks are split by rows,
+# which changes no result and bounds the memory of 3-D boxes
+_BLOCK_POINTS = 1 << 14
 
 
 def _toward_face(f, a: float, b: float, rel_tol: float) -> float:
@@ -202,27 +240,31 @@ def _toward_face(f, a: float, b: float, rel_tol: float) -> float:
     raise QuadratureError("no convergence or divergence signature at singular face")
 
 
-def _int1d(f, a: float, b: float, sing_lo: bool, sing_hi: bool,
-           rel_tol: float) -> float:
+def _int1d_singular(f, a: float, b: float, sing_lo: bool, sing_hi: bool,
+                    rel_tol: float) -> float:
     if sing_lo and sing_hi:
         mid = 0.5 * (a + b)
         left = _toward_face(f, a, mid, rel_tol)
         if left == INF:
             return INF
-        right = _toward_face(lambda x: f(a + b - x), a, mid, rel_tol)
+        right = _toward_face(lambda xs: f(a + b - xs), a, mid, rel_tol)
         return INF if right == INF else left + right
     if sing_lo:
         return _toward_face(f, a, b, rel_tol)
-    if sing_hi:
-        return _toward_face(lambda x: f(a + b - x), a, b, rel_tol)
-    return quad_interval(f, a, b, rel=rel_tol)
+    return _toward_face(lambda xs: f(a + b - xs), a, b, rel_tol)
 
 
-def integrate_box(fn: Callable[[np.ndarray], float], box: BoxDomain,
+def integrate_box(fn: Callable[[np.ndarray], np.ndarray], box: BoxDomain,
                   rel_tol: float = 1e-8,
                   truncation_radius: Optional[float] = None) -> float:
     """Nested adaptive integration of fn over the box; +inf on certified
     divergence toward a singular face.
+
+    ``fn`` is a batch integrand: it maps an (m, n) array of points to their
+    (m,) values.  Axis i is integrated for all points of the outer axes at
+    once, so each panel of the innermost axis is one call of ``fn``.  An
+    axis with a singular face is integrated point by point of the outer
+    axes, by geometric panels toward the face.
 
     Half-infinite boxes are refused unless a truncation radius is supplied;
     the result is then the integral over the clipped box (a lower bound for
@@ -239,39 +281,33 @@ def integrate_box(fn: Callable[[np.ndarray], float], box: BoxDomain,
     n = box.n
     sing = set(box.singular_faces)
 
-    def level(i: int, coords: tuple) -> float:
+    def level(i: int, prefix: np.ndarray) -> np.ndarray:
+        """Integrals over axes i.. for each row of the (m, i) outer points."""
         if i == n:
-            return fn(np.array(coords))
-        return _int1d(
-            lambda x: level(i + 1, coords + (x,)),
-            box.lower[i], box.upper[i],
-            (i, "lower") in sing, (i, "upper") in sing,
-            rel_tol,
-        )
+            return np.asarray(fn(prefix), dtype=float)
 
-    return level(0, ())
+        def grid(rows, xs):
+            pts = np.empty((len(rows), len(xs), i + 1))
+            pts[:, :, :i] = rows[:, None, :]
+            pts[:, :, i] = xs
+            return level(i + 1, pts.reshape(-1, i + 1)).reshape(len(rows), len(xs))
 
+        def block(xs, idx):
+            rows = prefix[idx]
+            step = max(1, _BLOCK_POINTS // len(xs))
+            return np.concatenate([grid(rows[s:s + step], xs)
+                                   for s in range(0, len(rows), step)])
 
-def integrate_box_tensor(fn_vec: Callable[[np.ndarray], np.ndarray],
-                         box: BoxDomain, nodes_per_axis: int = 32) -> float:
-    """Fixed tensor Gauss rule with a vectorized integrand (smooth fields)."""
-    if not box.finite:
-        raise DomainError("tensor rule needs a finite box")
-    xs, ws = [], []
-    for lo, hi in zip(box.lower, box.upper):
-        h = 0.5 * (hi - lo)
-        mid = 0.5 * (lo + hi)
-        order = max(nodes_per_axis, 4)
-        gx, gw = np.polynomial.legendre.leggauss(order)
-        xs.append(mid + h * gx)
-        ws.append(h * gw)
-    mesh = np.meshgrid(*xs, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    w = ws[0]
-    for arr in ws[1:]:
-        w = np.multiply.outer(w, arr)
-    vals = np.asarray(fn_vec(pts), dtype=float)
-    return float(np.dot(w.ravel(), vals))
+        lo, hi = box.lower[i], box.upper[i]
+        sing_lo, sing_hi = (i, "lower") in sing, (i, "upper") in sing
+        if not (sing_lo or sing_hi):
+            return quad_rows(block, lo, hi, rel_tol, rows=len(prefix))
+        return np.array([
+            _int1d_singular(lambda xs, r=r: block(xs, [r])[0], lo, hi,
+                            sing_lo, sing_hi, rel_tol)
+            for r in range(len(prefix))])
+
+    return float(level(0, np.empty((1, 0)))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +320,8 @@ def modular_integral(u: TestFunction, y: YoungFunction, lam: float,
     """int_box A(|u(x)| / lambda) dx, +inf allowed."""
     if lam <= 0:
         raise YoungError("modular scale lambda must be positive")
-    return integrate_box(lambda x: y(abs(u.value(x)) / lam), box, rel_tol,
-                         truncation_radius=truncation_radius)
+    return integrate_box(lambda X: y.values(np.abs(u.values(X)) / lam), box,
+                         rel_tol, truncation_radius=truncation_radius)
 
 
 def modular_integral_gradient(u: TestFunction, y, lam: float,
@@ -296,10 +332,9 @@ def modular_integral_gradient(u: TestFunction, y, lam: float,
         raise YoungError("modular scale lambda must be positive")
     from .aniso import NDimYoung  # local import avoids a hard dependency
     if isinstance(y, NDimYoung):
-        return integrate_box(
-            lambda x: y(np.asarray(u.gradient(x)) / lam), box, rel_tol)
+        return integrate_box(lambda X: y.values(u.gradients(X) / lam), box, rel_tol)
     return integrate_box(
-        lambda x: y(float(np.linalg.norm(u.gradient(x))) / lam), box, rel_tol)
+        lambda X: y.values(np.linalg.norm(u.gradients(X), axis=1) / lam), box, rel_tol)
 
 
 def luxemburg_norm(u: TestFunction, y: YoungFunction, box: BoxDomain,
@@ -412,15 +447,6 @@ class ModularReport:
                         return False
                 finite_prev = v
         return True
-
-
-def default_indices(k_max: int = 1024) -> tuple:
-    ks = []
-    k = 2
-    while k <= k_max:
-        ks.append(k)
-        k *= 2
-    return tuple(ks)
 
 
 def modular_convergence(seq: Sequence[TestFunction], limit: TestFunction,

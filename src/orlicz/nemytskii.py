@@ -12,20 +12,18 @@ condition.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from ._quad import tensor_rule
 from .conjugate import SobolevConjugate, sobolev_conjugate
 from .modular import (
     BoxDomain,
     ModularReport,
     TestFunction,
-    integrate_box,
-    integrate_box_tensor,
     modular_convergence,
-    modular_integral,
     modular_integral_gradient,
     w1a_quantities,
 )
@@ -193,11 +191,15 @@ class LipschitzSpec:
 
 def compose(spec: LipschitzSpec, u: TestFunction) -> TestFunction:
     """f(u) with the chain-rule gradient f'(u) grad u."""
-    return TestFunction(
-        value=lambda x: spec.f(u.value(x)),
-        gradient=lambda x: spec.fprime(u.value(x)) * np.asarray(u.gradient(x)),
-        label=f"{spec.label}({u.label})",
-    )
+
+    def values(X):
+        return np.array([spec.f(t) for t in u.values(X).tolist()], dtype=float)
+
+    def gradients(X):
+        fp = np.array([spec.fprime(t) for t in u.values(X).tolist()], dtype=float)
+        return fp[:, None] * u.gradients(X)
+
+    return TestFunction.from_batch(values, gradients, f"{spec.label}({u.label})")
 
 
 def truncate(u: TestFunction, s: float) -> TestFunction:
@@ -205,20 +207,15 @@ def truncate(u: TestFunction, s: float) -> TestFunction:
     if s <= 0:
         raise YoungError("threshold must be positive")
 
-    def val(x):
-        v = u.value(x)
-        if v > s:
-            return v - s
-        if v < -s:
-            return v + s
-        return 0.0
+    def values(X):
+        v = u.values(X)
+        return np.where(v > s, v - s, np.where(v < -s, v + s, 0.0))
 
-    def grad(x):
-        v = u.value(x)
-        g = np.asarray(u.gradient(x))
-        return g if abs(v) >= s else np.zeros_like(g)
+    def gradients(X):
+        keep = np.abs(u.values(X)) >= s
+        return np.where(keep[:, None], u.gradients(X), 0.0)
 
-    return TestFunction(val, grad, label=f"trunc{s:g}({u.label})")
+    return TestFunction.from_batch(values, gradients, f"trunc{s:g}({u.label})")
 
 
 def abs_shift_spec(shift: float = 1.0) -> LipschitzSpec:
@@ -416,16 +413,20 @@ def singular_log_field(dim: int) -> TestFunction:
     """u(x) = 1 + x1 (log x1 - 1) on the unit box; u takes values in (0, 1)
     and the first partial is log x1."""
 
-    def val(x):
-        t = float(x[0])
-        return 1.0 + t * (math.log(t) - 1.0) if t > 0 else 1.0
+    def values(X):
+        t = X[:, 0]
+        pos = t > 0
+        t = np.where(pos, t, 1.0)
+        return np.where(pos, 1.0 + t * (np.log(t) - 1.0), 1.0)
 
-    def grad(x):
-        g = np.zeros(dim)
-        g[0] = math.log(float(x[0])) if x[0] > 0 else -INF
+    def gradients(X):
+        t = X[:, 0]
+        pos = t > 0
+        g = np.zeros((len(X), dim))
+        g[:, 0] = np.where(pos, np.log(np.where(pos, t, 1.0)), -INF)
         return g
 
-    return TestFunction(val, grad, label="one_plus_xlogx")
+    return TestFunction.from_batch(values, gradients, "one_plus_xlogx")
 
 
 @dataclass(frozen=True)
@@ -451,8 +452,7 @@ def counterexample_run(k_list: Sequence[int] = (8, 64, 512),
                        delta_list: Sequence[float] = (1e-3, 1e-4, 1e-6),
                        dim: int = 2,
                        lambda_grid: Sequence[float] = (0.25, 0.5, 1.0, 2.0, 4.0),
-                       rel_tol: float = 1e-8,
-                       workers: int = 1) -> CounterexampleReport:
+                       rel_tol: float = 1e-8) -> CounterexampleReport:
     """Reproduce the failure of norm continuity for A(t) = t e^t.
 
     (a) the sequence converges to its limit in every grid modular (norm
@@ -467,17 +467,13 @@ def counterexample_run(k_list: Sequence[int] = (8, 64, 512),
     box = BoxDomain.unit(dim, singular=((0, "lower"),))
     u = singular_log_field(dim)
     ks = tuple(int(k) for k in k_list)
-    seq = [TestFunction(
-        value=lambda x, _k=k: u.value(x) + (math.log(_k) + 1.0) / _k,
-        gradient=u.gradient,
-        label=f"shifted[{k}]") for k in ks]
+    seq = [u.shifted((math.log(k) + 1.0) / k, label=f"shifted[{k}]") for k in ks]
     w_report = modular_convergence(seq, u, a, box, lambda_grid, indices=ks,
                                    rel_tol=rel_tol)
 
     strip_vals = {}
     strip_exp = {}
     skipped = []
-    jobs = []
     image_limit = compose(spec, u)
     for k, uk in zip(ks, seq):
         diff = compose(spec, uk) - image_limit
@@ -487,23 +483,9 @@ def counterexample_run(k_list: Sequence[int] = (8, 64, 512),
                 continue
             strip = BoxDomain((delta,) + (0.0,) * (dim - 1),
                               (1.0 / k,) + (1.0,) * (dim - 1))
-            jobs.append(((k, delta), diff, strip))
-
-    def strip_value(job):
-        key, diff, strip = job
-        return key, modular_integral_gradient(diff, a, 1.0, strip,
-                                              rel_tol=rel_tol)
-
-    if workers > 1 and len(jobs) > 1:
-        # pure evaluation, no shared mutable state; assembled after the join
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(strip_value, jobs))
-    else:
-        results = [strip_value(j) for j in jobs]
-    for key, val in results:
-        strip_vals[key] = val
-        strip_exp[key] = strip_integral_expected(*key)
+            strip_vals[(k, delta)] = modular_integral_gradient(
+                diff, a, 1.0, strip, rel_tol=rel_tol)
+            strip_exp[(k, delta)] = strip_integral_expected(k, delta)
 
     certified = _certify_divergence(strip_vals, strip_exp)
     return CounterexampleReport(
@@ -557,22 +539,9 @@ def _poincare_constant(u: TestFunction, box: BoxDomain, conj: SobolevConjugate,
                        nodes: int) -> float:
     """Smallest c with int A_n(|u| / (c R^{1/n})) <= R, R the gradient modular."""
     n = box.n
-    xs, ws = [], []
-    for lo, hi in zip(box.lower, box.upper):
-        h = 0.5 * (hi - lo)
-        mid = 0.5 * (lo + hi)
-        gx, gw = np.polynomial.legendre.leggauss(nodes)
-        xs.append(mid + h * gx)
-        ws.append(h * gw)
-    mesh = np.meshgrid(*xs, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    w = ws[0]
-    for arr in ws[1:]:
-        w = np.multiply.outer(w, arr)
-    w = w.ravel()
-    uvals = np.array([abs(u.value(p)) for p in pts])
-    gvals = np.array([float(np.linalg.norm(u.gradient(p))) for p in pts])
-    r_mod = float(np.dot(w, np.array([conj.base(g) for g in gvals])))
+    pts, w = tensor_rule(box.lower, box.upper, nodes)
+    uvals = np.abs(u.values(pts))
+    r_mod = float(np.dot(w, conj.base.values(np.linalg.norm(u.gradients(pts), axis=1))))
     if r_mod <= 0.0:
         return 0.0
     scale = r_mod ** (1.0 / n)

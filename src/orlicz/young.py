@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -264,6 +264,13 @@ class Power(YoungFunction):
     def __call__(self, t: float) -> float:
         return _pow(t, self.p, self.scale)
 
+    def values(self, ts: np.ndarray) -> np.ndarray:
+        t = np.asarray(ts, dtype=float).ravel()
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = self.scale * np.power(t, self.p)
+        out[t <= 0.0] = 0.0
+        return out
+
     def inverse(self, v: float) -> float:
         if v < 0:
             return 0.0
@@ -403,6 +410,14 @@ class PowerExp(YoungFunction):
         if e == INF:
             return INF
         return _pow(t, self.p) * e
+
+    def values(self, ts: np.ndarray) -> np.ndarray:
+        t = np.asarray(ts, dtype=float).ravel()
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = np.power(t, self.p) * np.exp(t)
+        out[t > _LOG_MAX] = INF
+        out[t <= 0.0] = 0.0
+        return out
 
     @property
     def zero_order(self):

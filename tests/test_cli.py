@@ -6,7 +6,9 @@ import shlex
 
 import pytest
 
+from orlicz import cli
 from orlicz.cli import main
+from orlicz.modular import BoxDomain, integrate_box
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 README = pathlib.Path(__file__).parent.parent / "README.md"
@@ -126,6 +128,23 @@ class TestCounterexampleCommand:
              "--deltas", "1e-3", "--lambdas", "1", "--out", str(out)])
         body = out.read_text()
         assert "w_modular,8," in body and "w_modular,64," in body
+
+
+class TestQuadratureFailure:
+    def test_exit_code_two_without_traceback(self, monkeypatch, capsys):
+        # a strip integral whose panels toward the singular face are negative
+        # fits neither a decaying nor a divergent trend
+        def no_signature(*args, **kwargs):
+            box = BoxDomain.unit(1, singular=((0, "lower"),))
+            return integrate_box(lambda X: -X[:, 0] ** -0.5, box)
+
+        monkeypatch.setattr(cli, "counterexample_run", no_signature)
+        code = run(["counterexample", "--dim", "1", "--ks", "8",
+                    "--deltas", "1e-3", "--lambdas", "1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("indeterminate: no convergence or divergence signature")
+        assert "Traceback" not in err
 
 
 class TestAnisoCommand:
