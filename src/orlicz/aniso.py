@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -23,6 +24,7 @@ from .young import (
     GrowthOrder,
     YoungError,
     YoungFunction,
+    _numeric_inverse,
 )
 
 
@@ -96,6 +98,10 @@ class Orthotropic(NDimYoung):
         return total
 
     def scalar_profile(self) -> YoungFunction:
+        return self._bar
+
+    @cached_property
+    def _bar(self) -> YoungFunction:  # built once, on first use
         return orthotropic_bar(self.components)
 
 
@@ -167,17 +173,14 @@ def orthotropic_bar(components: Sequence[YoungFunction]) -> YoungFunction:
             acc += math.log(v)
         return math.exp(acc / n)
 
-    zero = None
-    inf_ = None
-    orders_z = [a.zero_order for a in comps]
-    orders_i = [a.inf_order for a in comps]
-    if all(o is not None and o.family == "poly" and o.log_exp == 0 and o.loglog_exp == 0
-           for o in orders_z):
-        zero = GrowthOrder(bar_p([o.power for o in orders_z]))
-    if all(o is not None and o.family == "poly" and o.log_exp == 0 and o.loglog_exp == 0
-           for o in orders_i):
-        inf_ = GrowthOrder(bar_p([o.power for o in orders_i]))
-    return FromInverse(inv_fn=inv, zero=zero, inf_=inf_, label="orthotropic-mean")
+    def mean_order(orders) -> Optional[GrowthOrder]:
+        if all(o is not None and o.family == "poly" and o.log_exp == 0 and o.loglog_exp == 0
+               for o in orders):
+            return GrowthOrder(bar_p([o.power for o in orders]))
+        return None
+
+    return FromInverse(inv_fn=inv, zero=mean_order([a.zero_order for a in comps]),
+                       inf_=mean_order([a.inf_order for a in comps]), label="orthotropic-mean")
 
 
 def bar_p(ps: Sequence[float]) -> float:
@@ -206,26 +209,6 @@ def _unit_directions(n: int, count: int) -> np.ndarray:
     return np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=-1)
 
 
-def _ray_extent(phi: NDimYoung, d: np.ndarray, level: float) -> float:
-    """sup{s : phi(s d) <= level}; rays from the origin are monotone."""
-    s = 1.0
-    doubles = 0
-    while phi(s * d) <= level:
-        s *= 2.0
-        doubles += 1
-        if doubles > 200:
-            raise YoungError("unbounded sublevel set along a direction")
-    lo = 0.0 if doubles == 0 else s / 2.0
-    hi = s
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if phi(mid * d) <= level:
-            lo = mid
-        else:
-            hi = mid
-    return hi
-
-
 def sublevel_volume(phi: NDimYoung, level: float, max_depth: int = 12,
                     rel_tol: float = 1e-3, method: str = "grid",
                     mc_samples: int = 1_000_000, seed: int = 0):
@@ -245,7 +228,8 @@ def sublevel_volume(phi: NDimYoung, level: float, max_depth: int = 12,
     dirs.extend(np.eye(n))  # exact axis probes catch split degeneracies
     rho = 0.0
     for d in dirs:
-        rho = max(rho, _ray_extent(phi, d, level))
+        # sup{s : phi(s d) <= level}; rays from the origin are monotone
+        rho = max(rho, _numeric_inverse(lambda s: phi(s * d), level))
         if rho > 1e10:
             raise YoungError("sublevel set is unbounded at this level")
     rho *= 1.05

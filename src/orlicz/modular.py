@@ -200,9 +200,9 @@ def _toward_face(f, a: float, b: float, rel_tol: float) -> float:
     """Integral over (a, b] with a possible singularity at a.
 
     Geometric panels shrink toward the face; the series of panel integrals
-    must eventually decay geometrically, in which case the tail is summed by
-    ratio extrapolation.  A non-decaying trend certifies divergence and
-    returns +inf.
+    must eventually keep one sign and decay geometrically, in which case the
+    tail is summed by ratio extrapolation.  A non-decaying trend of one sign
+    certifies divergence and returns +inf or -inf with that sign.
     """
     w = b - a
     total = 0.0
@@ -224,10 +224,10 @@ def _toward_face(f, a: float, b: float, rel_tol: float) -> float:
         if all(v == 0.0 for v in recent):
             return total
         prev = panel_vals[-2]
-        if prev > 0.0 and I > 0.0:
+        if min(prev, I) > 0.0 or max(prev, I) < 0.0:
             rho = I / prev
             if rho >= 1.0 - 1e-6 and j >= 6:
-                return INF  # panels stopped decaying: divergent trend
+                return math.copysign(INF, I)  # panels stopped decaying
             if rho < 1.0:
                 tail = I * rho / (1.0 - rho)
                 est = total + tail
@@ -245,10 +245,9 @@ def _int1d_singular(f, a: float, b: float, sing_lo: bool, sing_hi: bool,
     if sing_lo and sing_hi:
         mid = 0.5 * (a + b)
         left = _toward_face(f, a, mid, rel_tol)
-        if left == INF:
-            return INF
-        right = _toward_face(lambda xs: f(a + b - xs), a, mid, rel_tol)
-        return INF if right == INF else left + right
+        if math.isinf(left):
+            return left
+        return left + _toward_face(lambda xs: f(a + b - xs), a, mid, rel_tol)
     if sing_lo:
         return _toward_face(f, a, b, rel_tol)
     return _toward_face(lambda xs: f(a + b - xs), a, b, rel_tol)

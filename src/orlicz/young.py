@@ -14,6 +14,7 @@ fall back to geometric-grid probes.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -135,57 +136,72 @@ class GrowthOrder:
 # ---------------------------------------------------------------------------
 # Monotone numeric inversion helpers
 # ---------------------------------------------------------------------------
+# One root finder on u = ln s locates where a non-decreasing fn crosses a
+# level.  Steps from u = 0 that double in length bracket the crossing inside
+# the normal float range; Illinois steps then refine it on
+# h(u) = ln fn(e^u) - ln level: regula falsi that halves the value kept at an
+# end that stayed put twice (Dowell & Jarratt, BIT 11, 1971), each point held
+# half the tolerance inside the bracket.  A step bisects the bracket in u
+# instead when an end value is infinite or exactly at the level.
+
+_U_MIN = math.log(sys.float_info.min)  # the smallest normal float
+_U_MAX = math.log(sys.float_info.max)
+
+
+def _log_root(fn: Callable[[float], float], level: float, exact: bool,
+              rel_tol: float = 1e-12, max_iter: int = 200) -> tuple:
+    """Bracket (lo, hi), fn(lo) <= level < fn(hi) and hi - lo <= rel_tol * hi;
+    (s, s) when ``exact`` and fn(s) == level; (0, 0) or (inf, inf) when the
+    crossing lies below or above the float range.  Raises YoungError when
+    ``max_iter`` evaluations leave the bracket open."""
+    log_level = math.log(level) if 0.0 < level < INF else None
+
+    def gap(f: float, above: bool) -> float:
+        # an end exactly at the level may lie on a plateau
+        if log_level is not None and 0.0 < f < INF and f != level:
+            return math.log(f) - log_level
+        return INF if above else -INF
+
+    ul = uh = None
+    lo, hi, hl, hh = 0.0, INF, -INF, INF
+    u, step, side = 0.0, 1.0, 0
+    for _ in range(max_iter):
+        s = math.exp(u)
+        f = fn(s)
+        if exact and f == level:
+            return s, s
+        if f > level:
+            if u == _U_MIN:
+                return 0.0, 0.0
+            uh, hi, hh = u, s, gap(f, True)
+            if side > 0:
+                hl *= 0.5
+            side = 1
+        else:
+            if u == _U_MAX:
+                return INF, INF
+            ul, lo, hl = u, s, gap(f, False)
+            if side < 0:
+                hh *= 0.5
+            side = -1
+        if ul is None or uh is None:
+            u = max(u - step, _U_MIN) if ul is None else min(u + step, _U_MAX)
+            step *= 2.0
+        elif hi - lo <= rel_tol * hi:
+            return lo, hi
+        elif -INF < hl < hh < INF:
+            u = uh - hh * (uh - ul) / (hh - hl)
+            u = min(max(u, ul + 0.5 * rel_tol), uh - 0.5 * rel_tol)
+        else:
+            u = 0.5 * (ul + uh)
+    raise YoungError(f"root bracket [{lo!r}, {hi!r}] still open after {max_iter} steps")
+
 
 def _numeric_inverse(fn: Callable[[float], float], v: float,
                      rel_tol: float = 1e-12, max_iter: int = 200) -> float:
-    """Generalized right-continuous inverse inf{s >= 0 : fn(s) > v}.
-
-    Plateaus resolve to their right endpoint.  Returns inf when the set is
-    empty (fn never exceeds v).
-    """
-    if v < 0:
-        return 0.0
-    hi = 1.0
-    doubles = 0
-    while fn(hi) <= v:
-        hi *= 2.0
-        doubles += 1
-        if doubles > 1200 or hi > 1e308:
-            return INF
-    lo = 0.0 if doubles == 0 else hi / 2.0
-    for _ in range(max_iter):
-        mid = math.sqrt(lo * hi) if lo > 0 else 0.5 * (lo + hi)
-        if fn(mid) > v:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= rel_tol * hi:
-            break
-    return hi
-
-
-def _solve_increasing(fn: Callable[[float], float], target: float,
-                      rel_tol: float = 1e-12, max_iter: int = 200) -> float:
-    """Root of a continuous non-decreasing fn(s) = target, s >= 0."""
-    if target <= fn(0.0):
-        return 0.0
-    hi = 1.0
-    doubles = 0
-    while fn(hi) < target:
-        hi *= 2.0
-        doubles += 1
-        if doubles > 1200 or hi > 1e308:
-            return INF
-    lo = 0.0 if doubles == 0 else hi / 2.0
-    for _ in range(max_iter):
-        mid = math.sqrt(lo * hi) if lo > 0 else 0.5 * (lo + hi)
-        if fn(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= rel_tol * max(hi, 1e-300):
-            break
-    return 0.5 * (lo + hi)
+    """Generalized right-continuous inverse inf{s >= 0 : fn(s) > v}: plateaus
+    resolve to their right endpoint, an empty set (v = inf included) to inf."""
+    return 0.0 if v < 0 else _log_root(fn, v, False, rel_tol, max_iter)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -272,11 +288,7 @@ class Power(YoungFunction):
         return out
 
     def inverse(self, v: float) -> float:
-        if v < 0:
-            return 0.0
-        if v == INF:
-            return INF
-        return _pow(v / self.scale, 1.0 / self.p)
+        return _pow(v / self.scale, 1.0 / self.p)  # 0 for v <= 0, inf at inf
 
     @property
     def zero_order(self):
@@ -636,10 +648,7 @@ class Glued(YoungFunction):
         return INF if v == INF else self.hi_scale * v
 
     def inverse(self, v: float) -> float:
-        if v < 0:
-            return 0.0
-        cut = self(self.tstar)
-        if v < cut:
+        if 0.0 <= v < self(self.tstar):
             return self.near_zero_fn.inverse(v)
         return _numeric_inverse(self.__call__, v)
 
@@ -706,7 +715,11 @@ class Custom(YoungFunction):
 @dataclass(frozen=True, repr=False)
 class FromInverse(YoungFunction):
     """A Young function specified through its (continuous, increasing)
-    inverse; forward values are recovered by monotone root finding."""
+    inverse.  A(t) is the root of inv_fn(s) = t, found to 1e-12 relative by
+    the log-space root finder above (a few inv_fn calls where the inverse is
+    near a power law); 0 when inv_fn(0) >= t or the root underflows the
+    normal float range, inf when inv_fn stays below t up to the largest
+    float."""
 
     inv_fn: Callable[[float], float]
     zero: Optional[GrowthOrder] = None
@@ -715,9 +728,10 @@ class FromInverse(YoungFunction):
     kind = "from_inverse"
 
     def __call__(self, t: float) -> float:
-        if t <= 0.0:
+        if t <= 0.0 or t <= self.inv_fn(0.0):
             return 0.0
-        return _solve_increasing(self.inv_fn, t)
+        lo, hi = _log_root(self.inv_fn, t, True)
+        return 0.5 * (lo + hi)
 
     def inverse(self, v: float) -> float:
         if v < 0:

@@ -46,6 +46,16 @@ class TestBar:
         with pytest.raises(oz.YoungError):
             oz.orthotropic_bar([oz.Power(2), dead])
 
+    def test_built_once_per_orthotropic(self):
+        phi = oz.Orthotropic((oz.Power(1.5), oz.Power(1.8)))
+        bar = phi.scalar_profile()
+        assert phi.scalar_profile() is bar
+        assert oz.phi_circ(phi, 2.0) == bar.inverse(2.0)
+        # a degenerate component still fails on use, not at construction
+        lazy = oz.Orthotropic((oz.Power(2), oz.Custom(lambda t: 0.0, label="dead")))
+        with pytest.raises(oz.YoungError):
+            lazy.scalar_profile()
+
 
 class TestVolume:
     @pytest.mark.parametrize("p", [1.0, 2.0, 4.0])

@@ -4,6 +4,7 @@ import json
 import pathlib
 import shlex
 
+import numpy as np
 import pytest
 
 from orlicz import cli
@@ -132,11 +133,13 @@ class TestCounterexampleCommand:
 
 class TestQuadratureFailure:
     def test_exit_code_two_without_traceback(self, monkeypatch, capsys):
-        # a strip integral whose panels toward the singular face are negative
-        # fits neither a decaying nor a divergent trend
+        # a strip integral whose panels toward the singular face alternate
+        # in sign at a constant size fits neither decay nor divergence
         def no_signature(*args, **kwargs):
             box = BoxDomain.unit(1, singular=((0, "lower"),))
-            return integrate_box(lambda X: -X[:, 0] ** -0.5, box)
+            return integrate_box(
+                lambda X: np.where(np.floor(-np.log2(X[:, 0])) % 2 == 0, 1.0, -1.0) / X[:, 0],
+                box)
 
         monkeypatch.setattr(cli, "counterexample_run", no_signature)
         code = run(["counterexample", "--dim", "1", "--ks", "8",
@@ -165,6 +168,25 @@ class TestAnisoCommand:
         assert code == 0
         rows = capsys.readouterr().out.splitlines()
         assert len([r for r in rows if r.startswith("theta,")]) == 2
+
+
+def readme_commands():
+    """The ``orlicz`` lines of README's CLI block."""
+    block = README.read_text().split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [ln for ln in block.splitlines() if ln.startswith("orlicz ")]
+
+
+class TestReadmeCommands:
+    @pytest.mark.parametrize("line", readme_commands(), ids=lambda ln: ln.split()[1])
+    def test_documented_exit_code(self, line, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        # the experiment line reads this minimal config
+        (tmp_path / "exp.json").write_text(json.dumps(
+            {"schema": 1, "A": {"kind": "power", "p": 2}, "B": {"kind": "power", "p": 1}}))
+        code = run(shlex.split(line)[1:])
+        err = capsys.readouterr().err
+        assert code == 0
+        assert "Traceback" not in err
 
 
 class TestNormCommand:

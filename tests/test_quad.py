@@ -408,11 +408,26 @@ class TestIntegrateBox:
         box = oz.BoxDomain.unit(2, singular=((1, "lower"),))
         assert integrate_box(lambda X: 1.0 / X[:, 1], box) == INF
 
+    def test_negative_face_converges(self):
+        for dim in (1, 2):
+            box = oz.BoxDomain.unit(dim, singular=((0, "lower"),))
+            assert integrate_box(lambda X: -X[:, 0] ** -0.5, box) == pytest.approx(-2.0, rel=1e-8)
+
+    def test_negative_divergence_verdict(self):
+        box = oz.BoxDomain.unit(1, singular=((0, "lower"),))
+        assert integrate_box(lambda X: -1.0 / X[:, 0], box) == -INF
+
     def test_no_signature_raises(self):
-        # negative panels toward the face fit neither decay nor divergence
+        # panels toward the face alternate in sign at a constant size
         box = oz.BoxDomain.unit(2, singular=((0, "lower"),))
         with pytest.raises(oz.modular.QuadratureError):
-            integrate_box(lambda X: -X[:, 0] ** -0.5, box)
+            integrate_box(alternating_face, box)
+
+
+def alternating_face(X):
+    """(-1)^j / x on the panel (2^-j-1, 2^-j]: every panel integral is +-ln 2."""
+    x = X[:, 0]
+    return np.where(np.floor(-np.log2(x)) % 2 == 0, 1.0, -1.0) / x
 
 
 class TestScalarUserField:

@@ -1,5 +1,6 @@
 """Young-function calculus: evaluation, inverses, doubling, equivalence."""
 
+import functools
 import math
 
 import numpy as np
@@ -8,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orlicz as oz
-from orlicz.young import INF
+from orlicz.aniso import _phi_circ_young
+from orlicz.young import INF, _log_root, _numeric_inverse
 
 
 def builtin_corpus():
@@ -88,6 +90,158 @@ class TestInverse:
 
     def test_empty_set_is_inf(self):
         assert oz.gate(2.0).inverse(INF) == INF
+
+
+# ---------------------------------------------------------------------------
+# The log-space root finder against the bisection it replaced
+# ---------------------------------------------------------------------------
+
+def ref_numeric_inverse(fn, v, rel_tol=1e-12, max_iter=200):
+    """The former bisection for inf{s >= 0 : fn(s) > v}."""
+    if v < 0:
+        return 0.0
+    hi = 1.0
+    doubles = 0
+    while fn(hi) <= v:
+        hi *= 2.0
+        doubles += 1
+        if doubles > 1200 or hi > 1e308:
+            return INF
+    lo = 0.0 if doubles == 0 else hi / 2.0
+    for _ in range(max_iter):
+        mid = math.sqrt(lo * hi) if lo > 0 else 0.5 * (lo + hi)
+        if fn(mid) > v:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= rel_tol * hi:
+            break
+    return hi
+
+
+def ref_solve_increasing(fn, target, rel_tol=1e-12, max_iter=200):
+    """The former bisection for the root of fn(s) = target."""
+    if target <= fn(0.0):
+        return 0.0
+    hi = 1.0
+    doubles = 0
+    while fn(hi) < target:
+        hi *= 2.0
+        doubles += 1
+        if doubles > 1200 or hi > 1e308:
+            return INF
+    lo = 0.0 if doubles == 0 else hi / 2.0
+    for _ in range(max_iter):
+        mid = math.sqrt(lo * hi) if lo > 0 else 0.5 * (lo + hi)
+        if fn(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= rel_tol * max(hi, 1e-300):
+            break
+    return 0.5 * (lo + hi)
+
+
+INVERSE_FAMILIES = [
+    oz.Power(1.0), oz.Power(1.7), oz.Power(3.5, scale=0.2),
+    oz.PowerLog(2, 1), oz.PowerLog(3, -1), oz.PowerLogLog(2, 0.5),
+    oz.PowerExp(1.0), oz.PowerExp(1.6), oz.Exp(0.5), oz.Exp(2.0),
+    oz.modify_near_zero(oz.Power(4), 3),
+    oz.Glued(oz.Power(2), oz.PowerLog(2, 1, math.e), 1.0, 1.0),
+]
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+@functools.lru_cache(maxsize=None)
+def circ_table():
+    phi = oz.Orthotropic((oz.Power(1.5), oz.Power(2.5)))
+    return _phi_circ_young(phi, t_lo=1e-2, t_hi=1e2, points=9, max_depth=6, rel_tol=1e-2)
+
+
+def plateau_step(a, b, jump):
+    """s up to a, flat on [a, b], then s - b + a + jump: a plateau and a jump."""
+    return lambda s: s if s <= a else (a if s <= b else s - b + a + jump)
+
+
+class TestLogRoot:
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(0, len(INVERSE_FAMILIES) - 1), v=log_uniform(1e-30, 1e30))
+    def test_inverse_matches_bisection(self, k, v):
+        y = INVERSE_FAMILIES[k]
+        ref = ref_numeric_inverse(y, v)
+        assert math.isclose(_numeric_inverse(y, v), ref, rel_tol=1e-12)
+        assert math.isclose(y.inverse(v), ref, rel_tol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(threshold=log_uniform(1e-6, 1e6), v=st.floats(0.0, 1e300))
+    def test_gate_jump_resolves_to_threshold(self, threshold, v):
+        g = oz.gate(threshold)
+        got = _numeric_inverse(g, v)
+        assert math.isclose(got, ref_numeric_inverse(g, v), rel_tol=1e-12)
+        assert threshold <= got <= threshold * (1 + 1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(a=log_uniform(1e-3, 1e3), width=log_uniform(1e-3, 1e3),
+           jump=log_uniform(1e-3, 1e3))
+    def test_plateau_and_jump_resolve_to_right_end(self, a, width, jump):
+        b = a * (1.0 + width)
+        fn = plateau_step(a, b, jump)
+        # the plateau at level a ends at b; every level in [a, a + jump) ends at b
+        for v, end in ((a, b), (a + 0.5 * jump, b), (0.5 * a, 0.5 * a)):
+            got = _numeric_inverse(fn, v)
+            assert math.isclose(got, ref_numeric_inverse(fn, v), rel_tol=1e-12)
+            assert end <= got <= end * (1 + 1e-12)
+
+    @settings(max_examples=20, deadline=None)
+    @given(cap=log_uniform(1e-6, 1e6))
+    def test_empty_set_is_inf(self, cap):
+        bounded = lambda s: min(s, cap)
+        for v in (cap, 2.0 * cap, INF):
+            assert _numeric_inverse(bounded, v) == INF == ref_numeric_inverse(bounded, v)
+
+    @settings(max_examples=60, deadline=None)
+    @given(t=log_uniform(1e-10, 1e40), q=st.floats(1.05, 3.0))
+    def test_orthotropic_forward_matches_bisection(self, t, q):
+        bar = oz.orthotropic_bar((oz.Power(1.37), oz.Power(q)))
+        assert math.isclose(bar(t), ref_solve_increasing(bar.inv_fn, t), rel_tol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(t=log_uniform(1e-12, 1e12))
+    def test_radial_table_forward_matches_bisection(self, t):
+        circ = circ_table()
+        assert math.isclose(circ(t), ref_solve_increasing(circ.inv_fn, t), rel_tol=1e-12)
+
+    def test_orthotropic_work_count(self):
+        bar = oz.orthotropic_bar((oz.Power(1.37), oz.Power(1.66)))
+        calls = [0]
+
+        def counted(s):
+            calls[0] += 1
+            return bar.inv_fn(s)
+
+        forward = oz.FromInverse(inv_fn=counted)
+        counts = []
+        for t in np.geomspace(1e-10, 1e40, 2001):
+            calls[0] = 0
+            forward(float(t))
+            counts.append(calls[0])
+        assert sum(counts) / len(counts) <= 15
+        assert max(counts) <= 60
+
+    def test_root_below_float_range_is_zero(self):
+        # A(t) = t^100 underflows: A(1e-5) = 1e-500
+        assert oz.FromInverse(inv_fn=lambda s: s ** 0.01)(1e-5) == 0.0
+        assert _numeric_inverse(oz.linear(), 0.0) == 0.0
+
+    def test_open_bracket_raises(self):
+        # gate values are 0 or inf, so every step bisects; 5 cannot close it
+        with pytest.raises(oz.YoungError, match="open after 5 steps"):
+            _numeric_inverse(oz.gate(1.5), 0.5, max_iter=5)
+        with pytest.raises(oz.YoungError):
+            _log_root(lambda s: s * s, 2.0, True, rel_tol=0.0)
 
 
 class TestDelta2:
