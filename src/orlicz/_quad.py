@@ -27,24 +27,29 @@ def _panel_sums(vals: np.ndarray, halfwidths) -> np.ndarray:
     """Gauss sums of consecutive 15-node panels, one row per integrand.
 
     ``vals`` is (m, 15 p); the result is (m, p).  A panel with a non-finite
-    sample is +inf.
+    sample is -inf when all its non-finite samples are -inf, else +inf.
     """
     v = vals.reshape(vals.shape[0], -1, 15)
     # a running sum adds the nodes in order, as a scalar loop does
     terms = v * G15_W
-    total = np.cumsum(terms, axis=2, out=terms)[:, :, -1] * halfwidths
-    total[~np.isfinite(v).all(axis=2)] = INF
+    with np.errstate(invalid="ignore"):  # an inf and a -inf: set below
+        total = np.cumsum(terms, axis=2, out=terms)[:, :, -1] * halfwidths
+    total[(v == -INF).any(axis=2)] = -INF
+    total[(np.isnan(v) | (v == INF)).any(axis=2)] = INF
     return total
 
 
 def gauss15(f, a: float, b: float) -> float:
     """15-node Gauss-Legendre rule on [a, b] for an array integrand;
-    non-finite samples yield inf."""
+    non-finite samples yield -inf when they are all -inf, else +inf."""
+    vals = np.asarray(f(_nodes(a, b)), dtype=float).tolist()
     total = 0.0
-    for w, v in zip(_W15, np.asarray(f(_nodes(a, b)), dtype=float).tolist()):
-        if not math.isfinite(v):
-            return INF
+    for w, v in zip(_W15, vals):
         total += w * v
+    if not math.isfinite(total):  # a non-finite sample, or an overflow
+        bad = [v for v in vals if not math.isfinite(v)]
+        if bad:
+            return -INF if all(v == -INF for v in bad) else INF
     return total * (0.5 * (b - a))
 
 
@@ -57,7 +62,8 @@ def quad_rows(F, a: float, b: float, rel: float = 1e-10, depth: int = 14,
     to ``rel`` relative plus an absolute floor, ``rel * (|whole| + 1e-300)``
     on [a, b], halved with each split, so that panels negligible against
     the whole integral stop refining; at ``depth`` levels it takes the
-    halves as they are.  A non-finite sample makes the row +inf.  A child's
+    halves as they are.  A non-finite sample makes the row -inf when every
+    non-finite sample of the row is -inf, else +inf.  A child's
     whole panel is its parent's half, so a split evaluates only the new
     halves, and only for the rows that have not stopped.
     """
@@ -67,8 +73,8 @@ def quad_rows(F, a: float, b: float, rel: float = 1e-10, depth: int = 14,
     sums = _panel_sums(np.asarray(F(xs, idx), dtype=float),
                        np.array([0.5 * (b - a), 0.5 * (mid - a), 0.5 * (b - mid)]))
     whole = sums[:, 0]
-    out = np.full(rows, INF)
-    ok = whole != INF
+    out = whole.copy()
+    ok = np.isfinite(whole)
     if ok.any():
         out[ok] = _refine(F, idx[ok], a, b, whole[ok], sums[ok, 1], sums[ok, 2],
                           rel, depth, np.zeros(np.count_nonzero(ok)))
@@ -79,16 +85,22 @@ def _refine(F, idx, a, b, whole, left, right, rel, depth, floor):
     """Rows ``idx`` on [a, b], given their whole and half panel sums."""
     # a zero floor (at the top, or halved to underflow) is set from this panel
     floor = np.where(floor == 0.0, rel * (np.abs(whole) + 1e-300), floor)
-    halves = left + right
-    out = halves
-    out[(left == INF) | (right == INF)] = INF
-    go = (out != INF) & ~(np.abs(halves - whole) <= rel * np.abs(halves) + floor)
+    out = _add(left, right)
+    go = np.isfinite(out) & ~(np.abs(out - whole) <= rel * np.abs(out) + floor)
     if depth <= 0 or not go.any():
         return out
     sub, fl, mid = idx[go], 0.5 * floor[go], 0.5 * (a + b)
-    out[go] = (_split(F, sub, a, mid, left[go], rel, depth - 1, fl)
-               + _split(F, sub, mid, b, right[go], rel, depth - 1, fl))
+    out[go] = _add(_split(F, sub, a, mid, left[go], rel, depth - 1, fl),
+                   _split(F, sub, mid, b, right[go], rel, depth - 1, fl))
     return out
+
+
+def _add(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x + y, with +inf where an inf meets a -inf."""
+    with np.errstate(invalid="ignore"):
+        s = x + y
+    s[np.isnan(s)] = INF
+    return s
 
 
 def _split(F, idx, a, b, whole, rel, depth, floor):

@@ -625,6 +625,22 @@ def check_ortho(a_list: Sequence[YoungFunction], b_list: Sequence[YoungFunction]
 # Anisotropic condition via the implicit coupling
 # ---------------------------------------------------------------------------
 
+def _unit_directions(n: int, count: int) -> np.ndarray:
+    """``count`` directions over a half circle or, by the golden-angle
+    spiral, over the upper half sphere."""
+    if n == 1:
+        return np.array([[1.0]])
+    if n == 2:
+        ang = np.linspace(0.0, math.pi, count, endpoint=False)
+        return np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+    golden = (1 + 5 ** 0.5) / 2
+    k = np.arange(count)
+    z = (k + 0.5) / count
+    phi = 2 * math.pi * k / golden
+    s = np.sqrt(1 - z ** 2)
+    return np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=-1)
+
+
 def check_aniso(phi: NDimYoung, psi: NDimYoung, envelope, n: Optional[int] = None,
                 with_constant: bool = True) -> ConditionVerdict:
     """Sample Psi(xi) <= c + Phi(xi / E(theta(xi))) over direction-radius
@@ -636,7 +652,6 @@ def check_aniso(phi: NDimYoung, psi: NDimYoung, envelope, n: Optional[int] = Non
     solver = ThetaSolver(phi, env, n, conj=conj)
 
     def excess(directions: int, radii: int, r_hi: float):
-        from .aniso import _unit_directions
         dirs = _unit_directions(phi.n, directions)
         rs = np.geomspace(1e-2, r_hi, radii)
         # one row per (direction, radius), radii fastest; argmax below takes

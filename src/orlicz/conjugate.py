@@ -277,7 +277,7 @@ class HnTable:
             step = tail_step if in_tail else core_step
             xn = x + step
             inc = _gauss15(_in_log_variable(g), x, xn)
-            if inc == INF:
+            if not math.isfinite(inc):
                 raise IndeterminateError("integrand blow-up inside the table range")
             acc += inc
             xs.append(xn)

@@ -214,8 +214,8 @@ def _toward_face(f, a: float, b: float, rel_tol: float) -> float:
         if lo <= a or hi <= lo:
             break
         I = quad_interval(f, lo, hi, rel=rel_tol * 0.1)
-        if I == INF:
-            return INF
+        if math.isinf(I):
+            return I
         total += I
         panel_vals.append(I)
         if j < 4:
@@ -256,8 +256,8 @@ def _int1d_singular(f, a: float, b: float, sing_lo: bool, sing_hi: bool,
 def integrate_box(fn: Callable[[np.ndarray], np.ndarray], box: BoxDomain,
                   rel_tol: float = 1e-8,
                   truncation_radius: Optional[float] = None) -> float:
-    """Nested adaptive integration of fn over the box; +inf on certified
-    divergence toward a singular face.
+    """Nested adaptive integration of fn over the box; +inf or -inf, with
+    its sign, on certified divergence toward a singular face.
 
     ``fn`` is a batch integrand: it maps an (m, n) array of points to their
     (m,) values.  Axis i is integrated for all points of the outer axes at

@@ -9,14 +9,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orlicz as oz
-from orlicz.aniso import _phi_circ_young
+from orlicz.aniso import _OMEGA, _phi_circ_young
 from orlicz.young import INF, GrowthOrder, Piecewise
 
 
+def dirichlet_volume(ps, level: float) -> float:
+    # Dirichlet: |{sum |x_i|^p_i <= t}| = 2^n prod Gamma(1+1/p_i) t^e / Gamma(1+e),
+    # e = sum 1/p_i
+    e = sum(1.0 / p for p in ps)
+    unit = 2.0 ** len(ps) * math.prod(math.gamma(1 + 1 / p) for p in ps) / math.gamma(1 + e)
+    return unit * level ** e
+
+
 def pball_volume(p: float, n: int, level: float) -> float:
-    # closed form: |{sum |x_i|^p <= 1}| = 2^n Gamma(1+1/p)^n / Gamma(1+n/p)
-    unit = 2.0 ** n * math.gamma(1 + 1 / p) ** n / math.gamma(1 + n / p)
-    return unit * level ** (n / p)
+    return dirichlet_volume([p] * n, level)
+
+
+def rotation(angles) -> np.ndarray:
+    """A rotation of the plane (one angle) or of space (three Euler angles)."""
+    def plane(a, i, j, n):
+        r = np.eye(n)
+        r[i, i] = r[j, j] = math.cos(a)
+        r[i, j], r[j, i] = -math.sin(a), math.sin(a)
+        return r
+    if len(angles) == 1:
+        return plane(angles[0], 0, 1, 2)
+    a, b, c = angles
+    return plane(a, 0, 1, 3) @ plane(b, 1, 2, 3) @ plane(c, 0, 1, 3)
 
 
 class TestBar:
@@ -81,6 +100,72 @@ class TestVolume:
         with pytest.raises(oz.YoungError):
             oz.sublevel_volume(flat, 1.0)
 
+    def test_unknown_method_rejected(self):
+        disc = oz.Isotropic(oz.Power(2), 2)
+        with pytest.raises(oz.YoungError, match="definitely-not-a-method"):
+            oz.sublevel_volume(disc, 1.0, method="definitely-not-a-method")
+        assert oz.sublevel_volume(disc, 1.0, method="polar") == oz.sublevel_volume(disc, 1.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(ps=st.lists(st.floats(1.0, 6.0), min_size=2, max_size=2),
+           log_level=st.floats(-2.0, 3.0), rel_tol=st.sampled_from([1e-2, 1e-3, 1e-5]))
+    def test_orthotropic_pairs(self, ps, log_level, rel_tol):
+        self.check_orthotropic(ps, 10.0 ** log_level, rel_tol)
+
+    @settings(max_examples=8, deadline=None)
+    @given(ps=st.lists(st.floats(1.0, 6.0), min_size=3, max_size=3),
+           log_level=st.floats(-2.0, 3.0), rel_tol=st.sampled_from([1e-2, 1e-3]))
+    def test_orthotropic_triples(self, ps, log_level, rel_tol):
+        self.check_orthotropic(ps, 10.0 ** log_level, rel_tol)
+
+    @staticmethod
+    def check_orthotropic(ps, level, rel_tol):
+        phi = oz.Orthotropic(tuple(oz.Power(p) for p in ps))
+        vol, err = oz.sublevel_volume(phi, level, rel_tol=rel_tol)
+        assert abs(vol - dirichlet_volume(ps, level)) <= err <= rel_tol * vol
+
+    @settings(max_examples=25, deadline=None)
+    @given(angle=st.floats(0.0, math.pi),
+           stretch=st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
+           log_level=st.floats(-2.0, 3.0))
+    def test_ellipse_oracle(self, angle, stretch, log_level):
+        self.check_ellipse(np.diag(stretch) @ rotation([angle]), 10.0 ** log_level)
+
+    @settings(max_examples=5, deadline=None)
+    @given(angles=st.tuples(st.floats(0.0, math.pi), st.floats(0.0, math.pi),
+                            st.floats(0.0, math.pi)),
+           stretch=st.tuples(st.floats(0.7, 1.4), st.floats(0.7, 1.4), st.floats(0.7, 1.4)),
+           log_level=st.floats(-2.0, 3.0))
+    def test_ellipsoid_oracle(self, angles, stretch, log_level):
+        self.check_ellipse(np.diag(stretch) @ rotation(angles), 10.0 ** log_level)
+
+    @staticmethod
+    def check_ellipse(m, level):
+        # {|M x|^2 <= t} has volume omega_n t^(n/2) / |det M|; a rotated
+        # ellipse has no symmetry about the coordinate planes
+        n = len(m)
+        phi = oz.LinearImage(((m, oz.Power(2)),), n)
+        vol, err = oz.sublevel_volume(phi, level)
+        exact = _OMEGA[n] * level ** (n / 2) / abs(np.linalg.det(m))
+        assert abs(vol - exact) <= err <= 1e-3 * vol
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("rel_tol", [1e-3, 1e-9])
+    def test_exact_ball(self, n, rel_tol):
+        for level in (1.0, 7.0):
+            vol, err = oz.sublevel_volume(oz.Isotropic(oz.Power(2), n), level,
+                                          rel_tol=rel_tol)
+            exact = _OMEGA[n] * level ** (n / 2)
+            assert abs(vol - exact) <= err <= rel_tol * vol
+
+    def test_depth_cap_reports_its_error(self):
+        ps = (1.3, 5.0, 2.2)
+        phi = oz.Orthotropic(tuple(oz.Power(p) for p in ps))
+        for depth in (0, 1, 2):
+            vol, err = oz.sublevel_volume(phi, 1.0, max_depth=depth, rel_tol=1e-9)
+            assert err > 1e-9 * vol
+            assert abs(vol - dirichlet_volume(ps, 1.0)) <= err
+
 
 class TestPhiCirc:
     def test_isotropic_is_inverse(self):
@@ -141,6 +226,17 @@ class TestPhiN:
         phi = oz.Orthotropic((oz.Power(2), oz.Power(4)))
         vol_conj = oz.phi_n(phi, method="volume", max_depth=9, rel_tol=5e-3,
                             points=17, t_lo=1e-2, t_hi=1e3)
+        bar_conj = oz.phi_n(phi)
+        v = oz.equivalent(
+            oz.Custom(lambda t: vol_conj.an_value(t), label="volume-route"),
+            oz.Custom(lambda t: bar_conj.an_value(t), label="reduced-route"),
+            oz.Regime.everywhere(), c_max=1e3)
+        assert v.equivalent and v.constant <= 4.0
+
+    def test_volume_route_3d_defaults(self):
+        # library defaults: 25 volumes over [1e-3, 1e4] at rel_tol 1e-3
+        phi = oz.Orthotropic((oz.Power(1.5), oz.Power(2), oz.Power(3)))
+        vol_conj = oz.phi_n(phi, method="volume")
         bar_conj = oz.phi_n(phi)
         v = oz.equivalent(
             oz.Custom(lambda t: vol_conj.an_value(t), label="volume-route"),
@@ -265,8 +361,8 @@ class TestThetaMany:
             assert theta == pytest.approx(solver.solve(xi), rel=1e-12, abs=0.0)
 
     def test_orthotropic_rows(self):
-        # the default NDimYoung.values row loop; any unbounded conjugate will
-        # do, and a ready one skips the slow orthotropic table build
+        # Orthotropic.values; any unbounded conjugate will do, and a ready
+        # one skips the slow orthotropic table build
         phi = oz.Orthotropic((oz.Power(1.5), oz.Power(2), oz.Power(2.5)))
         solver = oz.ThetaSolver(phi, oz.Envelope.power(0.5), 3,
                                 conj=oz.sobolev_conjugate(oz.Power(2), 3))
@@ -286,6 +382,22 @@ class TestThetaMany:
         xis = np.array([[0.1, 0.0, 0.0], [0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
         assert solve_error(solver.solve_many, xis) == solve_error(solver.solve, xis[2])
         assert "xi=array([2., 0., 0.])" in solve_error(solver.solve_many, xis)
+
+    @settings(max_examples=40, deadline=None)
+    @given(kinds=st.lists(st.sampled_from(["power", "power_exp", "power_log", "exp"]),
+                          min_size=1, max_size=3),
+           rows=st.lists(st.lists(st.one_of(st.floats(-1e3, 1e3),
+                                            st.sampled_from([0.0, -0.0, INF, -INF])),
+                                  min_size=3, max_size=3),
+                         min_size=1, max_size=12))
+    def test_orthotropic_values_match_rows(self, kinds, rows):
+        make = {"power": lambda: oz.Power(2.5), "power_exp": lambda: oz.PowerExp(1.5),
+                "power_log": lambda: oz.PowerLog(2, 1), "exp": lambda: oz.Exp(1.0)}
+        phi = oz.Orthotropic(tuple(make[k]() for k in kinds))
+        pts = np.array([r[:phi.n] for r in rows])
+        got = phi.values(pts)
+        for g, want in zip(got.tolist(), [phi(p) for p in pts]):
+            assert g == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_isotropic_values_match_rows(self):
         phi = oz.Isotropic(oz.PowerLog(2, 1), 3)

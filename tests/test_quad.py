@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import orlicz as oz
 from orlicz import corpus
-from orlicz._quad import gauss15, quad_interval, quad_rows
+from orlicz._quad import _panel_sums, gauss15, quad_interval, quad_rows
 from orlicz.modular import _int1d_singular, constant_function, integrate_box
 from orlicz.nemytskii import abs_shift_spec, signed_square_spec, singular_log_field
 
@@ -261,33 +261,41 @@ class TestFieldBatches:
 # ---------------------------------------------------------------------------
 
 def ref_gauss15(f, a, b):
-    """Scalar 15-node rule: samples one at a time, stop at a non-finite one."""
+    """Scalar 15-node rule: samples one at a time; non-finite samples give
+    -inf when they are all -inf, else +inf."""
     h, mid = 0.5 * (b - a), 0.5 * (a + b)
-    total = 0.0
+    total, signs = 0.0, set()
     for x, w in zip(*np.polynomial.legendre.leggauss(15)):
         v = f(mid + h * x)
         if not math.isfinite(v):
-            return INF
+            signs.add(v == -INF)
+            continue
         total += w * v
+    if signs:
+        return -INF if signs == {True} else INF
     return total * h
+
+
+def ref_add(x, y):
+    return INF if math.isinf(x) and math.isinf(y) and x != y else x + y
 
 
 def ref_quad(f, a, b, rel=1e-10, depth=14, floor=0.0):
     """Recursive bisection that recomputes each child's whole panel."""
     whole = ref_gauss15(f, a, b)
-    if whole == INF:
-        return INF
+    if math.isinf(whole):
+        return whole
     if floor == 0.0:
         floor = rel * (abs(whole) + 1e-300)
     mid = 0.5 * (a + b)
     left, right = ref_gauss15(f, a, mid), ref_gauss15(f, mid, b)
-    if left == INF or right == INF:
-        return INF
+    if math.isinf(left) or math.isinf(right):
+        return ref_add(left, right)
     halves = left + right
     if abs(halves - whole) <= rel * abs(halves) + floor or depth <= 0:
         return halves
-    return (ref_quad(f, a, mid, rel, depth - 1, 0.5 * floor)
-            + ref_quad(f, mid, b, rel, depth - 1, 0.5 * floor))
+    return ref_add(ref_quad(f, a, mid, rel, depth - 1, 0.5 * floor),
+                   ref_quad(f, mid, b, rel, depth - 1, 0.5 * floor))
 
 
 def vectorized(f):
@@ -306,12 +314,17 @@ def row_family(kind, c):
         return lambda x: 1.0 / (x - c) if x > c else INF
     if kind == "spike":  # non-finite only where refinement lands
         return lambda x: INF if abs(x - c) < 1e-3 else 1.0 / (1e-3 + abs(x - c))
+    if kind == "negative spike":  # -inf where refinement lands
+        return lambda x: -INF if abs(x - c) < 1e-3 else -1.0 / (1e-3 + abs(x - c))
+    if kind == "split spike":  # +inf left of c, -inf right of it
+        return lambda x: math.copysign(INF, c - x) if abs(x - c) < 1e-3 else 1.0
     if kind == "zero":
         return lambda x: 0.0
     raise ValueError(kind)
 
 
-ROWS = st.lists(st.tuples(st.sampled_from(["smooth", "peak", "cusp", "pole", "spike", "zero"]),
+ROWS = st.lists(st.tuples(st.sampled_from(["smooth", "peak", "cusp", "pole", "spike",
+                                           "negative spike", "split spike", "zero"]),
                           st.floats(0.05, 0.95)), min_size=1, max_size=7)
 
 
@@ -343,8 +356,18 @@ class TestQuadRows:
             assert got[i] == ref_quad(f, 0.0, 1.0, 1e-13, 4)
 
     def test_gauss15_matches_scalar_rule(self):
-        for f in (math.exp, math.sin, lambda x: 1.0 / x if x > 0.5 else INF):
+        for f in (math.exp, math.sin, lambda x: 1.0 / x if x > 0.5 else INF,
+                  lambda x: 1.0 / x if x > 0.5 else -INF,
+                  lambda x: -INF if x < 0.3 else (INF if x > 0.7 else x)):
             assert gauss15(vectorized(f), 0.1, 0.9) == ref_gauss15(f, 0.1, 0.9)
+
+    def test_panel_sign(self):
+        # all non-finite samples -inf: -inf; a +inf or a NaN among them: +inf
+        for bad, want in (((-INF,), -INF), ((-INF, INF), INF), ((-INF, math.nan), INF),
+                          ((math.nan,), INF)):
+            vals = np.ones((1, 15))
+            vals[0, 3:3 + len(bad)] = bad
+            assert _panel_sums(vals, np.array([0.5]))[0, 0] == want
 
 
 # ---------------------------------------------------------------------------
@@ -416,6 +439,13 @@ class TestIntegrateBox:
     def test_negative_divergence_verdict(self):
         box = oz.BoxDomain.unit(1, singular=((0, "lower"),))
         assert integrate_box(lambda X: -1.0 / X[:, 0], box) == -INF
+
+    def test_negative_divergence_on_an_inner_axis(self):
+        # every outer row diverges to -inf; the outer panels keep the sign
+        for dim, axis in ((2, 1), (3, 1)):
+            box = oz.BoxDomain.unit(dim, singular=((axis, "lower"),))
+            assert integrate_box(lambda X: -1.0 / X[:, axis], box) == -INF
+            assert integrate_box(lambda X: 1.0 / X[:, axis], box) == INF
 
     def test_no_signature_raises(self):
         # panels toward the face alternate in sign at a constant size
