@@ -29,7 +29,7 @@ from .conjugate import (
     sobolev_conjugate,
 )
 from .nemytskii import Envelope, parse_envelope
-from .young import INF, IndeterminateError, YoungError, YoungFunction
+from .young import INF, IndeterminateError, YoungError, YoungFunction, _least_constant
 
 _TOL = 1e-9
 
@@ -255,7 +255,8 @@ def _ass2_analytic(a: YoungFunction, b: YoungFunction, env: Envelope,
 
 def _min_constant(lhs: np.ndarray, ts: np.ndarray, a: YoungFunction,
                   c_max: float = 1e8) -> Optional[float]:
-    """Smallest c >= 1 with lhs <= A(c t) on the grid, or None."""
+    """Smallest c in [1, c_max] with lhs <= A(c t) on the grid, to 1e-6
+    relative, or None when c_max fails."""
 
     def ok(c: float) -> bool:
         for t, l in zip(ts, lhs):
@@ -265,20 +266,7 @@ def _min_constant(lhs: np.ndarray, ts: np.ndarray, a: YoungFunction,
                 return False
         return True
 
-    if not ok(c_max):
-        return None
-    if ok(1.0):
-        return 1.0
-    lo, hi = 1.0, c_max
-    for _ in range(60):
-        mid = math.sqrt(lo * hi)
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-6 * hi:
-            break
-    return hi
+    return _least_constant(ok, c_max, 1e-6) if ok(c_max) else None
 
 
 def _ass2_grid(a: YoungFunction, b: YoungFunction, env: Envelope, n: float,

@@ -20,6 +20,7 @@ import enum
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -437,10 +438,17 @@ class SobolevConjugate:
     modified: YoungFunction
     nexp: float
     hn: HnTable
-    an: YoungFunction
     h_limit: float
     classification_zero: IntegralClass
     classification_inf: IntegralClass
+
+    @cached_property
+    def an(self) -> YoungFunction:  # built once, on first use
+        zero, inf_ = _an_orders(self.base, self.nexp,
+                                self.classification_zero is IntegralClass.DIVERGES)
+        return Custom(fn=self.an_value, inverse_fn=self._an_inverse, zero=zero, inf_=inf_,
+                      jump=self.h_limit if self.h_limit != INF else None,
+                      label=f"conjugate[{self.nexp:g}]")
 
     def an_value(self, t: float) -> float:
         if t <= 0.0:
@@ -449,6 +457,10 @@ class SobolevConjugate:
             return INF
         s = self.hn.inverse(t)
         return INF if s == INF else self.modified(s)
+
+    def _an_inverse(self, v: float) -> float:
+        s = self.modified.inverse(v)
+        return INF if s == INF else self.hn.refined(s)
 
     def an_values(self, ts) -> np.ndarray:
         """``an_value`` on an array, through ``HnTable.inverse_many``."""
@@ -499,27 +511,9 @@ def sobolev_conjugate(y: YoungFunction, n: float) -> SobolevConjugate:
     base_mod = modify_near_zero(y, max(2, int(math.ceil(n)))) if was_modified else y
     table = HnTable(base_mod, n,
                     diverges_at_inf=ci is IntegralClass.DIVERGES)
-    h_limit = table.limit
-    zero_o, inf_o = _an_orders(y, n, was_modified)
-    jump = h_limit if h_limit != INF else None
-
-    def an_fn(t: float, _table=table, _mod=base_mod, _lim=h_limit) -> float:
-        if t <= 0.0:
-            return 0.0
-        if _lim != INF and t > _lim:
-            return INF
-        s = _table.inverse(t)
-        return INF if s == INF else _mod(s)
-
-    def an_inv(v: float, _table=table, _mod=base_mod) -> float:
-        s = _mod.inverse(v)
-        return INF if s == INF else _table.refined(s)
-
-    an = Custom(fn=an_fn, inverse_fn=an_inv, zero=zero_o, inf_=inf_o,
-                jump=jump, label=f"conjugate[{n:g}]")
     return SobolevConjugate(
-        base=y, modified=base_mod, nexp=float(n), hn=table, an=an,
-        h_limit=h_limit, classification_zero=cz, classification_inf=ci)
+        base=y, modified=base_mod, nexp=float(n), hn=table, h_limit=table.limit,
+        classification_zero=cz, classification_inf=ci)
 
 
 def sobolev_conjugate_sigma(y: YoungFunction, sigma: float, n: float = 2.0) -> SobolevConjugate:

@@ -2,12 +2,13 @@
 
 Scalar fields live on axis-aligned boxes in dimension 1 to 3 and are supplied
 with analytic gradients.  Integration uses nested adaptive Gauss panels with
-geometric refinement toward faces declared singular; a panel trend that stops
-decaying is reported as a divergent integral (+inf) rather than ground
-through endless refinement.
+geometric refinement toward faces declared singular; a panel trend of one
+sign that stops decaying is reported as a divergent integral, +inf or -inf
+with that sign, rather than ground through endless refinement.
 
 Integrands are batch functions.  ``integrate_box(fn, box)`` calls ``fn`` on
-an (m, n) array of points and expects their (m,) values; a non-finite value
+an (m, n) array of points and expects their (m,) values; a panel whose
+non-finite values are all -inf reads -inf, and any other non-finite value
 makes its panel +inf.  A ``TestFunction`` evaluates a batch through
 ``values(X)`` and ``gradients(X)``: the library fields and combinators do it
 in numpy, and a field given only by its scalar ``value`` and ``gradient`` is
@@ -24,7 +25,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ._quad import quad_interval, quad_rows
-from .young import INF, YoungError, YoungFunction
+from .young import INF, YoungError, YoungFunction, _log_root
 
 
 class QuadratureError(RuntimeError):
@@ -339,38 +340,27 @@ def modular_integral_gradient(u: TestFunction, y, lam: float,
 def luxemburg_norm(u: TestFunction, y: YoungFunction, box: BoxDomain,
                    gradient: bool = False, rel_tol: float = 1e-8,
                    lam_cap: float = 1e12) -> float:
-    """inf{lambda > 0 : modular(u/lambda) <= 1} by bisection on log lambda."""
-    def m(lam: float) -> float:
-        if gradient:
-            return modular_integral_gradient(u, y, lam, box, rel_tol)
-        return modular_integral(u, y, lam, box, rel_tol)
+    """inf{lambda > 0 : modular(u/lambda) <= 1}, to 1e-11 relative.
 
-    hi = 1.0
-    doubles = 0
-    while m(hi) > 1.0:
-        hi *= 2.0
-        doubles += 1
-        if hi > lam_cap:
+    ``young._log_root`` finds where the modular at lambda = 1/s, which
+    increases in s, crosses 1; a lambda where it equals 1 exactly ends the
+    search.  The search is held to lambda in
+    [1e-12, lam_cap]: a norm above ``lam_cap`` reads inf, one below 1e-12
+    reads 0.
+    """
+    def m(s: float) -> float:
+        if s < 1.0 / lam_cap:
+            return 0.0
+        if s > 1e12:
             return INF
-    if m(min(1e-12, hi)) <= 1.0:
-        return 0.0
-    lo = hi / 2.0 if doubles else None
-    if lo is None:
-        lo = hi
-        while m(lo / 2.0) <= 1.0:
-            lo /= 2.0
-            if lo < 1e-12:
-                return 0.0
-        lo /= 2.0
-    for _ in range(80):
-        mid = math.sqrt(lo * hi)
-        if m(mid) <= 1.0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-11 * hi:
-            break
-    return hi
+        if gradient:
+            return modular_integral_gradient(u, y, 1.0 / s, box, rel_tol)
+        return modular_integral(u, y, 1.0 / s, box, rel_tol)
+
+    lo, hi = _log_root(m, 1.0, True, rel_tol=1e-11)
+    if lo < 1.0 / lam_cap:
+        return INF
+    return 0.0 if hi > 1e12 else 1.0 / lo
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from .modular import (
     modular_integral_gradient,
     w1a_quantities,
 )
-from .young import INF, PowerExp, YoungError, YoungFunction
+from .young import INF, PowerExp, YoungError, YoungFunction, _log_root
 
 
 class PreconditionError(YoungError):
@@ -537,7 +537,11 @@ class PoincareReport:
 
 def _poincare_constant(u: TestFunction, box: BoxDomain, conj: SobolevConjugate,
                        nodes: int) -> float:
-    """Smallest c with int A_n(|u| / (c R^{1/n})) <= R, R the gradient modular."""
+    """Smallest c with int A_n(|u| / (c R^{1/n})) <= R, R the gradient
+    modular, to 1e-6 relative by ``young._log_root`` on s = 1/c, where the
+    left side increases; a c where it equals R exactly ends the search.  The
+    search is held to c in [1e-12, 1e18]: a constant above 1e18 reads inf,
+    one below 1e-12 reads 1e-12."""
     n = box.n
     pts, w = tensor_rule(box.lower, box.upper, nodes)
     uvals = np.abs(u.values(pts))
@@ -546,29 +550,18 @@ def _poincare_constant(u: TestFunction, box: BoxDomain, conj: SobolevConjugate,
         return 0.0
     scale = r_mod ** (1.0 / n)
 
-    def lhs(c: float) -> float:
-        args = uvals / (c * scale)
-        vals = conj.an_values(args)
+    def lhs(s: float) -> float:
+        if s < 1e-18:
+            return 0.0
+        if s > 1e12:
+            return INF
+        vals = conj.an_values(uvals * (s / scale))
         if np.any(np.isinf(vals)):
             return INF
         return float(np.dot(w, vals))
 
-    lo_c, hi_c = 1e-3, 1.0
-    while lhs(hi_c) > r_mod:
-        hi_c *= 2.0
-        if hi_c > 1e18:
-            return INF
-    while lhs(lo_c) <= r_mod and lo_c > 1e-12:
-        lo_c /= 2.0
-    for _ in range(60):
-        mid = math.sqrt(lo_c * hi_c)
-        if lhs(mid) <= r_mod:
-            hi_c = mid
-        else:
-            lo_c = mid
-        if hi_c - lo_c <= 1e-6 * hi_c:
-            break
-    return hi_c
+    lo = _log_root(lhs, r_mod, True, rel_tol=1e-6)[0]
+    return INF if lo < 1e-18 else 1.0 / lo
 
 
 def poincare_probe(corpus: Sequence[tuple], a: YoungFunction, n: int,

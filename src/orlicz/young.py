@@ -197,6 +197,18 @@ def _log_root(fn: Callable[[float], float], level: float, exact: bool,
     raise YoungError(f"root bracket [{lo!r}, {hi!r}] still open after {max_iter} steps")
 
 
+def _least_constant(ok: Callable[[float], bool], c_max: float,
+                    rel_tol: float) -> float:
+    """Smallest c in [1, c_max] with ok(c), to ``rel_tol``, for ok monotone
+    in c and true at c_max.  The root finder meets the step function
+    ``INF if ok(c) else 0.0`` with c < 1 read as failing and c > c_max as
+    passing; its first evaluation is at exactly c = 1, so a passing c = 1
+    returns 1.0."""
+    def step(c: float) -> float:
+        return 0.0 if c < 1.0 else INF if c > c_max or ok(c) else 0.0
+    return min(_log_root(step, 1.0, False, rel_tol)[1], c_max)
+
+
 def _numeric_inverse(fn: Callable[[float], float], v: float,
                      rel_tol: float = 1e-12, max_iter: int = 200) -> float:
     """Generalized right-continuous inverse inf{s >= 0 : fn(s) > v}: plateaus
@@ -929,8 +941,8 @@ def _sandwich_ok(y1, y2, c: float, ts: np.ndarray, tol: float = 1e-9):
 def equivalent(y1: YoungFunction, y2: YoungFunction, regime: Regime,
                c_max: float = 1e6) -> EquivalenceVerdict:
     """Decide A(t/c) <= B(t) <= A(ct) on the regime, with the smallest grid
-    constant found by bisection; parametric growth orders short-circuit the
-    mismatch direction."""
+    constant in [1, c_max] found by ``_least_constant`` to 1e-9 relative;
+    parametric growth orders short-circuit the mismatch direction."""
     sides = {"global": ("zero", "inf"), "near_zero": ("zero",),
              "near_infinity": ("inf",)}[regime.kind]
     pairs = {"zero": (y1.zero_order, y2.zero_order),
@@ -953,18 +965,8 @@ def equivalent(y1: YoungFunction, y2: YoungFunction, regime: Regime,
     if not ok:
         status = "not_equivalent" if analytic else "indeterminate"
         return EquivalenceVerdict(status, None, wit, analytic=analytic)
-    lo, hi = 1.0, c_max
-    if _sandwich_ok(y1, y2, 1.0, ts)[0]:
-        return EquivalenceVerdict("equivalent", 1.0, None, analytic=analytic)
-    for _ in range(60):
-        mid = math.sqrt(lo * hi)
-        if _sandwich_ok(y1, y2, mid, ts)[0]:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-9 * hi:
-            break
-    return EquivalenceVerdict("equivalent", hi, None, analytic=analytic)
+    c = _least_constant(lambda c: _sandwich_ok(y1, y2, c, ts)[0], c_max, 1e-9)
+    return EquivalenceVerdict("equivalent", c, None, analytic=analytic)
 
 
 def is_nondegenerate(y: YoungFunction) -> bool:

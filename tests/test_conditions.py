@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import orlicz as oz
-from orlicz.conditions import _ass2_grid
+from orlicz.conditions import _TOL, _ass2_grid, _min_constant
 from orlicz.young import INF
 
 
@@ -239,3 +241,58 @@ class TestZygmundTable:
                 past_beta = oz.check_inq_ass2(
                     a, target(row.q_max, row.beta_max + 0.2), env, n)
                 assert not past_beta.holds
+
+
+def ref_min_constant(lhs, ts, a, c_max=1e8):
+    """The former bisection of ``_min_constant``."""
+
+    def ok(c):
+        for t, l in zip(ts, lhs):
+            if l == INF:
+                return False
+            if l > a(c * float(t)) * (1 + _TOL) + 1e-300:
+                return False
+        return True
+
+    if not ok(c_max):
+        return None
+    if ok(1.0):
+        return 1.0
+    lo, hi = 1.0, c_max
+    for _ in range(60):
+        mid = math.sqrt(lo * hi)
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= 1e-6 * hi:
+            break
+    return hi
+
+
+MIN_CONSTANT_BASES = [oz.Power(2), oz.Power(1.2), oz.PowerLog(2, 1), oz.PowerExp(1.0),
+                      oz.Exp(1.0)]
+
+
+class TestMinConstant:
+    """The root-finder search against the bisection it replaced."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(j=st.integers(0, len(MIN_CONSTANT_BASES) - 1),
+           c0=st.floats(-1.0, 9.0).map(lambda e: 10.0 ** e),
+           seed=st.integers(0, 2 ** 32 - 1), inf_at=st.integers(0, 159))
+    def test_matches_bisection(self, j, c0, seed, inf_at):
+        # lhs lies below A(c0 t) on a seeded grid, one point inf for a quarter
+        # of the draws: the constant is at most c0, or None
+        a = MIN_CONSTANT_BASES[j]
+        rng = np.random.default_rng(seed)
+        ts = np.geomspace(1e-3, 1.0, 40)
+        lhs = np.array([a(c0 * float(t)) for t in ts]) * rng.uniform(0.2, 1.0, len(ts))
+        if inf_at < len(ts):
+            lhs[inf_at] = INF
+        ref = ref_min_constant(lhs, ts, a)
+        got = _min_constant(lhs, ts, a)
+        if ref is None or ref == 1.0:
+            assert got == ref
+        else:
+            assert math.isclose(got, ref, rel_tol=2e-6)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orlicz as oz
+from orlicz import corpus, modular
 from orlicz.corpus import interval_vanishing_corpus, unit_ball_corpus
 from orlicz.modular import constant_function, sup_norm, trajectory_converges
 from orlicz.nemytskii import singular_log_field
@@ -119,6 +120,105 @@ class TestLuxemburg:
                     assert modular <= 1.0 + 1e-7
                 elif norm >= 1.0 + 1e-9:
                     assert modular >= 1.0 - 1e-7
+
+
+def ref_luxemburg_norm(u, y, box, gradient=False, rel_tol=1e-8, lam_cap=1e12):
+    """The former bisection on log lambda."""
+    def m(lam):
+        if gradient:
+            return modular.modular_integral_gradient(u, y, lam, box, rel_tol)
+        return modular.modular_integral(u, y, lam, box, rel_tol)
+
+    hi = 1.0
+    doubles = 0
+    while m(hi) > 1.0:
+        hi *= 2.0
+        doubles += 1
+        if hi > lam_cap:
+            return INF
+    if m(min(1e-12, hi)) <= 1.0:
+        return 0.0
+    lo = hi / 2.0 if doubles else None
+    if lo is None:
+        lo = hi
+        while m(lo / 2.0) <= 1.0:
+            lo /= 2.0
+            if lo < 1e-12:
+                return 0.0
+        lo /= 2.0
+    for _ in range(80):
+        mid = math.sqrt(lo * hi)
+        if m(mid) <= 1.0:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= 1e-11 * hi:
+            break
+    return hi
+
+
+SINGULAR_1D = oz.BoxDomain.interval(0.0, 1.0, singular=((0, "lower"),))
+LUX_FIELDS_1D = interval_vanishing_corpus() + [
+    (corpus.coordinate_field(1), UNIT_1D),
+    (singular_log_field(1), SINGULAR_1D),
+]
+LUX_YOUNG = [oz.Power(1.5), oz.Power(3.2), oz.PowerLog(2, 1), oz.PowerLogLog(2, 0.5),
+             oz.PowerExp(1.0), oz.Exp(1.0), oz.gate(0.5)]
+BUMP_2D = corpus.get_field("bump", 2)
+LUX_CASES = [
+    (corpus.coordinate_field(1).scaled(1.3), oz.Power(3.2), oz.BoxDomain.unit(1), False),
+    (corpus.coordinate_field(1), oz.Power(2), oz.BoxDomain.unit(1), False),
+    (corpus.coordinate_field(1), oz.PowerExp(1.5), oz.BoxDomain.unit(1), False),
+    (corpus.product_sine(2), oz.Power(2), oz.BoxDomain.unit(2), False),
+    (corpus.product_sine(2), oz.Power(2), oz.BoxDomain.unit(2), True),
+    (BUMP_2D, oz.PowerLog(2, 1), oz.BoxDomain.unit(2), False),
+]
+
+
+class TestLuxemburgSearch:
+    """The root-finder search against the bisection it replaced."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.integers(0, len(LUX_FIELDS_1D) - 1), j=st.integers(0, len(LUX_YOUNG) - 1),
+           c=st.floats(-1.3, 1.3).map(lambda e: 10.0 ** e), gradient=st.booleans())
+    def test_matches_bisection(self, k, j, c, gradient):
+        u, box = LUX_FIELDS_1D[k]
+        u, y = u.scaled(c), LUX_YOUNG[j]
+        ref = ref_luxemburg_norm(u, y, box, gradient=gradient)
+        got = oz.luxemburg_norm(u, y, box, gradient=gradient)
+        assert got == ref or math.isclose(got, ref, rel_tol=1e-10)
+
+    @pytest.mark.parametrize("case", range(len(LUX_CASES)))
+    def test_fewer_modulars_than_bisection(self, case, monkeypatch):
+        u, y, box, gradient = LUX_CASES[case]
+        calls = [0]
+        for name in ("modular_integral", "modular_integral_gradient"):
+            def counted(*args, _fn=getattr(modular, name)):
+                calls[0] += 1
+                return _fn(*args)
+            monkeypatch.setattr(modular, name, counted)
+        ref = ref_luxemburg_norm(u, y, box, gradient=gradient)
+        ref_calls, calls[0] = calls[0], 0
+        got = oz.luxemburg_norm(u, y, box, gradient=gradient)
+        assert math.isclose(got, ref, rel_tol=1e-10)
+        assert calls[0] <= ref_calls
+
+    @pytest.mark.parametrize("u,box,expected", [
+        # the modular diverges for every lambda, yet underflows to 0 at 1e300
+        (oz.TestFunction.from_batch(lambda X: 1.0 / X[:, 0],
+                                    lambda X: -1.0 / X[:, :1] ** 2, "inv"),
+         SINGULAR_1D, INF),
+        (constant_function(1e13, 1), UNIT_1D, INF),
+        (constant_function(1.1e12, 1), UNIT_1D, INF),
+        (constant_function(0.9e12, 1), UNIT_1D, 0.9e12),
+        (constant_function(2e-12, 1), UNIT_1D, 2e-12),
+        (constant_function(0.9e-12, 1), UNIT_1D, 0.0),
+        (constant_function(1e-13, 1), UNIT_1D, 0.0),
+    ])
+    def test_range_contract(self, u, box, expected):
+        # a norm above lam_cap = 1e12 reads inf, one below 1e-12 reads 0
+        got = oz.luxemburg_norm(u, oz.Power(2), box)
+        assert got == expected or math.isclose(got, expected, rel_tol=1e-10)
 
 
 class TestW1A:

@@ -1,15 +1,20 @@
 """Composition operator, inequality grids, experiments, counterexample."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import orlicz as oz
 from orlicz import corpus
+from orlicz._quad import tensor_rule
 from orlicz.corpus import interval_vanishing_corpus
 from orlicz.modular import constant_function, sup_norm
 from orlicz.nemytskii import (
+    _poincare_constant,
     abs_shift_spec,
     counterexample_run,
     identity_spec,
@@ -278,3 +283,62 @@ class TestPoincare:
                                 oz.Power(2), 2, nodes=16)
         assert rep.constants[0] == 0.0
         assert rep.c_star > 0.0
+
+
+def ref_poincare_constant(u, box, conj, nodes):
+    """The former bisection on log c."""
+    n = box.n
+    pts, w = tensor_rule(box.lower, box.upper, nodes)
+    uvals = np.abs(u.values(pts))
+    r_mod = float(np.dot(w, conj.base.values(np.linalg.norm(u.gradients(pts), axis=1))))
+    if r_mod <= 0.0:
+        return 0.0
+    scale = r_mod ** (1.0 / n)
+
+    def lhs(c):
+        vals = conj.an_values(uvals / (c * scale))
+        if np.any(np.isinf(vals)):
+            return INF
+        return float(np.dot(w, vals))
+
+    lo_c, hi_c = 1e-3, 1.0
+    while lhs(hi_c) > r_mod:
+        hi_c *= 2.0
+        if hi_c > 1e18:
+            return INF
+    while lhs(lo_c) <= r_mod and lo_c > 1e-12:
+        lo_c /= 2.0
+    for _ in range(60):
+        mid = math.sqrt(lo_c * hi_c)
+        if lhs(mid) <= r_mod:
+            hi_c = mid
+        else:
+            lo_c = mid
+        if hi_c - lo_c <= 1e-6 * hi_c:
+            break
+    return hi_c
+
+
+POINCARE_BASES = [(oz.Power(1.5), 2), (oz.Power(2), 2), (oz.PowerLog(2, 1), 2),
+                  (oz.Power(3), 2), (oz.Power(2), 3)]
+
+
+@functools.lru_cache(maxsize=None)
+def poincare_conjugate(j):
+    return oz.sobolev_conjugate(*POINCARE_BASES[j])
+
+
+class TestPoincareSearch:
+    """The root-finder search against the bisection it replaced."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(j=st.integers(0, len(POINCARE_BASES) - 1), k=st.integers(0, 4),
+           c=st.floats(-1.0, 1.0).map(lambda e: 10.0 ** e), nodes=st.sampled_from((8, 12, 16)))
+    def test_matches_bisection(self, j, k, c, nodes):
+        conj = poincare_conjugate(j)
+        u, box = corpus.bump_corpus(POINCARE_BASES[j][1])[k]
+        u = u.scaled(c)
+        ref = ref_poincare_constant(u, box, conj, nodes)
+        got = _poincare_constant(u, box, conj, nodes)
+        assert got == ref or math.isclose(got, ref, rel_tol=2e-6)
+

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import orlicz as oz
 from orlicz.aniso import _phi_circ_young
-from orlicz.young import INF, _log_root, _numeric_inverse
+from orlicz.young import INF, _log_root, _numeric_inverse, _sandwich_ok
 
 
 def builtin_corpus():
@@ -236,6 +236,11 @@ class TestLogRoot:
         assert oz.FromInverse(inv_fn=lambda s: s ** 0.01)(1e-5) == 0.0
         assert _numeric_inverse(oz.linear(), 0.0) == 0.0
 
+    def test_step_function_brackets_the_step(self):
+        # values 0 or inf: every step bisects in log c, as the predicate searches do
+        lo, hi = _log_root(lambda c: INF if c >= 3.7 else 0.0, 1.0, False, rel_tol=1e-9)
+        assert lo < 3.7 <= hi and hi - lo <= 1e-9 * hi
+
     def test_open_bracket_raises(self):
         # gate values are 0 or inf, so every step bisects; 5 cannot close it
         with pytest.raises(oz.YoungError, match="open after 5 steps"):
@@ -311,6 +316,48 @@ class TestEquivalence:
         b = oz.Custom(lambda t: 1e15 * t * t, label="huge")
         v = oz.equivalent(a, b, oz.Regime.everywhere(), c_max=1e6)
         assert v.status == "indeterminate"
+
+
+def ref_equivalence_constant(y1, y2, ts, c_max=1e6):
+    """The former bisection of ``equivalent``; None when c_max fails."""
+    if not _sandwich_ok(y1, y2, c_max, ts)[0]:
+        return None
+    if _sandwich_ok(y1, y2, 1.0, ts)[0]:
+        return 1.0
+    lo, hi = 1.0, c_max
+    for _ in range(60):
+        mid = math.sqrt(lo * hi)
+        if _sandwich_ok(y1, y2, mid, ts)[0]:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= 1e-9 * hi:
+            break
+    return hi
+
+
+EQUIVALENCE_BASES = [oz.Power(1.5), oz.Power(3.0), oz.PowerLog(2, 1), oz.PowerLogLog(2, 0.5),
+                     oz.PowerExp(1.0), oz.Exp(1.0), oz.gate(1.0)]
+REGIMES = [oz.Regime.everywhere(), oz.Regime.near_zero(), oz.Regime.near_infinity(2.0)]
+
+
+class TestEquivalenceSearch:
+    """The root-finder search against the bisection it replaced."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(j=st.integers(0, len(EQUIVALENCE_BASES) - 1), r=st.integers(0, len(REGIMES) - 1),
+           k=log_uniform(1e-3, 1e3), stretch=log_uniform(0.5, 2.0))
+    def test_matches_bisection(self, j, r, k, stretch):
+        y = EQUIVALENCE_BASES[j]
+        # a black box: no growth orders, so only the grid decides
+        other = oz.Custom(lambda t: k * y(stretch * t), label="scaled")
+        regime = REGIMES[r]
+        ref = ref_equivalence_constant(y, other, regime.grid(per_decade=64))
+        v = oz.equivalent(y, other, regime)
+        if ref is None or ref == 1.0:
+            assert v.constant == ref
+        else:
+            assert math.isclose(v.constant, ref, rel_tol=2e-9)
 
 
 class TestNondegeneracy:
