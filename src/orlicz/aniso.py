@@ -9,6 +9,7 @@ closed-form reduction through the geometric mean of the component inverses.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -24,6 +25,7 @@ from .young import (
     GrowthOrder,
     YoungError,
     YoungFunction,
+    _log_root,
     _numeric_inverse,
 )
 
@@ -322,22 +324,21 @@ def _phi_circ_young(phi: NDimYoung, t_lo: float = 1e-3, t_hi: float = 1e4,
     rs = np.array([phi_circ(phi, float(t), method="volume", **vol_kwargs) for t in ts])
     if np.any(rs <= 0) or np.any(np.diff(np.log(rs)) <= 0):
         raise ConstructionError("volume table is not strictly increasing")
-    lts, lrs = np.log(ts), np.log(rs)
-    lo_slope = (lrs[1] - lrs[0]) / (lts[1] - lts[0])
-    hi_slope = (lrs[-1] - lrs[-2]) / (lts[-1] - lts[-2])
+    lts, lrs = np.log(ts).tolist(), np.log(rs).tolist()
+    # np.interp's chord slopes inside the table (its value, bit for bit, with
+    # no per-call array setup); the end chords extend beyond it
+    slopes = [(r1 - r0) / (t1 - t0) for t0, t1, r0, r1 in zip(lts, lts[1:], lrs, lrs[1:])]
+    slopes.append(slopes[-1])
 
     def inv(t: float) -> float:
         if t <= 0.0:
             return 0.0
         lt = math.log(t)
-        if lt < lts[0]:
-            return math.exp(lrs[0] + lo_slope * (lt - lts[0]))
-        if lt > lts[-1]:
-            return math.exp(lrs[-1] + hi_slope * (lt - lts[-1]))
-        return math.exp(float(np.interp(lt, lts, lrs)))
+        j = max(bisect.bisect_right(lts, lt) - 1, 0)
+        return math.exp(slopes[j] * (lt - lts[j]) + lrs[j])
 
-    zero = GrowthOrder(1.0 / lo_slope) if lo_slope > 1e-9 else None
-    inf_ = GrowthOrder(1.0 / hi_slope) if hi_slope > 1e-9 else None
+    zero = GrowthOrder(1.0 / slopes[0]) if slopes[0] > 1e-9 else None
+    inf_ = GrowthOrder(1.0 / slopes[-1]) if slopes[-1] > 1e-9 else None
     return FromInverse(inv_fn=inv, zero=zero, inf_=inf_, label="radial-rearrangement")
 
 
@@ -369,8 +370,15 @@ class ThetaSolver:
 
     The left side is continuous and strictly increasing from 0 to infinity
     (this needs the defining integral to diverge at infinity), the right side
-    is non-increasing in theta, so the root is unique.
+    is non-increasing in theta, so the root is unique.  Both paths search
+    theta >= the smallest scale with E > 0, read a right side below the
+    smallest normal float as 0, and stop once the bracket is within 1e-13
+    of its upper end.  A root above 2**120 max(that scale, 1) fails to
+    bracket and a theta whose sides differ by more than 1e-6 (1 + Phi_n)
+    fails the residual check; both raise YoungError.
     """
+
+    _TINY = np.finfo(float).tiny  # the smallest normal float
 
     def __init__(self, phi: NDimYoung, envelope: Callable[[float], float],
                  n: Optional[int] = None, conj: Optional[SobolevConjugate] = None):
@@ -391,57 +399,64 @@ class ThetaSolver:
             if envelope(t) <= 0.0:
                 raise YoungError("envelope is identically zero")
         self._t_pos = t
-
-    def _rhs(self, xi: np.ndarray, t: float) -> float:
-        e = self.envelope(t)
-        if e <= 0.0:
-            return 0.0 if not np.any(xi) else INF
-        return self.phi(xi / e)
+        self._cap = 2.0 ** 120 * max(t, 1.0)
 
     def _rhs_many(self, xis: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        """``_rhs`` for nonzero rows ``xis`` at scales ``ts``."""
+        """Phi(xi / E(t)) for nonzero rows ``xis`` at scales ``ts``, 0 where
+        it is below the smallest normal float."""
         e = np.array([self.envelope(t) for t in ts.tolist()])
         out = np.full(len(ts), INF)
         pos = e > 0.0
         out[pos] = self.phi.values(xis[pos] / e[pos, None])
+        out[out < self._TINY] = 0.0
         return out
 
-    def solve(self, xi, rel_tol: float = 1e-8) -> float:
+    @staticmethod
+    def _check(xis: np.ndarray, lhs: np.ndarray, rhs: np.ndarray, unbracketed):
+        """Raise for the first row of ``xis`` whose theta does not solve it:
+        one of the rows ``unbracketed``, or one whose sides ``lhs`` and
+        ``rhs`` at its theta fail the residual check."""
+        with np.errstate(invalid="ignore"):
+            bad = (np.isfinite(lhs) & np.isfinite(rhs)
+                   & (np.abs(lhs - rhs) > 1e-6 * (1.0 + lhs)))
+        bad[unbracketed] = True
+        if bad.any():
+            i = int(np.argmax(bad))
+            xi = xis[i]
+            if i in unbracketed:
+                raise YoungError(f"failed to bracket the theta root at xi={xi!r}")
+            raise YoungError(f"theta residual too large at xi={xi!r}: "
+                             f"{float(lhs[i])} vs {float(rhs[i])}")
+
+    def solve(self, xi) -> float:
         xi = np.asarray(xi, dtype=float)
         if not np.any(xi):
             return 0.0
         an = self.conj.an_value
-        lo = self._t_pos
-        if self._rhs(xi, lo) <= an(lo) and lo > 0.0:
+        lo0, cap = self._t_pos, self._cap
+
+        def ratio(t: float) -> float:
+            # increasing in t, and below 1 exactly where an < rhs
+            if t < lo0:
+                return 0.0
+            e = self.envelope(t)
+            a, r = an(t), (self.phi(xi / e) if e > 0.0 else INF)
+            r = 0.0 if r < self._TINY else r
+            return a / r if a < r or 0.0 < r < INF else INF
+
+        if lo0 > 0.0 and ratio(lo0) >= 1.0:
             # root sits inside the zero-envelope plateau edge
-            return lo
-        hi = max(lo, 1.0)
-        expansions = 0
-        while an(hi) < self._rhs(xi, hi):
-            hi *= 2.0
-            expansions += 1
-            if expansions > 120:
-                raise YoungError(f"failed to bracket the theta root at xi={xi!r}")
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if an(mid) < self._rhs(xi, mid):
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-13 * max(hi, 1.0):
-                break
+            return lo0
+        lo, hi = _log_root(ratio, 1.0, True, rel_tol=1e-13)
         theta = 0.5 * (lo + hi)
-        lhs, rhs = an(theta), self._rhs(xi, theta)
-        if math.isfinite(lhs) and math.isfinite(rhs):
-            if abs(lhs - rhs) > max(1e-6, 100 * rel_tol) * (1.0 + lhs):
-                raise YoungError(
-                    f"theta residual too large at xi={xi!r}: {lhs} vs {rhs}")
+        self._check(xi[None], np.array([an(theta)]),
+                    self._rhs_many(xi[None], np.array([theta])), [0] if hi > cap else [])
         return theta
 
-    def solve_many(self, xis, rel_tol: float = 1e-8) -> np.ndarray:
-        """``solve`` for every row of an (m, n) array: the rows are bracketed
-        and bisected together, with the same doubling cap, stopping rule and
-        residual check; the first bad row raises ``solve``'s error."""
+    def solve_many(self, xis) -> np.ndarray:
+        """``solve`` for every row of an (m, n) array, bracketed by doubling
+        and bisected together under the same limit, stop and check: the first
+        bad row raises ``solve``'s error, as does one open past the step cap."""
         xis = np.asarray(xis, dtype=float)
         theta = np.zeros(len(xis))
         rows = np.flatnonzero(np.any(xis, axis=1))
@@ -452,43 +467,37 @@ class ThetaSolver:
             theta[rows[at_lo]] = lo0
             rows = rows[~at_lo]
         an = self.conj.an_values
-        xs = xis[rows]
-        lo = np.full(rows.size, lo0)
-        hi = np.full(rows.size, max(lo0, 1.0))
+        xs, top = xis[rows], max(lo0, 1.0)
+        lo, hi = np.full(rows.size, lo0), np.full(rows.size, top)
         grow = np.arange(rows.size)
-        for doublings in range(121):
+        while True:
             grow = grow[an(hi[grow]) < self._rhs_many(xs[grow], hi[grow])]
-            if not grow.size or doublings == 120:
+            if not grow.size or top >= self._cap:
                 break
-            hi[grow] *= 2.0
+            top *= 2.0
+            hi[grow] = top
         live = np.setdiff1d(np.arange(rows.size), grow)
-        for _ in range(200):
+        # from [0, 1], 1,100 halvings reach 1e-13 of any root above the
+        # smallest normal float; a root below it reads 0, as in _log_root
+        for _ in range(1100):
             if not live.size:
                 break
             mid = 0.5 * (lo[live] + hi[live])
             below = an(mid) < self._rhs_many(xs[live], mid)
             lo[live[below]] = mid[below]
             hi[live[~below]] = mid[~below]
-            live = live[hi[live] - lo[live] > 1e-13 * np.maximum(hi[live], 1.0)]
+            hi[live[hi[live] < self._TINY]] = 0.0
+            live = live[hi[live] - lo[live] > 1e-13 * hi[live]]
+        if live.size:
+            raise YoungError(f"theta bracket still open after 1100 steps "
+                             f"at xi={xs[live[0]]!r}")
         th = 0.5 * (lo + hi)
-        lhs, rhs = an(th), self._rhs_many(xs, th)
-        with np.errstate(invalid="ignore"):
-            bad = (np.isfinite(lhs) & np.isfinite(rhs)
-                   & (np.abs(lhs - rhs) > max(1e-6, 100 * rel_tol) * (1.0 + lhs)))
-        bad[grow] = True
-        if bad.any():
-            i = int(np.argmax(bad))
-            xi = xs[i]
-            if i in grow:
-                raise YoungError(f"failed to bracket the theta root at xi={xi!r}")
-            raise YoungError(f"theta residual too large at xi={xi!r}: "
-                             f"{float(lhs[i])} vs {float(rhs[i])}")
+        self._check(xs, an(th), self._rhs_many(xs, th), grow)
         theta[rows] = th
         return theta
 
 
 def solve_theta(phi: NDimYoung, envelope: Callable[[float], float], n: int,
-                xi, conj: Optional[SobolevConjugate] = None,
-                rel_tol: float = 1e-8) -> float:
+                xi, conj: Optional[SobolevConjugate] = None) -> float:
     """One-shot theta solve; build a ThetaSolver for repeated queries."""
-    return ThetaSolver(phi, envelope, n, conj=conj).solve(xi, rel_tol)
+    return ThetaSolver(phi, envelope, n, conj=conj).solve(xi)

@@ -18,6 +18,7 @@ evaluated row by row.  Modulars evaluate Young functions through
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -344,23 +345,24 @@ def luxemburg_norm(u: TestFunction, y: YoungFunction, box: BoxDomain,
 
     ``young._log_root`` finds where the modular at lambda = 1/s, which
     increases in s, crosses 1; a lambda where it equals 1 exactly ends the
-    search.  The search is held to lambda in
-    [1e-12, lam_cap]: a norm above ``lam_cap`` reads inf, one below 1e-12
-    reads 0.
+    search.  The search is held to lambda in [1e-12, lam_cap], and the
+    modular at an end, computed once, decides every point past it: a norm
+    above ``lam_cap`` reads inf, one below 1e-12 reads 0.
     """
+    s_lo, s_hi = 1.0 / lam_cap, 1e12
+
+    @functools.cache
     def m(s: float) -> float:
-        if s < 1.0 / lam_cap:
-            return 0.0
-        if s > 1e12:
-            return INF
+        if not s_lo <= s <= s_hi:
+            return INF if m(min(max(s, s_lo), s_hi)) > 1.0 else 0.0
         if gradient:
             return modular_integral_gradient(u, y, 1.0 / s, box, rel_tol)
         return modular_integral(u, y, 1.0 / s, box, rel_tol)
 
     lo, hi = _log_root(m, 1.0, True, rel_tol=1e-11)
-    if lo < 1.0 / lam_cap:
+    if lo < s_lo:
         return INF
-    return 0.0 if hi > 1e12 else 1.0 / lo
+    return 0.0 if hi > s_hi else 1.0 / lo
 
 
 @dataclass(frozen=True)

@@ -264,8 +264,30 @@ class LemmaGridVerdict:
         return self.holds
 
 
-def _grid_2d(lo: float, hi: float, count: int) -> np.ndarray:
-    return np.geomspace(lo, hi, count)
+def _lemma_grid(a: YoungFunction, b: YoungFunction,
+                row: Callable[[float], tuple], div: float, c: float,
+                lo: float, hi: float, count: int) -> LemmaGridVerdict:
+    """Grid check of B(E(s) t / div) <= r(s) + A(t) over the count x count
+    log grid on [lo, hi]^2, where row(s) = (E(s), r(s))."""
+    grid = np.geomspace(lo, hi, count).tolist()
+    worst = INF
+    worst_pt = (None, None)
+    holds = True
+    for s in grid:
+        es, r = row(s)
+        for t in grid:
+            rhs = r + a(t)
+            if rhs == INF:
+                continue
+            lhs = b(es * t / div)
+            margin = rhs - lhs
+            if margin < worst:
+                worst = margin
+                worst_pt = (s, t)
+            if margin < -1e-9 * (1.0 + rhs):
+                holds = False
+    return LemmaGridVerdict(holds, worst, worst_pt, c,
+                            grid=f"{count}x{count} log grid on [{lo:g},{hi:g}]^2")
 
 
 def lemma_product_bound(a: YoungFunction, b: YoungFunction, envelope: Envelope,
@@ -285,27 +307,8 @@ def lemma_product_bound(a: YoungFunction, b: YoungFunction, envelope: Envelope,
         c = b(t0 * envelope(conj.an.inverse(a(t0))))
     else:
         c = 0.0
-    ss = _grid_2d(lo, hi, count)
-    ts = _grid_2d(lo, hi, count)
-    an_s = [conj.an_value(float(s)) for s in ss]
-    worst = INF
-    worst_pt = (None, None)
-    holds = True
-    for i, s in enumerate(ss):
-        es = envelope(float(s))
-        for t in ts:
-            rhs = c + an_s[i] + a(float(t))
-            if rhs == INF:
-                continue
-            lhs = b(es * float(t) / 2.0)
-            margin = rhs - lhs
-            if margin < worst:
-                worst = margin
-                worst_pt = (float(s), float(t))
-            if margin < -1e-9 * (1.0 + rhs):
-                holds = False
-    return LemmaGridVerdict(holds, worst, worst_pt, c,
-                            grid=f"{count}x{count} log grid on [{lo:g},{hi:g}]^2")
+    return _lemma_grid(a, b, lambda s: (envelope(s), c + conj.an_value(s)),
+                       2.0, c, lo, hi, count)
 
 
 def lemma_inequality_tests(a: YoungFunction, b: YoungFunction, envelope: Envelope,
@@ -332,27 +335,8 @@ def lemma_split_bound(a: YoungFunction, b: YoungFunction, envelope: Envelope,
     pre = conditions.check_inq_assD(a, b, envelope, f_young, t1=t1)
     if not pre.holds:
         raise PreconditionError("split bound needs the near-zero admissibility pair")
-    ss = _grid_2d(lo, hi, count)
-    ts = _grid_2d(lo, hi, count)
-    worst = INF
-    worst_pt = (None, None)
-    holds = True
-    for s in ss:
-        es = envelope(float(s))
-        fs = f_young(float(s))
-        for t in ts:
-            rhs = fs + a(float(t))
-            if rhs == INF:
-                continue
-            lhs = b(es * float(t))
-            margin = rhs - lhs
-            if margin < worst:
-                worst = margin
-                worst_pt = (float(s), float(t))
-            if margin < -1e-9 * (1.0 + rhs):
-                holds = False
-    return LemmaGridVerdict(holds, worst, worst_pt, 0.0,
-                            grid=f"{count}x{count} log grid on [{lo:g},{hi:g}]^2")
+    return _lemma_grid(a, b, lambda s: (envelope(s), f_young(s)),
+                       1.0, 0.0, lo, hi, count)
 
 
 # ---------------------------------------------------------------------------

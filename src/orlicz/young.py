@@ -149,7 +149,7 @@ _U_MAX = math.log(sys.float_info.max)
 
 
 def _log_root(fn: Callable[[float], float], level: float, exact: bool,
-              rel_tol: float = 1e-12, max_iter: int = 200) -> tuple:
+              rel_tol: float = 1e-12, max_iter: int = 400) -> tuple:
     """Bracket (lo, hi), fn(lo) <= level < fn(hi) and hi - lo <= rel_tol * hi;
     (s, s) when ``exact`` and fn(s) == level; (0, 0) or (inf, inf) when the
     crossing lies below or above the float range.  Raises YoungError when
@@ -210,7 +210,7 @@ def _least_constant(ok: Callable[[float], bool], c_max: float,
 
 
 def _numeric_inverse(fn: Callable[[float], float], v: float,
-                     rel_tol: float = 1e-12, max_iter: int = 200) -> float:
+                     rel_tol: float = 1e-12, max_iter: int = 400) -> float:
     """Generalized right-continuous inverse inf{s >= 0 : fn(s) > v}: plateaus
     resolve to their right endpoint, an empty set (v = inf included) to inf."""
     return 0.0 if v < 0 else _log_root(fn, v, False, rel_tol, max_iter)[1]

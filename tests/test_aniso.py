@@ -347,6 +347,102 @@ def solve_error(solve, xi) -> str:
     return str(info.value).split(":")[0]
 
 
+def ref_theta_solve(solver, xi):
+    """The former doubling-and-bisection search of ``ThetaSolver.solve``,
+    without its residual check."""
+    xi = np.asarray(xi, dtype=float)
+    if not np.any(xi):
+        return 0.0
+    an = solver.conj.an_value
+
+    def rhs(t):
+        e = solver.envelope(t)
+        return solver.phi(xi / e) if e > 0.0 else INF
+
+    lo = solver._t_pos
+    if rhs(lo) <= an(lo) and lo > 0.0:
+        return lo
+    hi = max(lo, 1.0)
+    expansions = 0
+    while an(hi) < rhs(hi):
+        hi *= 2.0
+        expansions += 1
+        if expansions > 120:
+            raise oz.YoungError(f"failed to bracket the theta root at xi={xi!r}")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if an(mid) < rhs(mid):
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-13 * max(hi, 1.0):
+            break
+    return 0.5 * (lo + hi)
+
+
+# closed forms for A = t^2, n = 3, where A_n(s) = (s / C)^6 with C = 2^{2/3}:
+# theta = C r^{1/3} under E = 1 and C^{3/4} r^{1/4} under E(t) = t, r = |xi|
+C_23 = 2.0 ** (2.0 / 3.0)
+CLOSED_THETA = {"one": lambda r: C_23 * r ** (1.0 / 3.0),
+                "power": lambda r: C_23 ** 0.75 * r ** 0.25}
+CRITERION_6_XIS = [np.array([(s / C_23) ** 3 * s, 0.0, 0.0])
+                   for s in np.geomspace(0.01, 20.0, 1000).tolist()]
+
+
+class TestThetaSearch:
+    """The root-finder search against the closed form and the bisection it
+    replaced."""
+
+    @pytest.mark.parametrize("env_name", sorted(CLOSED_THETA))
+    def test_closed_form_down_to_tiny_xi(self, env_name):
+        solver = iso_solver(env_name)
+        rs = np.geomspace(1e-30, 1e3, 67)
+        xis = rs[:, None] * np.array([0.6, 0.0, -0.8])
+        want = [CLOSED_THETA[env_name](r) for r in rs.tolist()]
+        for xi, w, theta in zip(xis, want, solver.solve_many(xis).tolist()):
+            assert solver.solve(xi) == pytest.approx(w, rel=1e-12, abs=0.0)
+            assert theta == pytest.approx(w, rel=1e-12, abs=0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(env_name=st.sampled_from(sorted(ENVELOPES)),
+           xi=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
+                        st.floats(-1.0, 1.0), st.floats(-4.0, 3.0)))
+    def test_matches_bisection(self, env_name, xi):
+        solver = iso_solver(env_name)
+        xi = np.array(xi[:3]) * 10.0 ** xi[3]
+        ref = ref_theta_solve(solver, xi)
+        if ref >= 0.01:
+            # below theta = 1 the reference stops at 1e-13 absolute
+            assert solver.solve(xi) == pytest.approx(ref, rel=1e-12, abs=1e-13)
+
+    def test_level_below_normal_floats_reads_zero(self):
+        # Phi(xi) = 1e-316 is subnormal, with too few digits to place a
+        # root: both paths read it as 0, and so theta as 0
+        solver = iso_solver("one")
+        xi = np.array([1e-158, 0.0, 0.0])
+        assert solver.solve(xi) == 0.0
+        assert solver.solve_many(xi[None]).tolist() == [0.0]
+
+    @pytest.mark.parametrize("env_name", sorted(CLOSED_THETA))
+    def test_at_most_12_conjugate_values_per_solve(self, env_name, monkeypatch):
+        # criterion 6 solves under E(t) = t; each count includes the
+        # residual check and, under E(t) = t, the plateau-edge test
+        solver = iso_solver(env_name)
+        calls = [0]
+        an_value = type(solver.conj).an_value
+
+        def counted(conj, t):
+            calls[0] += 1
+            return an_value(conj, t)
+
+        monkeypatch.setattr(type(solver.conj), "an_value", counted)
+        tiny = [np.array([r, 0.0, 0.0]) for r in (1e-30, 1e-12, 1e3)]
+        for xi in CRITERION_6_XIS + tiny:
+            calls[0] = 0
+            solver.solve(xi)
+            assert calls[0] <= 12
+
+
 class TestThetaMany:
     @settings(max_examples=30, deadline=None)
     @given(env_name=st.sampled_from(sorted(ENVELOPES)),
@@ -382,6 +478,21 @@ class TestThetaMany:
         xis = np.array([[0.1, 0.0, 0.0], [0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
         assert solve_error(solver.solve_many, xis) == solve_error(solver.solve, xis[2])
         assert "xi=array([2., 0., 0.])" in solve_error(solver.solve_many, xis)
+
+    @pytest.mark.parametrize("decaying", [False, True])
+    def test_unbracketed_root_raises_the_same_error(self, decaying):
+        # theta = C |xi|^{1/3} = 1.6e40 lies past the bracket limit 2^120;
+        # an E decaying faster than Phi_n grows leaves no root at all
+        solver = iso_solver("one")
+        xi = 1e120
+        if decaying:
+            solver = oz.ThetaSolver(solver.phi, lambda t: (1.0 + t) ** -10.0, 3,
+                                    conj=solver.conj)
+            xi = 1.0
+        xis = np.array([[0.0, 0.0, 0.0], [xi, 0.0, 0.0]])
+        with np.errstate(over="ignore"):
+            assert solve_error(solver.solve_many, xis) == solve_error(solver.solve, xis[1])
+            assert "failed to bracket" in solve_error(solver.solve, xis[1])
 
     @settings(max_examples=40, deadline=None)
     @given(kinds=st.lists(st.sampled_from(["power", "power_exp", "power_log", "exp"]),

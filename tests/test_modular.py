@@ -220,6 +220,23 @@ class TestLuxemburgSearch:
         got = oz.luxemburg_norm(u, oz.Power(2), box)
         assert got == expected or math.isclose(got, expected, rel_tol=1e-10)
 
+    @pytest.mark.parametrize("c,modulars", [
+        (0.0, 6), (1e-13, 6), (0.9e-12, 6), (2e-12, 10),
+        (0.9e12, 13), (1.1e12, 6), (1e13, 6),
+    ])
+    def test_modulars_near_the_range_ends(self, c, modulars, monkeypatch):
+        # past either end the modular at that end decides the side, so a
+        # norm outside the range costs no search onto the end
+        calls = [0]
+
+        def counted(*args, _fn=modular.modular_integral):
+            calls[0] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(modular, "modular_integral", counted)
+        oz.luxemburg_norm(constant_function(c, 1), oz.Power(2), UNIT_1D)
+        assert calls[0] == modulars
+
 
 class TestW1A:
     def test_coordinate_gradient_norm(self):

@@ -155,10 +155,21 @@ def log_uniform(lo, hi):
     return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
 
 
+CIRC_PHI = oz.Orthotropic((oz.Power(1.5), oz.Power(2.5)))
+CIRC_TS = np.geomspace(1e-2, 1e2, 9).tolist()
+CIRC_VOLUME = dict(max_depth=6, rel_tol=1e-2)
+
+
 @functools.lru_cache(maxsize=None)
 def circ_table():
-    phi = oz.Orthotropic((oz.Power(1.5), oz.Power(2.5)))
-    return _phi_circ_young(phi, t_lo=1e-2, t_hi=1e2, points=9, max_depth=6, rel_tol=1e-2)
+    return _phi_circ_young(CIRC_PHI, t_lo=1e-2, t_hi=1e2, points=9, **CIRC_VOLUME)
+
+
+@functools.lru_cache(maxsize=None)
+def circ_nodes():
+    """The (log t, log radius) nodes ``circ_table`` interpolates."""
+    rs = [oz.phi_circ(CIRC_PHI, t, method="volume", **CIRC_VOLUME) for t in CIRC_TS]
+    return np.log(CIRC_TS), np.log(rs)
 
 
 def plateau_step(a, b, jump):
@@ -213,6 +224,22 @@ class TestLogRoot:
     def test_radial_table_forward_matches_bisection(self, t):
         circ = circ_table()
         assert math.isclose(circ(t), ref_solve_increasing(circ.inv_fn, t), rel_tol=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(t=st.one_of(log_uniform(1e-4, 1e4), st.sampled_from(CIRC_TS)))
+    def test_radial_table_lookup_equals_interp(self, t):
+        # np.interp inside the table, the end chords outside it
+        lts, lrs = circ_nodes()
+        lt = math.log(t)
+        if lt < lts[0]:
+            slope = (lrs[1] - lrs[0]) / (lts[1] - lts[0])
+            want = math.exp(lrs[0] + slope * (lt - lts[0]))
+        elif lt > lts[-1]:
+            slope = (lrs[-1] - lrs[-2]) / (lts[-1] - lts[-2])
+            want = math.exp(lrs[-1] + slope * (lt - lts[-1]))
+        else:
+            want = math.exp(float(np.interp(lt, lts, lrs)))
+        assert circ_table().inv_fn(t) == want
 
     def test_orthotropic_work_count(self):
         bar = oz.orthotropic_bar((oz.Power(1.37), oz.Power(1.66)))
