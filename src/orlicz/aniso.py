@@ -185,6 +185,16 @@ def orthotropic_bar(components: Sequence[YoungFunction]) -> YoungFunction:
             acc += math.log(v)
         return math.exp(acc / n)
 
+    def inv_many(ts: np.ndarray) -> np.ndarray:
+        vs = np.array([a.inverse_values(ts) for a in comps])
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            out = np.exp(np.log(vs).sum(axis=0) / n)  # log 0 and inf: set below
+        # the first component at 0 or inf decides, as in ``inv``
+        stop = (vs == INF) | (vs <= 0.0)
+        cut = np.flatnonzero(stop.any(axis=0))
+        out[cut] = np.where(vs[stop.argmax(axis=0)[cut], cut] == INF, INF, 0.0)
+        return out
+
     def mean_order(orders) -> Optional[GrowthOrder]:
         if all(o is not None and o.family == "poly" and o.log_exp == 0 and o.loglog_exp == 0
                for o in orders):
@@ -192,7 +202,8 @@ def orthotropic_bar(components: Sequence[YoungFunction]) -> YoungFunction:
         return None
 
     return FromInverse(inv_fn=inv, zero=mean_order([a.zero_order for a in comps]),
-                       inf_=mean_order([a.inf_order for a in comps]), label="orthotropic-mean")
+                       inf_=mean_order([a.inf_order for a in comps]), label="orthotropic-mean",
+                       inv_many=inv_many)
 
 
 def bar_p(ps: Sequence[float]) -> float:
@@ -337,9 +348,18 @@ def _phi_circ_young(phi: NDimYoung, t_lo: float = 1e-3, t_hi: float = 1e4,
         j = max(bisect.bisect_right(lts, lt) - 1, 0)
         return math.exp(slopes[j] * (lt - lts[j]) + lrs[j])
 
+    lts_a, lrs_a, slopes_a = np.array(lts), np.array(lrs), np.array(slopes)
+
+    def inv_many(ts: np.ndarray) -> np.ndarray:
+        lt = np.log(ts)
+        j = np.maximum(np.searchsorted(lts_a, lt, side="right") - 1, 0)
+        with np.errstate(over="ignore"):
+            return np.exp(slopes_a[j] * (lt - lts_a[j]) + lrs_a[j])
+
     zero = GrowthOrder(1.0 / slopes[0]) if slopes[0] > 1e-9 else None
     inf_ = GrowthOrder(1.0 / slopes[-1]) if slopes[-1] > 1e-9 else None
-    return FromInverse(inv_fn=inv, zero=zero, inf_=inf_, label="radial-rearrangement")
+    return FromInverse(inv_fn=inv, zero=zero, inf_=inf_, label="radial-rearrangement",
+                       inv_many=inv_many)
 
 
 def phi_n(phi: NDimYoung, n: Optional[int] = None, method: str = "auto",
@@ -454,9 +474,14 @@ class ThetaSolver:
         return theta
 
     def solve_many(self, xis) -> np.ndarray:
-        """``solve`` for every row of an (m, n) array, bracketed by doubling
-        and bisected together under the same limit, stop and check: the first
-        bad row raises ``solve``'s error, as does one open past the step cap."""
+        """``solve`` for every row of an (m, n) array, all rows a step at a
+        time under the same limit, stop and check: the first bad row raises
+        ``solve``'s error, as does one open past the step cap.
+
+        An upper end is found by doubling from max(lo, 1).  A row whose lower
+        end is 0 then steps down by 2**-k, k = 1, 2, 4, ..., to a lower end;
+        a bracket wider than a factor of 2 is halved in log theta, a narrower
+        one in theta."""
         xis = np.asarray(xis, dtype=float)
         theta = np.zeros(len(xis))
         rows = np.flatnonzero(np.any(xis, axis=1))
@@ -474,22 +499,27 @@ class ThetaSolver:
             grow = grow[an(hi[grow]) < self._rhs_many(xs[grow], hi[grow])]
             if not grow.size or top >= self._cap:
                 break
+            lo[grow] = top
             top *= 2.0
             hi[grow] = top
         live = np.setdiff1d(np.arange(rows.size), grow)
-        # from [0, 1], 1,100 halvings reach 1e-13 of any root above the
-        # smallest normal float; a root below it reads 0, as in _log_root
-        for _ in range(1100):
+        # 11 steps down reach the smallest normal float, where a root reads
+        # 0 as in _log_root; 11 log and 43 plain halvings close any bracket
+        down = np.ones(rows.size)
+        for _ in range(100):
             if not live.size:
                 break
-            mid = 0.5 * (lo[live] + hi[live])
+            l, h = lo[live], hi[live]
+            mid = np.where(l == 0.0, np.maximum(h * np.exp2(-down[live]), self._TINY),
+                           np.where(h > 2.0 * l, np.sqrt(l) * np.sqrt(h), 0.5 * (l + h)))
             below = an(mid) < self._rhs_many(xs[live], mid)
             lo[live[below]] = mid[below]
             hi[live[~below]] = mid[~below]
-            hi[live[hi[live] < self._TINY]] = 0.0
+            down[live[~below & (l == 0.0)]] *= 2.0
+            hi[live[~below & (mid <= self._TINY)]] = 0.0
             live = live[hi[live] - lo[live] > 1e-13 * hi[live]]
         if live.size:
-            raise YoungError(f"theta bracket still open after 1100 steps "
+            raise YoungError(f"theta bracket still open after 100 steps "
                              f"at xi={xs[live[0]]!r}")
         th = 0.5 * (lo + hi)
         self._check(xs, an(th), self._rhs_many(xs, th), grow)

@@ -6,12 +6,18 @@ classified at both endpoints; when it diverges at the origin the function is
 first replaced near zero by a linear segment (which leaves the conjugate's
 behaviour near infinity unchanged up to equivalence).
 
-H is tabulated once on a geometric grid at build time (panel Gauss rule on a
-log axis, exponent-fit extrapolation at the improper endpoint) and wrapped in
-an in-house Fritsch–Carlson monotone cubic, so conjugate evaluations inside
-modular integrals stay cheap and the result is safe to share across threads.
-Scalar queries run on plain floats; ``inverse_many`` and ``an_values`` run
-the same Newton iteration on whole arrays.
+H is tabulated once on a geometric grid at build time (15-node Gauss panels
+on a log axis, exponent-fit extrapolation at the improper endpoint) and
+wrapped in an in-house Fritsch–Carlson monotone cubic, so conjugate
+evaluations inside modular integrals stay cheap and the result is safe to
+share across threads.  The integrand is an array function with one
+``values`` call of the base per call.  A build evaluates the nodes and right
+ends of 256 panels at a time, sums each panel in node order and accumulates
+the sums; it stops at the first panel that ends 3 zero panels in a row,
+takes ln H past ln 1e12, or ends beyond x = 690, and raises only for a
+non-finite panel at or before that stop.  Scalar queries run on plain
+floats; ``inverse_many`` and ``an_values`` run the same Newton iteration on
+whole arrays.
 """
 
 from __future__ import annotations
@@ -25,7 +31,8 @@ from typing import Optional
 
 import numpy as np
 
-from ._quad import gauss15 as _gauss15
+from ._quad import G15_X as _G15_X
+from ._quad import _panel_sums
 from ._quad import quad_interval as _quad_interval
 from .young import (
     INF,
@@ -51,34 +58,39 @@ class IntegralClass(enum.Enum):
 # ---------------------------------------------------------------------------
 
 def _integrand(y: YoungFunction, nexp: float):
+    """The integrand (t / A(t))^{1/(n-1)} of H on a 1-D array, through one
+    ``y.values`` call: 0 for t <= 0 and where A is inf, inf where A is 0 or
+    the power overflows."""
     e = 1.0 / (nexp - 1.0)
 
-    def g(t: float) -> float:
-        if t <= 0.0:
-            return 0.0
-        a = y(t)
-        if a == INF:
-            return 0.0
-        if a <= 0.0:
-            return INF
-        lg = e * (math.log(t) - math.log(a))
-        return INF if lg > 709.0 else math.exp(lg)
+    def g(ts: np.ndarray) -> np.ndarray:
+        t = np.asarray(ts, dtype=float)
+        a = y.values(t)
+        with np.errstate(divide="ignore", invalid="ignore"):  # masked below
+            lg = e * (np.log(t) - np.log(a))
+        out = np.exp(np.minimum(lg, 709.0))
+        out[lg > 709.0] = INF
+        out[a <= 0.0] = INF
+        out[a == INF] = 0.0
+        out[t <= 0.0] = 0.0
+        return out
 
     return g
 
 
 def _in_log_variable(g):
-    """Array integrand u -> g(e^u) e^u, g mapped over the nodes."""
+    """Array integrand u -> g(e^u) e^u."""
     def f(us):
-        return np.array([g(e) * e for e in map(math.exp, us)])
+        t = np.exp(us)
+        with np.errstate(over="ignore"):
+            return g(t) * t
     return f
 
 
 def _fit_slope(g, ts) -> Optional[float]:
     """Local log-log slopes over consecutive points; None when unstable."""
     vals = []
-    for t in ts:
-        v = g(float(t))
+    for v in g(np.asarray(ts, dtype=float)).tolist():
         if v == INF:
             return INF
         if v <= 0.0:
@@ -163,8 +175,7 @@ def classify_integral_inf(y: YoungFunction, n: float) -> IntegralClass:
 
 def _head_integral(g, s_min: float) -> tuple:
     """(integral of g over (0, s_min], fitted local exponent)."""
-    v1 = g(s_min)
-    v2 = g(0.5 * s_min)
+    v1, v2 = g(np.array([s_min, 0.5 * s_min])).tolist()
     if v1 <= 0.0 and v2 <= 0.0:
         return 0.0, 0.0
     if v1 <= 0.0 or v2 <= 0.0 or v1 == INF or v2 == INF:
@@ -242,6 +253,26 @@ class _MonotoneCubic:
 # Tabulated H with monotone interpolation
 # ---------------------------------------------------------------------------
 
+def _panel_edges() -> np.ndarray:
+    """Table knots in x = ln t: from ln 1e-10 in steps of ln10/32, in steps
+    of ln10/8 past ln 1e10, up to the first knot beyond 690; each knot is
+    the last plus a step, so a knot does not depend on where a build stops."""
+    core_step, tail_step = math.log(10.0) / 32.0, math.log(10.0) / 8.0
+    x = math.log(1e-10)
+    xs, step = [x], core_step
+    while x <= 690.0:
+        x += step
+        xs.append(x)
+        if x >= math.log(1e10):
+            step = tail_step
+    return np.array(xs)
+
+
+_EDGES = _panel_edges()
+_BLOCK = 256  # panels per integrand call; all ~3,000 at once raise peak memory
+_LN_H_MAX = math.log(1e12)
+
+
 class HnTable:
     """Forward map H(s) and its inverse, built once from the integrand.
 
@@ -254,67 +285,61 @@ class HnTable:
                  diverges_at_inf: bool = False):
         self.nexp = float(nexp)
         self.nprime = nexp / (nexp - 1.0)
-        self._g = _integrand(y, nexp)
-        g = self._g
-        # knots in x = ln t: dense core, coarser far tail
-        core_step = math.log(10.0) / 32.0
-        tail_step = math.log(10.0) / 8.0
-        x0 = math.log(1e-10)
+        self._g = g = _integrand(y, nexp)
         s_min = 1e-10
         head, m0 = _head_integral(g, s_min)
         self._m0 = m0
-        xs = [x0]
-        lnI = []
-        acc = head
-        if acc <= 0.0:
-            # integrand vanished below s_min (cannot happen after the upstream
-            # classification, kept as a guard)
-            acc = 1e-300
-        lnI.append(math.log(acc))
-        x = x0
-        in_tail = False
-        zero_panels = 0
-        while True:
-            step = tail_step if in_tail else core_step
-            xn = x + step
-            inc = _gauss15(_in_log_variable(g), x, xn)
-            if not math.isfinite(inc):
+        # integrand vanished below s_min (cannot happen after the upstream
+        # classification, kept as a guard)
+        acc = head if head > 0.0 else 1e-300
+        xs, lnI = [_EDGES[:1]], [np.array([math.log(acc)])]
+        zeros = 0  # zero panels in a row before the block
+        for k in range(0, len(_EDGES) - 1, _BLOCK):
+            a, b = _EDGES[k:k + _BLOCK], _EDGES[k + 1:k + 1 + _BLOCK]
+            p = len(b)
+            half = 0.5 * (b - a)
+            us = (0.5 * (a + b))[:, None] + half[:, None] * _G15_X
+            # the nodes and the right ends of the block's panels in one call
+            t = np.exp(np.concatenate([us.ravel(), b]))
+            gt = g(t)
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                inc = _panel_sums(gt[None, :-p] * t[None, :-p], half)[0]
+                accs = np.cumsum(np.concatenate([[acc], inc]))[1:]
+                lnI_b = np.log(accs)
+            zero = (inc <= 0.0) | (gt[-p:] == 0.0)
+            i = np.arange(p)
+            run = i - np.maximum.accumulate(np.where(zero, -1 - zeros, i))
+            stop = (run >= 3) | (lnI_b / self.nprime > _LN_H_MAX) | (b > 690.0)
+            end = int(np.argmax(stop)) if stop.any() else p
+            bad = ~np.isfinite(inc[:end + 1])
+            if bad.any():
                 raise IndeterminateError("integrand blow-up inside the table range")
-            acc += inc
-            xs.append(xn)
-            lnI.append(math.log(acc))
-            x = xn
-            if x >= math.log(1e10):
-                in_tail = True
-            if inc <= 0.0 or g(math.exp(xn)) == 0.0:
-                zero_panels += 1
-            else:
-                zero_panels = 0
-            lnH = math.log(acc) / self.nprime
-            if zero_panels >= 3 or lnH > math.log(1e12) or x > 690.0:
+            xs.append(b[:end + 1])
+            lnI.append(lnI_b[:end + 1])
+            if end < p:
                 break
-        self._xs = np.array(xs)
-        self._lnI = np.array(lnI)
+            acc, zeros = float(accs[-1]), int(run[-1])
+        self._xs = np.concatenate(xs)
+        self._lnI = np.concatenate(lnI)
         self._lnH = self._lnI / self.nprime
         self._cubic = _MonotoneCubic(self._xs, self._lnH)
         # total integral and limit of H at infinity
         if diverges_at_inf:
             self._I_total = INF
         else:
-            t_max = math.exp(self._xs[-1])
             tail = 0.0
             # fit the tail exponent at the last point where the integrand is
             # still positive (the base may overflow to inf before any jump)
-            t_fit = t_max
-            while t_fit > 1.0 and g(t_fit) <= 0.0:
+            t_fit = math.exp(self._xs[-1])
+            while True:
+                g_end, v2 = g(np.array([t_fit, 0.5 * t_fit])).tolist()
+                if g_end > 0.0 or t_fit <= 1.0:
+                    break
                 t_fit *= 0.5
-            g_end = g(t_fit)
-            if g_end > 0.0:
-                v2 = g(0.5 * t_fit)
-                if v2 > 0.0:
-                    m_inf = math.log2(g_end / v2)
-                    if m_inf < -1.0 - 1e-6:
-                        tail = g_end * t_fit / (-1.0 - m_inf)
+            if g_end > 0.0 and v2 > 0.0:
+                m_inf = math.log2(g_end / v2)
+                if m_inf < -1.0 - 1e-6:
+                    tail = g_end * t_fit / (-1.0 - m_inf)
             self._I_total = math.exp(self._lnI[-1]) + tail
         self.limit = (self._I_total ** (1.0 / self.nprime)
                       if self._I_total != INF else INF)

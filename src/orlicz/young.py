@@ -197,6 +197,69 @@ def _log_root(fn: Callable[[float], float], level: float, exact: bool,
     raise YoungError(f"root bracket [{lo!r}, {hi!r}] still open after {max_iter} steps")
 
 
+def _log_root_many(fn_many: Callable[[np.ndarray], np.ndarray], levels, exact: bool,
+                   rel_tol: float = 1e-12, max_iter: int = 400) -> tuple:
+    """``_log_root`` for every entry of ``levels``, as arrays (lo, hi): each
+    row takes the scalar search's steps, with its stop, ends, exact hits and
+    raise (for the first row left open), and one ``fn_many`` call serves the
+    rows still open at each step."""
+    level = np.asarray(levels, dtype=float).ravel()
+    m = level.size
+    has_log = (level > 0.0) & (level < INF)
+    log_level = np.log(np.where(has_log, level, 1.0))
+    lo, hi, hl, hh = np.zeros(m), np.full(m, INF), np.full(m, -INF), np.full(m, INF)
+    ul, uh = np.full(m, np.nan), np.full(m, np.nan)  # nan: no end found yet
+    u, step, side = np.zeros(m), np.ones(m), np.zeros(m, dtype=np.int8)
+    act = np.arange(m)
+    for _ in range(max_iter):
+        if not act.size:
+            return lo, hi
+        s = np.exp(u[act])
+        f = np.asarray(fn_many(s), dtype=float)
+        lv = level[act]
+        hit = (f == lv) if exact else np.zeros(act.size, dtype=bool)
+        above = ~hit & (f > lv)
+        below = ~hit & ~above
+        lo[act[hit]] = hi[act[hit]] = s[hit]
+        end = above & (u[act] == _U_MIN)
+        lo[act[end]] = hi[act[end]] = 0.0
+        above &= ~end
+        end = below & (u[act] == _U_MAX)
+        lo[act[end]] = hi[act[end]] = INF
+        below &= ~end
+        # an end exactly at the level may lie on a plateau
+        ok = has_log[act] & (f > 0.0) & (f < INF) & (f != lv)
+        gap = np.where(ok, np.log(np.where(ok, f, 1.0)) - log_level[act],
+                       np.where(above, INF, -INF))
+        r = act[above]
+        uh[r], hi[r], hh[r] = u[r], s[above], gap[above]
+        hl[r[side[r] > 0]] *= 0.5
+        side[r] = 1
+        r = act[below]
+        ul[r], lo[r], hl[r] = u[r], s[below], gap[below]
+        hh[r[side[r] < 0]] *= 0.5
+        side[r] = -1
+        r = act[above | below]
+        grow = np.isnan(ul[r]) | np.isnan(uh[r])
+        g = r[grow]
+        u[g] = np.where(np.isnan(ul[g]), np.maximum(u[g] - step[g], _U_MIN),
+                        np.minimum(u[g] + step[g], _U_MAX))
+        step[g] *= 2.0
+        r = r[~grow]
+        r = r[~(hi[r] - lo[r] <= rel_tol * hi[r])]
+        ill = (-INF < hl[r]) & (hl[r] < hh[r]) & (hh[r] < INF)
+        i, b = r[ill], r[~ill]
+        u[i] = np.minimum(np.maximum(uh[i] - hh[i] * (uh[i] - ul[i]) / (hh[i] - hl[i]),
+                                     ul[i] + 0.5 * rel_tol), uh[i] - 0.5 * rel_tol)
+        u[b] = 0.5 * (ul[b] + uh[b])
+        act = np.sort(np.concatenate([g, r]))
+    if not act.size:
+        return lo, hi
+    i = act[0]
+    raise YoungError(f"root bracket [{float(lo[i])!r}, {float(hi[i])!r}] "
+                     f"still open after {max_iter} steps")
+
+
 def _least_constant(ok: Callable[[float], bool], c_max: float,
                     rel_tol: float) -> float:
     """Smallest c in [1, c_max] with ok(c), to ``rel_tol``, for ok monotone
@@ -264,7 +327,11 @@ class YoungFunction:
         return (a1 - a0) / (t * h)
 
     def values(self, ts: np.ndarray) -> np.ndarray:
-        return np.array([self(float(t)) for t in np.asarray(ts).ravel()])
+        return np.array([self(float(t)) for t in np.asarray(ts).ravel()], dtype=float)
+
+    def inverse_values(self, vs: np.ndarray) -> np.ndarray:
+        """``inverse`` on an array."""
+        return np.array([self.inverse(float(v)) for v in np.asarray(vs).ravel()], dtype=float)
 
     def to_config(self) -> dict:
         raise NotImplementedError(f"{self.kind} has no config form")
@@ -301,6 +368,13 @@ class Power(YoungFunction):
 
     def inverse(self, v: float) -> float:
         return _pow(v / self.scale, 1.0 / self.p)  # 0 for v <= 0, inf at inf
+
+    def inverse_values(self, vs: np.ndarray) -> np.ndarray:
+        v = np.asarray(vs, dtype=float).ravel()
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = np.power(v / self.scale, 1.0 / self.p)
+        out[v <= 0.0] = 0.0
+        return out
 
     @property
     def zero_order(self):
@@ -357,6 +431,19 @@ class PowerLog(YoungFunction):
             return 0.0 if self.alpha > 0 else INF
         return body * _pow(lg, self.alpha, 1.0) if lg != 1.0 else body
 
+    def values(self, ts: np.ndarray) -> np.ndarray:
+        t = np.asarray(ts, dtype=float).ravel()
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            body = np.power(t, self.p)
+            lg = np.log(self.c + t)
+            out = body * np.power(lg, self.alpha)
+        one = lg == 1.0
+        out[one] = body[one]
+        out[lg == 0.0] = 0.0 if self.alpha > 0 else INF
+        out[body == INF] = INF
+        out[t <= 0.0] = 0.0
+        return out
+
     @property
     def zero_order(self):
         if self.c == 1.0:
@@ -401,6 +488,20 @@ class PowerLogLog(YoungFunction):
         if ll < 0.0:  # cannot happen for c >= e
             raise YoungError("power_loglog base too small")
         return body * _pow(ll, self.alpha, 1.0)
+
+    def values(self, ts: np.ndarray) -> np.ndarray:
+        t = np.asarray(ts, dtype=float).ravel()
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            body = np.power(t, self.p)
+            ll = np.log(np.log(self.c + t))
+            out = body * np.power(ll, self.alpha)
+        out[ll == 0.0] = 0.0 if self.alpha > 0 else INF
+        out[body == INF] = INF
+        live = t > 0.0
+        out[~live] = 0.0
+        if (live & (body < INF) & (ll < 0.0)).any():  # cannot happen for c >= e
+            raise YoungError("power_loglog base too small")
+        return out
 
     @property
     def zero_order(self):
@@ -505,6 +606,17 @@ class Exp(YoungFunction):
             return _expm1_pow(self.tstar, self.alpha) * t / self.tstar
         return _expm1_pow(t, self.alpha)
 
+    def values(self, ts: np.ndarray) -> np.ndarray:
+        t = np.asarray(ts, dtype=float).ravel()
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = np.power(t, self.alpha)
+            out = np.where(x >= _LOG_MAX, INF, np.expm1(np.minimum(x, _LOG_MAX)))
+        if self.tstar > 0.0:
+            lin = t <= self.tstar
+            out[lin] = _expm1_pow(self.tstar, self.alpha) * t[lin] / self.tstar
+        out[t <= 0.0] = 0.0
+        return out
+
     def inverse(self, v: float) -> float:
         if v <= 0:
             return 0.0
@@ -558,6 +670,15 @@ class ExpNegInv(YoungFunction):
             return math.exp(-_pow(t, -self.alpha))
         return self._v + self._m * (t - self._tc)
 
+    def values(self, ts: np.ndarray) -> np.ndarray:
+        t = np.asarray(ts, dtype=float).ravel()
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            out = np.exp(-np.power(t, -self.alpha))
+        line = t > self._tc
+        out[line] = self._v + self._m * (t[line] - self._tc)
+        out[t <= 0.0] = 0.0
+        return out
+
     def inverse(self, v: float) -> float:
         if v <= 0:
             return 0.0
@@ -605,6 +726,18 @@ class Piecewise(YoungFunction):
                 break
             idx += 1
         return self.branches[idx](t)
+
+    def values(self, ts: np.ndarray) -> np.ndarray:
+        t = np.asarray(ts, dtype=float).ravel()
+        out = np.zeros(t.shape)
+        # branch k serves (b_k, b_{k+1}]: a break belongs to the branch below
+        idx = np.searchsorted(np.asarray(self.breaks, dtype=float), t, side="left")
+        for k, br in enumerate(self.branches):
+            on = (idx == k) & ~(t <= 0.0)
+            if on.any():
+                out[on] = (br.values(t[on]) if isinstance(br, YoungFunction)
+                           else [br(x) for x in t[on].tolist()])
+        return out
 
     @property
     def finite_jump(self):
@@ -658,6 +791,16 @@ class Glued(YoungFunction):
             return self.near_zero_fn(t)
         v = self.near_infinity_fn(t)
         return INF if v == INF else self.hi_scale * v
+
+    def values(self, ts: np.ndarray) -> np.ndarray:
+        t = np.asarray(ts, dtype=float).ravel()
+        out = np.zeros(t.shape)
+        near = (t > 0.0) & (t <= self.tstar)
+        out[near] = self.near_zero_fn.values(t[near])
+        far = t > self.tstar
+        with np.errstate(over="ignore"):
+            out[far] = self.hi_scale * self.near_infinity_fn.values(t[far])
+        return out
 
     def inverse(self, v: float) -> float:
         if 0.0 <= v < self(self.tstar):
@@ -731,12 +874,18 @@ class FromInverse(YoungFunction):
     the log-space root finder above (a few inv_fn calls where the inverse is
     near a power law); 0 when inv_fn(0) >= t or the root underflows the
     normal float range, inf when inv_fn stays below t up to the largest
-    float."""
+    float.
+
+    ``inv_many``, when given, is ``inv_fn`` on a 1-D array: it must return
+    the array of ``inv_fn`` at each entry (agreeing to rounding), and may
+    assume the entries positive.  ``values`` then runs every root at once
+    through ``_log_root_many``; without it, ``values`` loops over rows."""
 
     inv_fn: Callable[[float], float]
     zero: Optional[GrowthOrder] = None
     inf_: Optional[GrowthOrder] = None
     label: str = "from_inverse"
+    inv_many: Optional[Callable[[np.ndarray], np.ndarray]] = None
     kind = "from_inverse"
 
     def __call__(self, t: float) -> float:
@@ -744,6 +893,18 @@ class FromInverse(YoungFunction):
             return 0.0
         lo, hi = _log_root(self.inv_fn, t, True)
         return 0.5 * (lo + hi)
+
+    def values(self, ts: np.ndarray) -> np.ndarray:
+        if self.inv_many is None:
+            return super().values(ts)
+        t = np.asarray(ts, dtype=float).ravel()
+        out = np.zeros(t.shape)
+        live = (t > 0.0) & (t > self.inv_fn(0.0))
+        if live.any():
+            lo, hi = _log_root_many(self.inv_many, t[live], True)
+            with np.errstate(over="ignore"):
+                out[live] = 0.5 * (lo + hi)
+        return out
 
     def inverse(self, v: float) -> float:
         if v < 0:

@@ -456,6 +456,25 @@ class TestThetaMany:
         for xi, theta in zip(xis, solver.solve_many(xis).tolist()):
             assert theta == pytest.approx(solver.solve(xi), rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("xi, most", [((0.0, 0.0, 6e-286), 16), ((0.0, 0.0, 1e-150), 80),
+                                          ((1e-12, 0.0, 0.0), 80), ((1.0, 0.0, 0.0), 60)])
+    def test_rows_far_below_one_take_few_steps(self, xi, most, monkeypatch):
+        # a level that reads 0 steps down to the float floor in 11 calls; a
+        # root at 1e-50 brackets in log theta before the plain halvings
+        solver = iso_solver("one")
+        calls = [0]
+        rhs_many = oz.ThetaSolver._rhs_many
+
+        def counted(self, xis, ts):
+            calls[0] += 1
+            return rhs_many(self, xis, ts)
+
+        monkeypatch.setattr(oz.ThetaSolver, "_rhs_many", counted)
+        xi = np.array([xi])
+        theta = solver.solve_many(xi)[0]
+        assert calls[0] <= most
+        assert theta == pytest.approx(solver.solve(xi[0]), rel=1e-12, abs=0.0)
+
     def test_orthotropic_rows(self):
         # Orthotropic.values; any unbounded conjugate will do, and a ready
         # one skips the slow orthotropic table build

@@ -12,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orlicz as oz
-from orlicz.conjugate import IntegralClass, _MonotoneCubic
-from orlicz.young import INF
+from orlicz import conjugate, young
+from orlicz.conjugate import _BLOCK, _EDGES, HnTable, IntegralClass, _MonotoneCubic
+from orlicz.young import INF, GrowthOrder
 
 
 def closed_form_h_constant(p: float, n: float) -> float:
@@ -275,6 +276,182 @@ class TestArrayPaths:
         ts = np.geomspace(1e-3, 1e3, 12).reshape(3, 4)
         assert conj.hn.inverse_many(ts).shape == (3, 4)
         assert conj.an_values(ts).shape == (3, 4)
+
+
+# ---------------------------------------------------------------------------
+# The block build against the scalar panel loop it replaced
+# ---------------------------------------------------------------------------
+
+def ref_integrand(y, nexp):
+    """(t / A(t))^{1/(n-1)} at one point, through the scalar y(t)."""
+    e = 1.0 / (nexp - 1.0)
+
+    def g(t):
+        if t <= 0.0:
+            return 0.0
+        a = y(t)
+        if a == INF:
+            return 0.0
+        if a <= 0.0:
+            return INF
+        lg = e * (math.log(t) - math.log(a))
+        return INF if lg > 709.0 else math.exp(lg)
+
+    return g
+
+
+def ref_gauss15(f, a, b):
+    """15-node rule, one node at a time in order; a non-finite sample gives
+    -inf when they are all -inf, else +inf."""
+    x, w = np.polynomial.legendre.leggauss(15)
+    vals = [f(u) for u in (0.5 * (a + b) + 0.5 * (b - a) * x).tolist()]
+    total = 0.0
+    for wi, v in zip(w.tolist(), vals):
+        total += wi * v
+    if not math.isfinite(total):
+        bad = [v for v in vals if not math.isfinite(v)]
+        if bad:
+            return -INF if all(v == -INF for v in bad) else INF
+    return total * (0.5 * (b - a))
+
+
+def ref_hn_table(y, nexp, diverges_at_inf=False):
+    """The scalar build: panel after panel until 3 zero panels in a row,
+    ln H > ln 1e12 or x > 690, then the tail fit; (xs, lnH, limit)."""
+    g = ref_integrand(y, nexp)
+    f = lambda u: g(math.exp(u)) * math.exp(u)
+    nprime = nexp / (nexp - 1.0)
+    core_step, tail_step = math.log(10.0) / 32.0, math.log(10.0) / 8.0
+    x, s_min = math.log(1e-10), 1e-10
+    v1, v2 = g(s_min), g(0.5 * s_min)
+    head = 0.0 if v1 <= 0.0 and v2 <= 0.0 else v1 * s_min / (math.log2(v1 / v2) + 1.0)
+    acc = head if head > 0.0 else 1e-300
+    xs, lnI = [x], [math.log(acc)]
+    in_tail, zero_panels = False, 0
+    while True:
+        xn = x + (tail_step if in_tail else core_step)
+        inc = ref_gauss15(f, x, xn)
+        if not math.isfinite(inc):
+            raise oz.IndeterminateError("integrand blow-up inside the table range")
+        acc += inc
+        xs.append(xn)
+        lnI.append(math.log(acc))
+        x = xn
+        if x >= math.log(1e10):
+            in_tail = True
+        zero_panels = zero_panels + 1 if inc <= 0.0 or g(math.exp(xn)) == 0.0 else 0
+        if zero_panels >= 3 or math.log(acc) / nprime > math.log(1e12) or x > 690.0:
+            break
+    if diverges_at_inf:
+        return np.array(xs), np.array(lnI) / nprime, INF
+    t_fit, tail = math.exp(xs[-1]), 0.0
+    while t_fit > 1.0 and g(t_fit) <= 0.0:
+        t_fit *= 0.5
+    g_end = g(t_fit)
+    if g_end > 0.0 and g(0.5 * t_fit) > 0.0:
+        m_inf = math.log2(g_end / g(0.5 * t_fit))
+        if m_inf < -1.0 - 1e-6:
+            tail = g_end * t_fit / (-1.0 - m_inf)
+    return np.array(xs), np.array(lnI) / nprime, (math.exp(lnI[-1]) + tail) ** (1.0 / nprime)
+
+
+def gate_at_panel(k: int):
+    """t^2 up to just past knot k, +inf beyond: the zero panels start at panel
+    k and the build stops at panel k + 2."""
+    tj = math.exp(_EDGES[k]) * (1.0 + 1e-9)
+    return oz.Piecewise(breaks=(tj,), branches=(oz.Power(2.0), lambda t: INF), jump=tj,
+                        zero=GrowthOrder(2.0), inf_=GrowthOrder(0.0, family="jump"))
+
+
+# every kind a build sees; n = 2 sends the power-like ones through
+# modify_near_zero, Power(3.5) and the exponentials saturate at n = 3
+BUILD_CASES = [
+    (oz.Power(1.5), 3), (oz.Power(3.5), 3), (oz.Power(2, scale=1e-55), 3),
+    (oz.PowerLog(2, 1), 3), (oz.PowerLog(2, 1), 2), (oz.PowerLogLog(2, 1), 4),
+    (oz.PowerExp(1.0), 2), (oz.Exp(0.5), 3), (oz.Exp(2.0), 4), (oz.ExpNegInv(1.0), 2),
+    (gate_at_panel(100), 3),
+]
+
+
+def assert_same_table(hn, ref, tol):
+    xs, lnH, limit = ref
+    np.testing.assert_array_equal(hn._xs, xs)
+    # lnH is a logarithm: an absolute difference is a relative one in H
+    np.testing.assert_allclose(hn._lnH, lnH, rtol=0.0, atol=tol)
+    assert hn.limit == limit or math.isclose(hn.limit, limit, rel_tol=tol)
+
+
+class TestBlockBuild:
+    @pytest.mark.parametrize("y, n", BUILD_CASES)
+    def test_matches_scalar_loop(self, y, n):
+        conj = oz.sobolev_conjugate(y, n)
+        diverges = conj.classification_inf is IntegralClass.DIVERGES
+        assert_same_table(conj.hn, ref_hn_table(conj.modified, n, diverges), 1e-13)
+
+    @pytest.mark.parametrize("k", [_BLOCK - 4, _BLOCK - 3, _BLOCK - 2, _BLOCK - 1, _BLOCK,
+                                   2 * _BLOCK - 2])
+    def test_zero_panels_carry_across_blocks(self, k):
+        y = gate_at_panel(k)
+        hn = HnTable(y, 3)
+        assert len(hn._xs) == k + 4
+        assert_same_table(hn, ref_hn_table(y, 3), 1e-13)
+
+    def test_reduced_route_matches_scalar_loop(self):
+        # the roots of the orthotropic mean agree with the scalar ones to
+        # their 1e-12 tolerance, not to rounding
+        conj = oz.phi_n(oz.Orthotropic((oz.Power(1.3), oz.Power(1.8))))
+        assert_same_table(conj.hn, ref_hn_table(conj.modified, 2, True), 1e-12)
+
+    def test_blow_up_raises_only_before_the_stop(self):
+        # A = 0 on (1, 2] makes the integrand inf there
+        hole = oz.Custom(fn=lambda t: 0.0 if 1.0 < t <= 2.0 else t * t)
+        for build in (HnTable, ref_hn_table):
+            with pytest.raises(oz.IndeterminateError, match="blow-up"):
+                build(hole, 3)
+        # H passes 1e12 in the first panel, before a hole in the same block
+        late = oz.Custom(fn=lambda t: 0.0 if 1e-8 < t <= 2e-8 else 1e-55 * t * t)
+        assert_same_table(HnTable(late, 3, True), ref_hn_table(late, 3, True), 1e-13)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("y", [oz.Power(1.6), oz.PowerLog(1.6, 1.0),
+                                   oz.PowerLogLog(1.6, 1.0), oz.PowerExp(1.0), oz.Exp(0.7)])
+    def test_one_integrand_call_per_block(self, y, n, monkeypatch):
+        conj = oz.sobolev_conjugate(y, n)
+        calls, scalar = [0], [0]
+        make = conjugate._integrand
+
+        def counting_integrand(y, nexp):
+            g = make(y, nexp)
+
+            def counted(ts):
+                calls[0] += 1
+                return g(ts)
+            return counted
+
+        monkeypatch.setattr(conjugate, "_integrand", counting_integrand)
+        count_scalar_calls(monkeypatch, scalar)
+        hn = HnTable(conj.modified, n,
+                     conj.classification_inf is IntegralClass.DIVERGES)
+        blocks = math.ceil((len(hn._xs) - 1) / 256)
+        # the head probe, and the tail probes of a saturating table
+        assert calls[0] <= blocks + 3
+        assert scalar[0] == 0
+
+    def test_reduced_route_makes_no_scalar_call(self, monkeypatch):
+        scalar = [0]
+        count_scalar_calls(monkeypatch, scalar)
+        oz.phi_n(oz.Orthotropic((oz.Power(1.3), oz.Power(1.8))))
+        assert scalar[0] == 0
+
+
+def count_scalar_calls(monkeypatch, box):
+    """Count every scalar evaluation of every Young function kind in box[0]."""
+    for cls in vars(young).values():
+        if isinstance(cls, type) and "__call__" in vars(cls):
+            def counted(self, t, _call=vars(cls)["__call__"]):
+                box[0] += 1
+                return _call(self, t)
+            monkeypatch.setattr(cls, "__call__", counted)
 
 
 def test_package_imports_without_scipy():

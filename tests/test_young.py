@@ -1,7 +1,9 @@
 """Young-function calculus: evaluation, inverses, doubling, equivalence."""
 
+import contextlib
 import functools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orlicz as oz
+from orlicz import young
 from orlicz.aniso import _phi_circ_young
-from orlicz.young import INF, _log_root, _numeric_inverse, _sandwich_ok
+from orlicz.young import INF, _log_root, _log_root_many, _numeric_inverse, _pow, _sandwich_ok
 
 
 def builtin_corpus():
@@ -274,6 +277,240 @@ class TestLogRoot:
             _numeric_inverse(oz.gate(1.5), 0.5, max_iter=5)
         with pytest.raises(oz.YoungError):
             _log_root(lambda s: s * s, 2.0, True, rel_tol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# Array forms against their scalar forms
+# ---------------------------------------------------------------------------
+
+def close(got, want, rel=1e-12):
+    """Equal infinities and zeros, otherwise within ``rel`` relative."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got[np.isinf(want)], want[np.isinf(want)])
+    np.testing.assert_array_equal(got[want == 0.0], 0.0)
+    fin = np.isfinite(want)
+    np.testing.assert_allclose(got[fin], want[fin], rtol=rel, atol=1e-300)
+
+
+def edges(y, *breaks):
+    """Where y leaves 0, underflows, overflows to inf, and its breaks."""
+    ends = (_numeric_inverse(y, v) for v in (0.0, 5e-324, 1e-300, sys.float_info.max))
+    return sorted({e for e in ends if 0.0 < e < INF} | set(breaks))
+
+
+ORTHO_BAR = oz.orthotropic_bar((oz.Power(1.5), oz.Power(2.5, scale=0.3)))
+SQUARE_THEN_LINE = oz.Piecewise(breaks=(1.0, 3.0),
+                                branches=(oz.Power(2), lambda t: 2.0 * t - 1.0,
+                                          oz.Power(2, 5.0 / 9.0)))
+EXP_HALF = oz.Exp(0.5)
+EXP_NEG_INV = oz.ExpNegInv(1.0)
+MODIFIED = oz.modify_near_zero(oz.Power(4), 3)
+LOG_ONE = 2.0 ** -53  # log(1 + t) and log(log(e + t)) are 0 below about here
+# each family with the points where its branches meet or its values overflow
+VALUE_FAMILIES = [
+    (y, edges(y, *breaks)) for y, breaks in (
+        (oz.PowerLog(2, 1), (LOG_ONE,)), (oz.PowerLog(1, 1), (LOG_ONE,)),
+        (oz.PowerLog(3, -1), ()), (oz.PowerLog(2.5, 0.5, 3.0), ()),
+        (oz.PowerLog(1.5, 0.0), (LOG_ONE,)),
+        (oz.PowerLogLog(2, 1), (math.e * LOG_ONE,)), (oz.PowerLogLog(1.5, -0.5), ()),
+        (oz.PowerLogLog(3, 2, 10.0), ()),
+        (EXP_HALF, (EXP_HALF.tstar,)), (oz.Exp(1.0), ()), (oz.Exp(2.0), ()),
+        (oz.Exp(0.3), (oz.Exp(0.3).tstar,)),
+        (EXP_NEG_INV, (EXP_NEG_INV._tc,)), (oz.ExpNegInv(0.5), (oz.ExpNegInv(0.5)._tc,)),
+        (oz.gate(1.5), (1.5,)), (SQUARE_THEN_LINE, (1.0, 3.0)),
+        (MODIFIED, (MODIFIED.tstar,)),
+        (oz.Glued(oz.Power(2), oz.PowerLog(2, 1, math.e), 1.0, 1.0), (1.0,)),
+        (oz.Glued(oz.Power(2), oz.Exp(1.0), 2.0, 1e300), (2.0,)),
+        (ORTHO_BAR, ()),
+        (oz.FromInverse(inv_fn=ORTHO_BAR.inv_fn), ()),
+    )
+]
+
+
+def family_points(ys_edges):
+    """Points at t <= 0, inf, a family's edges and their neighbours, and
+    log-uniform over the float range."""
+    near = st.sampled_from(ys_edges).flatmap(
+        lambda e: st.one_of(st.just(e), st.floats(-1e-6, 1e-6).map(lambda d: e * (1.0 + d))))
+    point = st.one_of(st.floats(-50.0, 0.0), st.sampled_from([0.0, -0.0, INF]),
+                      log_uniform(1e-300, 1e300), near)
+    return st.lists(point, min_size=1, max_size=16)
+
+
+@contextlib.contextmanager
+def scalar_rounding():
+    """numpy inside ``orlicz.young`` with exp and log rounded as math's, so
+    that the row engine can be held to the scalar search bit for bit."""
+    def scalar(fn):
+        return staticmethod(lambda x: np.array([fn(v) for v in np.asarray(x).tolist()]))
+
+    class Numpy:
+        exp, log = scalar(math.exp), scalar(math.log)
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    young.np = Numpy()
+    try:
+        yield
+    finally:
+        young.np = np
+
+
+def counted(fn):
+    """fn with a call counter in ``.calls``."""
+    def f(*args):
+        f.calls += 1
+        return fn(*args)
+    f.calls = 0
+    return f
+
+
+def rows_of(fn):
+    """The array map that applies a scalar fn entry by entry."""
+    return lambda s: np.array([fn(x) for x in s.tolist()])
+
+
+def assert_same_steps(fn, levels, exact):
+    """With exp and log rounded alike, every row of ``_log_root_many`` takes
+    the scalar search's steps: the same brackets, and one call per step of
+    the longest search."""
+    fn = counted(fn)
+    fn_many = counted(rows_of(fn))
+    with scalar_rounding():
+        many = _log_root_many(fn_many, levels, exact)
+    steps = []
+    for lo, hi, level in zip(*many, levels):
+        fn.calls = 0
+        assert (lo, hi) == _log_root(fn, level, exact)
+        steps.append(fn.calls)
+    assert fn_many.calls == max(steps)
+
+
+def assert_same_root(got, want, rel_tol=1e-12):
+    """Two brackets of ``_log_root``: the same ends of the float range, else
+    the same root to the tolerance.  The rows' steps round exp differently
+    from the scalar search, so one may land exactly on a root the other
+    brackets."""
+    (lo, hi), (wlo, whi) = map(float, got), want
+    if wlo == whi and wlo in (0.0, INF):
+        assert lo == hi == wlo
+    else:
+        assert 0.0 < lo <= hi and hi - lo <= rel_tol * hi
+        assert math.isclose(0.5 * (lo + hi), 0.5 * (wlo + whi), rel_tol=rel_tol)
+
+
+class TestArrayForms:
+    @pytest.mark.parametrize("y, ys_edges", VALUE_FAMILIES,
+                             ids=[f"{i}-{y.kind}" for i, (y, _) in enumerate(VALUE_FAMILIES)])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_values_match_scalar(self, y, ys_edges, data):
+        ts = data.draw(family_points(ys_edges))
+        close(y.values(np.array(ts)), [y(t) for t in ts])
+
+    def test_values_of_empty_and_shape(self):
+        for y, _ in VALUE_FAMILIES:
+            assert y.values(np.array([])).shape == (0,)
+            assert y.values(np.ones((2, 3))).shape == (6,)
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.floats(0.2, 8.0), scale=log_uniform(1e-3, 1e3),
+           vs=st.lists(st.one_of(st.floats(-50.0, 0.0), st.just(INF),
+                                 log_uniform(1e-300, 1e300)), min_size=1, max_size=12))
+    def test_power_inverse_values(self, p, scale, vs):
+        y = oz.Power(p, scale)
+        close(y.inverse_values(np.array(vs)), [y.inverse(v) for v in vs])
+        base = oz.YoungFunction.inverse_values(y, np.array(vs))
+        np.testing.assert_array_equal(base, [y.inverse(v) for v in vs])
+
+    @settings(max_examples=60, deadline=None)
+    @given(ts=st.lists(st.one_of(log_uniform(1e-300, 1e300), st.just(INF)),
+                       min_size=1, max_size=16))
+    def test_orthotropic_inv_many(self, ts):
+        bars = (ORTHO_BAR, oz.orthotropic_bar((oz.PowerLog(2, 1), oz.Power(3.0))),
+                oz.orthotropic_bar((oz.Exp(1.0), oz.Power(1.2), oz.PowerLog(1.5, 1))))
+        for bar in bars:
+            close(bar.inv_many(np.array(ts)), [bar.inv_fn(t) for t in ts], rel=1e-13)
+
+    def test_orthotropic_inv_many_first_end_decides(self):
+        # on (1, 2) one inverse is 0 and the other inf: the first one decides
+        zero = oz.Custom(fn=lambda t: t, inverse_fn=lambda v: 0.0 if 1.0 < v < 2.0 else v)
+        inf_ = oz.Custom(fn=lambda t: t, inverse_fn=lambda v: INF if 1.0 < v < 2.0 else v)
+        ts = np.array([0.5, 1.5, 3.0, INF])
+        for bar in (oz.orthotropic_bar((zero, inf_)), oz.orthotropic_bar((inf_, zero))):
+            np.testing.assert_array_equal(bar.inv_many(ts), [bar.inv_fn(t) for t in ts.tolist()])
+
+    @settings(max_examples=60, deadline=None)
+    @given(ts=st.lists(st.one_of(log_uniform(1e-300, 1e300), st.sampled_from(CIRC_TS),
+                                 st.just(INF)), min_size=1, max_size=16))
+    def test_radial_table_inv_many(self, ts):
+        circ = circ_table()
+        close(circ.inv_many(np.array(ts)), [circ.inv_fn(t) for t in ts], rel=1e-13)
+
+    @settings(max_examples=60, deadline=None)
+    @given(q=st.floats(0.01, 50.0),
+           levels=st.lists(st.one_of(log_uniform(1e-320, 1e308), st.sampled_from(
+               [0.0, 1.0, INF, sys.float_info.max, 5e-324])), min_size=1, max_size=24),
+           exact=st.booleans())
+    def test_log_root_many_matches_rows(self, q, levels, exact):
+        # powers s^q reach both ends of the float range for large and small q
+        def fn_many(s):
+            with np.errstate(over="ignore"):
+                return np.power(s, q)
+
+        fn = lambda s: _pow(s, q)
+        many = _log_root_many(fn_many, levels, exact)
+        for lo, hi, level in zip(*many, levels):
+            assert_same_root((lo, hi), _log_root(fn, level, exact))
+        assert_same_steps(fn, levels, exact)
+
+    @settings(max_examples=40, deadline=None)
+    @given(a=log_uniform(1e-3, 1e3), width=log_uniform(1e-3, 1e3),
+           jump=log_uniform(1e-3, 1e3))
+    def test_log_root_many_plateaus_and_hits(self, a, width, jump):
+        b = a * (1.0 + width)
+        fn = plateau_step(a, b, jump)
+        # the plateau, inside the jump, below it, an exact hit at u = 0, and
+        # the ends of the float range
+        levels = [a, a + 0.5 * jump, 0.5 * a, fn(1.0), 1e-320, 1e308, INF]
+        for exact in (False, True):
+            many = _log_root_many(rows_of(fn), levels, exact)
+            for lo, hi, level in zip(*many, levels):
+                assert_same_root((lo, hi), _log_root(fn, level, exact))
+            assert_same_steps(fn, levels, exact)
+
+    def test_log_root_many_ends(self):
+        # above the float range, an exact hit at s = 1, a plain root
+        bounded = lambda s: min(s, 3.0)
+        lo, hi = _log_root_many(rows_of(bounded), [4.0, 1.0, 2.0], True)
+        assert (lo[:2].tolist(), hi[:2].tolist()) == ([INF, 1.0], [INF, 1.0])
+        assert lo[2] <= 2.0 <= hi[2]
+        # below the float range: A(t) = t^100 underflows at t = 1e-5
+        lo, hi = _log_root_many(lambda s: s ** 0.01, [1e-5, 1.0], True)
+        assert (lo.tolist(), hi.tolist()) == ([0.0, 1.0], [0.0, 1.0])
+        assert [a.shape for a in _log_root_many(np.sqrt, [], True)] == [(0,), (0,)]
+
+    def test_log_root_many_open_bracket_raises(self):
+        # gate values are 0 or inf, so every step bisects; 5 cannot close it
+        gate = oz.gate(1.5)
+        with pytest.raises(oz.YoungError, match="open after 5 steps"):
+            _log_root_many(rows_of(gate), [0.5, 0.5], False, max_iter=5)
+        with scalar_rounding(), pytest.raises(oz.YoungError) as many:
+            _log_root_many(rows_of(gate), [0.5, 0.5], False, max_iter=5)
+        with pytest.raises(oz.YoungError) as one:
+            _log_root(gate, 0.5, False, max_iter=5)
+        assert str(many.value) == str(one.value)
+        # a row that closes does not hide a later open one
+        with pytest.raises(oz.YoungError, match="open after 8 steps"):
+            _log_root_many(lambda s: np.where(s < 2.0, 0.0, s), [1.0, 1e-3], False,
+                           max_iter=8)
+
+    def test_from_inverse_values_without_inv_many_loops_rows(self):
+        y = oz.FromInverse(inv_fn=counted(ORTHO_BAR.inv_fn))
+        ts = np.geomspace(1e-3, 1e3, 7)
+        assert y.values(ts).tolist() == [y(t) for t in ts.tolist()]
 
 
 class TestDelta2:
