@@ -26,6 +26,7 @@ from .young import (
     YoungError,
     YoungFunction,
     _log_root,
+    _log_root_many,
     _numeric_inverse,
 )
 
@@ -390,7 +391,8 @@ class ThetaSolver:
 
     The left side is continuous and strictly increasing from 0 to infinity
     (this needs the defining integral to diverge at infinity), the right side
-    is non-increasing in theta, so the root is unique.  Both paths search
+    is non-increasing in theta, so the root is unique.  Both paths run the
+    log-space root finder on the ratio Phi_n / Phi(xi / E): they search
     theta >= the smallest scale with E > 0, read a right side below the
     smallest normal float as 0, and stop once the bracket is within 1e-13
     of its upper end.  A root above 2**120 max(that scale, 1) fails to
@@ -474,14 +476,9 @@ class ThetaSolver:
         return theta
 
     def solve_many(self, xis) -> np.ndarray:
-        """``solve`` for every row of an (m, n) array, all rows a step at a
-        time under the same limit, stop and check: the first bad row raises
-        ``solve``'s error, as does one open past the step cap.
-
-        An upper end is found by doubling from max(lo, 1).  A row whose lower
-        end is 0 then steps down by 2**-k, k = 1, 2, 4, ..., to a lower end;
-        a bracket wider than a factor of 2 is halved in log theta, a narrower
-        one in theta."""
+        """``solve`` for every row of an (m, n) array, all rows in one batched
+        search under the same ratio, stop and check: the first bad row
+        raises ``solve``'s error."""
         xis = np.asarray(xis, dtype=float)
         theta = np.zeros(len(xis))
         rows = np.flatnonzero(np.any(xis, axis=1))
@@ -491,38 +488,20 @@ class ThetaSolver:
                      <= self.conj.an_value(lo0))
             theta[rows[at_lo]] = lo0
             rows = rows[~at_lo]
-        an = self.conj.an_values
-        xs, top = xis[rows], max(lo0, 1.0)
-        lo, hi = np.full(rows.size, lo0), np.full(rows.size, top)
-        grow = np.arange(rows.size)
-        while True:
-            grow = grow[an(hi[grow]) < self._rhs_many(xs[grow], hi[grow])]
-            if not grow.size or top >= self._cap:
-                break
-            lo[grow] = top
-            top *= 2.0
-            hi[grow] = top
-        live = np.setdiff1d(np.arange(rows.size), grow)
-        # 11 steps down reach the smallest normal float, where a root reads
-        # 0 as in _log_root; 11 log and 43 plain halvings close any bracket
-        down = np.ones(rows.size)
-        for _ in range(100):
-            if not live.size:
-                break
-            l, h = lo[live], hi[live]
-            mid = np.where(l == 0.0, np.maximum(h * np.exp2(-down[live]), self._TINY),
-                           np.where(h > 2.0 * l, np.sqrt(l) * np.sqrt(h), 0.5 * (l + h)))
-            below = an(mid) < self._rhs_many(xs[live], mid)
-            lo[live[below]] = mid[below]
-            hi[live[~below]] = mid[~below]
-            down[live[~below & (l == 0.0)]] *= 2.0
-            hi[live[~below & (mid <= self._TINY)]] = 0.0
-            live = live[hi[live] - lo[live] > 1e-13 * hi[live]]
-        if live.size:
-            raise YoungError(f"theta bracket still open after 100 steps "
-                             f"at xi={xs[live[0]]!r}")
+        an, xs = self.conj.an_values, xis[rows]
+
+        def ratio(ts: np.ndarray, r: np.ndarray) -> np.ndarray:
+            # solve's ratio for the rows r of xs
+            out = np.zeros(ts.size)
+            up = ts >= lo0
+            a, b = an(ts[up]), self._rhs_many(xs[r[up]], ts[up])
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                out[up] = np.where((a < b) | ((0.0 < b) & (b < INF)), a / b, INF)
+            return out
+
+        lo, hi = _log_root_many(ratio, np.ones(rows.size), True, rel_tol=1e-13)
         th = 0.5 * (lo + hi)
-        self._check(xs, an(th), self._rhs_many(xs, th), grow)
+        self._check(xs, an(th), self._rhs_many(xs, th), np.flatnonzero(hi > self._cap))
         theta[rows] = th
         return theta
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from typing import Optional
@@ -364,7 +365,9 @@ def _cmd_experiment(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``orlicz`` parser, built once and shared by every ``main`` call."""
     ap = argparse.ArgumentParser(
         prog="orlicz",
         description="Young-function calculus, Sobolev conjugates, Luxemburg "

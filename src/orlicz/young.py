@@ -197,12 +197,14 @@ def _log_root(fn: Callable[[float], float], level: float, exact: bool,
     raise YoungError(f"root bracket [{lo!r}, {hi!r}] still open after {max_iter} steps")
 
 
-def _log_root_many(fn_many: Callable[[np.ndarray], np.ndarray], levels, exact: bool,
-                   rel_tol: float = 1e-12, max_iter: int = 400) -> tuple:
+def _log_root_many(fn_many: Callable[[np.ndarray, np.ndarray], np.ndarray], levels,
+                   exact: bool, rel_tol: float = 1e-12, max_iter: int = 400) -> tuple:
     """``_log_root`` for every entry of ``levels``, as arrays (lo, hi): each
     row takes the scalar search's steps, with its stop, ends, exact hits and
-    raise (for the first row left open), and one ``fn_many`` call serves the
-    rows still open at each step."""
+    raise (for the first row left open).  One call ``fn_many(s, rows)`` serves
+    the rows still open at each step: ``rows`` holds their indices in
+    ascending order and ``s`` their points, so each row may search its own
+    function; a row that has closed is not evaluated again."""
     level = np.asarray(levels, dtype=float).ravel()
     m = level.size
     has_log = (level > 0.0) & (level < INF)
@@ -215,7 +217,7 @@ def _log_root_many(fn_many: Callable[[np.ndarray], np.ndarray], levels, exact: b
         if not act.size:
             return lo, hi
         s = np.exp(u[act])
-        f = np.asarray(fn_many(s), dtype=float)
+        f = np.asarray(fn_many(s, act), dtype=float)
         lv = level[act]
         hit = (f == lv) if exact else np.zeros(act.size, dtype=bool)
         above = ~hit & (f > lv)
@@ -879,7 +881,8 @@ class FromInverse(YoungFunction):
     ``inv_many``, when given, is ``inv_fn`` on a 1-D array: it must return
     the array of ``inv_fn`` at each entry (agreeing to rounding), and may
     assume the entries positive.  ``values`` then runs every root at once
-    through ``_log_root_many``; without it, ``values`` loops over rows."""
+    through ``_log_root_many``, every row on ``inv_many`` at its own level;
+    without it, ``values`` loops over rows."""
 
     inv_fn: Callable[[float], float]
     zero: Optional[GrowthOrder] = None
@@ -901,7 +904,7 @@ class FromInverse(YoungFunction):
         out = np.zeros(t.shape)
         live = (t > 0.0) & (t > self.inv_fn(0.0))
         if live.any():
-            lo, hi = _log_root_many(self.inv_many, t[live], True)
+            lo, hi = _log_root_many(lambda s, rows: self.inv_many(s), t[live], True)
             with np.errstate(over="ignore"):
                 out[live] = 0.5 * (lo + hi)
         return out

@@ -459,8 +459,10 @@ class TestThetaMany:
     @pytest.mark.parametrize("xi, most", [((0.0, 0.0, 6e-286), 16), ((0.0, 0.0, 1e-150), 80),
                                           ((1e-12, 0.0, 0.0), 80), ((1.0, 0.0, 0.0), 60)])
     def test_rows_far_below_one_take_few_steps(self, xi, most, monkeypatch):
-        # a level that reads 0 steps down to the float floor in 11 calls; a
-        # root at 1e-50 brackets in log theta before the plain halvings
+        # steps of doubling length in log theta reach the float floor, where
+        # a level that reads 0 ends, in 11 calls and bracket a root at 1e-50
+        # in 8; Illinois steps then close it in a few more, and the residual
+        # check makes one call of its own
         solver = iso_solver("one")
         calls = [0]
         rhs_many = oz.ThetaSolver._rhs_many

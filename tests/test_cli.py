@@ -1,5 +1,6 @@
 """Command-line front end: verdicts, tables, determinism, golden files."""
 
+import gc
 import json
 import pathlib
 import shlex
@@ -17,6 +18,16 @@ README = pathlib.Path(__file__).parent.parent / "README.md"
 
 def run(args):
     return main(args)
+
+
+class TestInProcess:
+    def test_repeat_call_leaves_little_garbage(self, capsys):
+        # one parser serves every call, so a call leaves no parser cycles
+        args = ["table", "--variant", "log", "--n", "2"]
+        assert main(args) == 0
+        gc.collect()
+        assert main(args) == 0
+        assert gc.collect() < 50
 
 
 class TestCheck:

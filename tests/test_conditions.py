@@ -181,6 +181,21 @@ class TestAniso:
         assert batched.worst_margin == pytest.approx(rows.worst_margin, rel=1e-12)
         assert np.array_equal(batched.witness, rows.witness)
 
+    def test_batched_theta_takes_few_right_side_calls(self, monkeypatch):
+        # every row of a sampling grid shares each step of one search, so
+        # the calls do not grow with the steps a lone row would take
+        calls = [0]
+        rhs_many = oz.ThetaSolver._rhs_many
+
+        def counted(self, xis, ts):
+            calls[0] += 1
+            return rhs_many(self, xis, ts)
+
+        monkeypatch.setattr(oz.ThetaSolver, "_rhs_many", counted)
+        oz.check_aniso(oz.Isotropic(oz.Power(2), 3), oz.Isotropic(oz.Power(1.3), 3),
+                       oz.Envelope.power(1.0), 3)
+        assert calls[0] <= 24
+
 
 class TestZygmundTable:
     def test_reference_row(self):

@@ -367,9 +367,15 @@ def counted(fn):
     return f
 
 
-def rows_of(fn):
+def entrywise(fn):
     """The array map that applies a scalar fn entry by entry."""
     return lambda s: np.array([fn(x) for x in s.tolist()])
+
+
+def rows_of(fn_many):
+    """The map of ``_log_root_many`` that meets every row with the one array
+    map ``fn_many`` and so ignores the row indices."""
+    return lambda s, rows: fn_many(s)
 
 
 def assert_same_steps(fn, levels, exact):
@@ -377,7 +383,7 @@ def assert_same_steps(fn, levels, exact):
     the scalar search's steps: the same brackets, and one call per step of
     the longest search."""
     fn = counted(fn)
-    fn_many = counted(rows_of(fn))
+    fn_many = counted(rows_of(entrywise(fn)))
     with scalar_rounding():
         many = _log_root_many(fn_many, levels, exact)
     steps = []
@@ -461,7 +467,7 @@ class TestArrayForms:
                 return np.power(s, q)
 
         fn = lambda s: _pow(s, q)
-        many = _log_root_many(fn_many, levels, exact)
+        many = _log_root_many(rows_of(fn_many), levels, exact)
         for lo, hi, level in zip(*many, levels):
             assert_same_root((lo, hi), _log_root(fn, level, exact))
         assert_same_steps(fn, levels, exact)
@@ -476,35 +482,64 @@ class TestArrayForms:
         # the ends of the float range
         levels = [a, a + 0.5 * jump, 0.5 * a, fn(1.0), 1e-320, 1e308, INF]
         for exact in (False, True):
-            many = _log_root_many(rows_of(fn), levels, exact)
+            many = _log_root_many(rows_of(entrywise(fn)), levels, exact)
             for lo, hi, level in zip(*many, levels):
                 assert_same_root((lo, hi), _log_root(fn, level, exact))
             assert_same_steps(fn, levels, exact)
 
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(st.tuples(st.floats(0.01, 50.0), st.one_of(
+               log_uniform(1e-320, 1e308), st.sampled_from([0.0, 1.0, INF]))),
+               min_size=1, max_size=12),
+           exact=st.booleans())
+    def test_log_root_many_row_indices(self, rows, exact):
+        # row i searches its own power s^q_i, so the map must know its rows
+        qs = [q for q, _ in rows]
+        levels = [v for _, v in rows]
+        calls = []
+
+        def fn_many(s, idx):
+            calls.append(idx.tolist())
+            return np.array([_pow(x, qs[i]) for x, i in zip(s.tolist(), idx.tolist())])
+
+        with scalar_rounding():
+            lo, hi = _log_root_many(fn_many, levels, exact)
+            for i, (q, level) in enumerate(rows):
+                alone = counted(rows_of(entrywise(lambda s: _pow(s, q))))
+                one = _log_root_many(alone, [level], exact)
+                # the same bracket as in a batch of one, and one evaluation
+                # per step of that lone search
+                assert (lo[i], hi[i]) == (one[0][0], one[1][0])
+                assert sum(i in idx for idx in calls) == alone.calls
+        # ascending open rows, each call within the last: a row that has
+        # closed never comes back
+        for before, idx in zip([list(range(len(rows)))] + calls, calls):
+            assert idx == sorted(set(idx)) and set(idx) <= set(before)
+
     def test_log_root_many_ends(self):
         # above the float range, an exact hit at s = 1, a plain root
         bounded = lambda s: min(s, 3.0)
-        lo, hi = _log_root_many(rows_of(bounded), [4.0, 1.0, 2.0], True)
+        lo, hi = _log_root_many(rows_of(entrywise(bounded)), [4.0, 1.0, 2.0], True)
         assert (lo[:2].tolist(), hi[:2].tolist()) == ([INF, 1.0], [INF, 1.0])
         assert lo[2] <= 2.0 <= hi[2]
         # below the float range: A(t) = t^100 underflows at t = 1e-5
-        lo, hi = _log_root_many(lambda s: s ** 0.01, [1e-5, 1.0], True)
+        lo, hi = _log_root_many(rows_of(lambda s: s ** 0.01), [1e-5, 1.0], True)
         assert (lo.tolist(), hi.tolist()) == ([0.0, 1.0], [0.0, 1.0])
-        assert [a.shape for a in _log_root_many(np.sqrt, [], True)] == [(0,), (0,)]
+        assert [a.shape for a in _log_root_many(rows_of(np.sqrt), [], True)] == [(0,), (0,)]
 
     def test_log_root_many_open_bracket_raises(self):
         # gate values are 0 or inf, so every step bisects; 5 cannot close it
         gate = oz.gate(1.5)
         with pytest.raises(oz.YoungError, match="open after 5 steps"):
-            _log_root_many(rows_of(gate), [0.5, 0.5], False, max_iter=5)
+            _log_root_many(rows_of(entrywise(gate)), [0.5, 0.5], False, max_iter=5)
         with scalar_rounding(), pytest.raises(oz.YoungError) as many:
-            _log_root_many(rows_of(gate), [0.5, 0.5], False, max_iter=5)
+            _log_root_many(rows_of(entrywise(gate)), [0.5, 0.5], False, max_iter=5)
         with pytest.raises(oz.YoungError) as one:
             _log_root(gate, 0.5, False, max_iter=5)
         assert str(many.value) == str(one.value)
         # a row that closes does not hide a later open one
         with pytest.raises(oz.YoungError, match="open after 8 steps"):
-            _log_root_many(lambda s: np.where(s < 2.0, 0.0, s), [1.0, 1e-3], False,
+            _log_root_many(rows_of(lambda s: np.where(s < 2.0, 0.0, s)), [1.0, 1e-3], False,
                            max_iter=8)
 
     def test_from_inverse_values_without_inv_many_loops_rows(self):
