@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import json
 import sys
@@ -331,10 +332,7 @@ def _cmd_experiment(args) -> int:
     b = from_config(cfg["B"])
     spec = corpus.get_spec(cfg.get("f", "identity"))
     if "E" in cfg:
-        spec = nemytskii.LipschitzSpec(
-            f=spec.f, fprime=spec.fprime, kappa=spec.kappa,
-            envelope=parse_envelope(cfg["E"]),
-            global_lipschitz=spec.global_lipschitz, label=spec.label)
+        spec = dataclasses.replace(spec, envelope=parse_envelope(cfg["E"]))
     box = _parse_box(cfg.get("box", ""), dim)
     base = corpus.get_field(cfg.get("field", "x1"), dim)
     seq_cfg = cfg.get("sequence", {"name": "shift_inv"})

@@ -19,13 +19,14 @@ evaluated row by row.  Modulars evaluate Young functions through
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._quad import quad_interval, quad_rows
+from ._quad import quad_rows
 from .young import INF, YoungError, YoungFunction, _log_root
 
 
@@ -196,63 +197,69 @@ _MAX_PANELS = 900
 # points per block of outer rows times nodes; larger blocks are split by rows,
 # which changes no result and bounds the memory of 3-D boxes
 _BLOCK_POINTS = 1 << 14
+_FACE_BATCH = 6  # panels per call toward a face: the fewest that end a walk
 
 
-def _toward_face(f, a: float, b: float, rel_tol: float) -> float:
-    """Integral over (a, b] with a possible singularity at a.
-
-    Geometric panels shrink toward the face; the series of panel integrals
-    must eventually keep one sign and decay geometrically, in which case the
-    tail is summed by ratio extrapolation.  A non-decaying trend of one sign
-    certifies divergence and returns +inf or -inf with that sign.
-    """
-    w = b - a
-    total = 0.0
-    panel_vals = []
-    prev_extrapolated = None
-    for j in range(_MAX_PANELS):
-        hi = a + w * 2.0 ** (-j)
-        lo = a + w * 2.0 ** (-j - 1)
-        if lo <= a or hi <= lo:
-            break
-        I = quad_interval(f, lo, hi, rel=rel_tol * 0.1)
+def _face_rules(rel_tol: float):
+    """One walk toward a face: sent the panel integrals in order, it returns
+    the integral (see ``_toward_face``)."""
+    total, prev, prev_extrapolated = 0.0, None, math.nan  # nan: no estimate yet
+    for j in itertools.count():
+        I = yield
         if math.isinf(I):
             return I
         total += I
-        panel_vals.append(I)
-        if j < 4:
-            continue
-        recent = panel_vals[-3:]
-        if all(v == 0.0 for v in recent):
-            return total
-        prev = panel_vals[-2]
-        if min(prev, I) > 0.0 or max(prev, I) < 0.0:
+        if j >= 4 and (min(prev, I) > 0.0 or max(prev, I) < 0.0):
             rho = I / prev
             if rho >= 1.0 - 1e-6 and j >= 6:
                 return math.copysign(INF, I)  # panels stopped decaying
             if rho < 1.0:
-                tail = I * rho / (1.0 - rho)
-                est = total + tail
-                if prev_extrapolated is not None:
-                    if abs(est - prev_extrapolated) <= rel_tol * abs(est) + 1e-300:
-                        return est
+                est = total + I * rho / (1.0 - rho)
+                if abs(est - prev_extrapolated) <= rel_tol * abs(est) + 1e-300:
+                    return est
                 prev_extrapolated = est
-        elif I == 0.0 and prev == 0.0:
+        elif j >= 4 and I == 0.0 and prev == 0.0:
             return total
+        prev = I
+
+
+def _toward_face(F, idx: np.ndarray, a: float, b: float, rel_tol: float) -> np.ndarray:
+    """Integrals over (a, b] of rows ``idx`` of ``F``, each with a possible
+    singularity at a; ``F(xs, rows)`` also takes one row of nodes per row.
+
+    The panels (a + w 2^-j-1, a + w 2^-j], w = b - a, shrink toward the face.
+    Their integrals must eventually keep one sign and decay geometrically,
+    and the tail is then summed by ratio extrapolation; a non-decaying trend
+    of one sign certifies divergence, +inf or -inf with that sign.  One
+    ``quad_rows`` call takes ``_FACE_BATCH`` panels of every open row, each
+    pair mapped onto [0, 1] with the panel width as Jacobian.
+    """
+    x = a + (b - a) * 2.0 ** -np.arange(_MAX_PANELS + 1.0)  # the panel ends
+    end = int(np.cumprod((x[1:] > a) & (x[:-1] > x[1:])).sum())  # panels before the face
+    lo, width = x[1:end + 1], (x[:-1] - x[1:])[:end]
+    out = np.empty(len(idx))
+    walks = {r: _face_rules(rel_tol) for r in range(len(idx))}
+    for walk in walks.values():
+        next(walk)
+    for j0 in range(0, end, _FACE_BATCH):
+        x0, w0, open_rows = lo[j0:j0 + _FACE_BATCH], width[j0:j0 + _FACE_BATCH], [*walks]
+        row, panel = np.divmod(np.arange(len(open_rows) * len(x0)), len(x0))
+
+        def pairs(ts, q):
+            h = w0[panel[q], None]
+            return F(x0[panel[q], None] + h * ts, idx[open_rows][row[q]]) * h
+
+        vals = quad_rows(pairs, 0.0, 1.0, rel_tol * 0.1, rows=len(row))
+        for r, panel_vals in zip(open_rows, vals.reshape(-1, len(x0)).tolist()):
+            try:
+                for I in panel_vals:
+                    walks[r].send(I)
+            except StopIteration as done:
+                out[r] = done.value
+                del walks[r]
+        if not walks:
+            return out
     raise QuadratureError("no convergence or divergence signature at singular face")
-
-
-def _int1d_singular(f, a: float, b: float, sing_lo: bool, sing_hi: bool,
-                    rel_tol: float) -> float:
-    if sing_lo and sing_hi:
-        mid = 0.5 * (a + b)
-        left = _toward_face(f, a, mid, rel_tol)
-        if math.isinf(left):
-            return left
-        return left + _toward_face(lambda xs: f(a + b - xs), a, mid, rel_tol)
-    if sing_lo:
-        return _toward_face(f, a, b, rel_tol)
-    return _toward_face(lambda xs: f(a + b - xs), a, b, rel_tol)
 
 
 def integrate_box(fn: Callable[[np.ndarray], np.ndarray], box: BoxDomain,
@@ -264,8 +271,8 @@ def integrate_box(fn: Callable[[np.ndarray], np.ndarray], box: BoxDomain,
     ``fn`` is a batch integrand: it maps an (m, n) array of points to their
     (m,) values.  Axis i is integrated for all points of the outer axes at
     once, so each panel of the innermost axis is one call of ``fn``.  An
-    axis with a singular face is integrated point by point of the outer
-    axes, by geometric panels toward the face.
+    axis with a singular face is integrated by geometric panels toward the
+    face, for all points of the outer axes and several panels at once.
 
     Half-infinite boxes are refused unless a truncation radius is supplied;
     the result is then the integral over the clipped box (a lower bound for
@@ -288,25 +295,32 @@ def integrate_box(fn: Callable[[np.ndarray], np.ndarray], box: BoxDomain,
             return np.asarray(fn(prefix), dtype=float)
 
         def grid(rows, xs):
-            pts = np.empty((len(rows), len(xs), i + 1))
+            pts = np.empty((len(rows), xs.shape[1], i + 1))
             pts[:, :, :i] = rows[:, None, :]
             pts[:, :, i] = xs
-            return level(i + 1, pts.reshape(-1, i + 1)).reshape(len(rows), len(xs))
+            return level(i + 1, pts.reshape(-1, i + 1)).reshape(xs.shape)
 
         def block(xs, idx):
+            """Rows ``idx`` at nodes xs: shared, or one row of nodes per row."""
             rows = prefix[idx]
-            step = max(1, _BLOCK_POINTS // len(xs))
-            return np.concatenate([grid(rows[s:s + step], xs)
+            xs = np.broadcast_to(xs, (len(rows), np.shape(xs)[-1]))
+            step = max(1, _BLOCK_POINTS // xs.shape[1])
+            return np.concatenate([grid(rows[s:s + step], xs[s:s + step])
                                    for s in range(0, len(rows), step)])
 
         lo, hi = box.lower[i], box.upper[i]
         sing_lo, sing_hi = (i, "lower") in sing, (i, "upper") in sing
         if not (sing_lo or sing_hi):
             return quad_rows(block, lo, hi, rel_tol, rows=len(prefix))
-        return np.array([
-            _int1d_singular(lambda xs, r=r: block(xs, [r])[0], lo, hi,
-                            sing_lo, sing_hi, rel_tol)
-            for r in range(len(prefix))])
+        rows, flip = np.arange(len(prefix)), (lambda xs, idx: block(lo + hi - xs, idx))
+        if not (sing_lo and sing_hi):
+            return _toward_face(block if sing_lo else flip, rows, lo, hi, rel_tol)
+        mid = 0.5 * (lo + hi)
+        out = _toward_face(block, rows, lo, mid, rel_tol)
+        fin = ~np.isinf(out)  # a row that diverges at the lower face skips the upper
+        if fin.any():
+            out[fin] += _toward_face(flip, np.flatnonzero(fin), lo, mid, rel_tol)
+        return out
 
     return float(level(0, np.empty((1, 0)))[0])
 

@@ -157,10 +157,11 @@ def parse_envelope(record) -> Envelope:
 @dataclass(frozen=True)
 class LipschitzSpec:
     """A locally Lipschitz f with a Borel representative of its derivative
-    and the envelope controlling it."""
+    and the envelope controlling it.  ``f`` and ``fprime`` act elementwise on
+    numpy arrays; a constant map may return one scalar."""
 
-    f: Callable[[float], float]
-    fprime: Callable[[float], float]
+    f: Callable[[np.ndarray], np.ndarray]
+    fprime: Callable[[np.ndarray], np.ndarray]
     kappa: float
     envelope: Envelope
     global_lipschitz: Optional[float] = None
@@ -172,15 +173,15 @@ class LipschitzSpec:
 
     @property
     def f_at_zero(self) -> float:
-        return self.f(0.0)
+        return float(self.f(0.0))
 
     def derivative_bound_holds(self, lo: float = 1e-6, hi: float = 1e3,
                                points: int = 200) -> bool:
         ts = np.concatenate([-np.geomspace(lo, hi, points)[::-1], [0.0],
                              np.geomspace(lo, hi, points)])
-        for t in ts:
-            bound = self.kappa * self.envelope(self.kappa * abs(float(t)))
-            if abs(self.fprime(float(t))) > bound * (1 + 1e-9) + 1e-300:
+        for t, d in zip(ts.tolist(), np.abs(_elementwise(self.fprime, ts)).tolist()):
+            bound = self.kappa * self.envelope(self.kappa * abs(t))
+            if d > bound * (1 + 1e-9) + 1e-300:
                 return False
         return True
 
@@ -189,17 +190,18 @@ class LipschitzSpec:
 # The operator itself
 # ---------------------------------------------------------------------------
 
+def _elementwise(fn, v: np.ndarray) -> np.ndarray:
+    """fn applied to the array v at once, a scalar return broadcast to v."""
+    return np.broadcast_to(np.asarray(fn(v), dtype=float), v.shape).copy()
+
+
 def compose(spec: LipschitzSpec, u: TestFunction) -> TestFunction:
-    """f(u) with the chain-rule gradient f'(u) grad u."""
-
-    def values(X):
-        return np.array([spec.f(t) for t in u.values(X).tolist()], dtype=float)
-
-    def gradients(X):
-        fp = np.array([spec.fprime(t) for t in u.values(X).tolist()], dtype=float)
-        return fp[:, None] * u.gradients(X)
-
-    return TestFunction.from_batch(values, gradients, f"{spec.label}({u.label})")
+    """f(u) with the chain-rule gradient f'(u) grad u; ``spec.f`` and
+    ``spec.fprime`` are applied once to the array of values of u."""
+    return TestFunction.from_batch(
+        lambda X: _elementwise(spec.f, u.values(X)),
+        lambda X: _elementwise(spec.fprime, u.values(X))[:, None] * u.gradients(X),
+        f"{spec.label}({u.label})")
 
 
 def truncate(u: TestFunction, s: float) -> TestFunction:
@@ -219,31 +221,32 @@ def truncate(u: TestFunction, s: float) -> TestFunction:
 
 
 def abs_shift_spec(shift: float = 1.0) -> LipschitzSpec:
-    """f(t) = max(0, |t| - shift); right derivatives at the kinks."""
+    """f(t) = max(0, |t| - shift); right derivatives at the kinks; NaN to 0."""
 
-    def f(t: float) -> float:
-        return max(0.0, abs(t) - shift)
+    def f(t):
+        return np.fmax(np.abs(t) - shift, 0.0)
 
-    def fp(t: float) -> float:
-        if t >= shift:
-            return 1.0
-        if t <= -shift:
-            return -1.0
-        return 0.0
+    def fp(t):
+        return np.where(t >= shift, 1.0, np.where(t <= -shift, -1.0, 0.0))
 
     return LipschitzSpec(f, fp, kappa=1.0, envelope=Envelope.one(),
                          global_lipschitz=1.0, label=f"abs_shift{shift:g}")
 
 
 def identity_spec() -> LipschitzSpec:
-    return LipschitzSpec(lambda t: t, lambda t: 1.0, kappa=1.0,
-                         envelope=Envelope.one(), global_lipschitz=1.0,
+    return LipschitzSpec(lambda t: t, lambda t: np.ones_like(t, dtype=float),
+                         kappa=1.0, envelope=Envelope.one(), global_lipschitz=1.0,
                          label="identity")
 
 
 def signed_square_spec() -> LipschitzSpec:
     """f(t) = t|t|/2, with |f'| = |t| controlled by the linear envelope."""
-    return LipschitzSpec(lambda t: 0.5 * t * abs(t), lambda t: abs(t),
+
+    def f(t):
+        with np.errstate(over="ignore"):  # inf past 1e154, as for Python floats
+            return 0.5 * t * np.abs(t)
+
+    return LipschitzSpec(f, np.abs,
                          kappa=1.0, envelope=Envelope.power(1.0),
                          label="signed_square")
 

@@ -54,6 +54,49 @@ class TestLipschitzSpec:
         assert not bad.derivative_bound_holds()
 
 
+def old_abs_shift_fprime(t):
+    if t >= 1.0:
+        return 1.0
+    if t <= -1.0:
+        return -1.0
+    return 0.0
+
+
+# the scalar formulas of the built-in specs (abs_shift at its default shift 1)
+SCALAR_SPECS = {
+    "identity": (lambda t: t, lambda t: 1.0),
+    "abs_shift": (lambda t: max(0.0, abs(t) - 1.0), old_abs_shift_fprime),
+    "signed_square": (lambda t: 0.5 * t * abs(t), lambda t: abs(t)),
+}
+
+EDGES = [1.0, -1.0, 0.0, -0.0, INF, -INF, math.nan, 1.0 + 2e-16, -1.0 - 2e-16, 5e-324]
+
+
+def same_bits(got, want):
+    """Equal to the bit, except that any NaN matches any NaN."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    np.testing.assert_array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+
+
+class TestBuiltInSpecsOnArrays:
+    @settings(max_examples=60, deadline=None)
+    @given(ts=st.lists(st.one_of(st.floats(), st.sampled_from(EDGES)), max_size=40))
+    def test_arrays_match_scalar_formulas(self, ts):
+        t = np.array(ts + EDGES, dtype=float)
+        assert set(SCALAR_SPECS) == set(corpus.SPECS)
+        for name, make in corpus.SPECS.items():
+            spec, (f, fp) = make(), SCALAR_SPECS[name]
+            same_bits(spec.f(t), [f(x) for x in t.tolist()])
+            same_bits(spec.fprime(t), [fp(x) for x in t.tolist()])
+
+    def test_f_at_zero_is_a_float(self):
+        for make in corpus.SPECS.values():
+            assert type(make().f_at_zero) is float
+
+
 class TestCompose:
     def test_identity(self):
         u = corpus.product_sine(2)
@@ -253,6 +296,22 @@ class TestCounterexample:
     def test_divergence_certificate(self):
         rep = counterexample_run((8,), (1e-2, 1e-3, 1e-4), dim=1)
         assert rep.divergence_certified
+
+    def test_face_walk_takes_few_integrand_calls(self, monkeypatch):
+        # the walk toward the singular face integrates six panels per call
+        # (62 calls here; 152 with one call per panel)
+        calls = [0]
+        integrate_box = oz.modular.integrate_box
+
+        def counted(fn, box, *args, **kwargs):
+            def counted_fn(X):
+                calls[0] += 1
+                return fn(X)
+            return integrate_box(counted_fn, box, *args, **kwargs)
+
+        monkeypatch.setattr(oz.modular, "integrate_box", counted)
+        counterexample_run((8, 64), (8e-4, 8e-5), dim=2)
+        assert calls[0] <= 62
 
 
 class TestComposeGradients:

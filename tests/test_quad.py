@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import orlicz as oz
 from orlicz import corpus
 from orlicz._quad import _panel_sums, gauss15, quad_interval, quad_rows
-from orlicz.modular import _int1d_singular, constant_function, integrate_box
+from orlicz.modular import QuadratureError, constant_function, integrate_box
 from orlicz.nemytskii import abs_shift_spec, signed_square_spec, singular_log_field
 
 INF = math.inf
@@ -374,6 +374,57 @@ class TestQuadRows:
 # Boxes against nested integration one outer point at a time
 # ---------------------------------------------------------------------------
 
+def ref_toward_face(f, a, b, rel_tol):
+    """The scalar walk toward a singular face at a: one ``quad_interval``
+    per geometric panel, with ratio extrapolation of the tail."""
+    w = b - a
+    total = 0.0
+    panel_vals = []
+    prev_extrapolated = None
+    for j in range(900):
+        hi = a + w * 2.0 ** (-j)
+        lo = a + w * 2.0 ** (-j - 1)
+        if lo <= a or hi <= lo:
+            break
+        I = quad_interval(f, lo, hi, rel=rel_tol * 0.1)
+        if math.isinf(I):
+            return I
+        total += I
+        panel_vals.append(I)
+        if j < 4:
+            continue
+        recent = panel_vals[-3:]
+        if all(v == 0.0 for v in recent):
+            return total
+        prev = panel_vals[-2]
+        if min(prev, I) > 0.0 or max(prev, I) < 0.0:
+            rho = I / prev
+            if rho >= 1.0 - 1e-6 and j >= 6:
+                return math.copysign(INF, I)
+            if rho < 1.0:
+                tail = I * rho / (1.0 - rho)
+                est = total + tail
+                if prev_extrapolated is not None:
+                    if abs(est - prev_extrapolated) <= rel_tol * abs(est) + 1e-300:
+                        return est
+                prev_extrapolated = est
+        elif I == 0.0 and prev == 0.0:
+            return total
+    raise QuadratureError("no convergence or divergence signature at singular face")
+
+
+def ref_int1d_singular(f, a, b, sing_lo, sing_hi, rel_tol):
+    if sing_lo and sing_hi:
+        mid = 0.5 * (a + b)
+        left = ref_toward_face(f, a, mid, rel_tol)
+        if math.isinf(left):
+            return left
+        return left + ref_toward_face(lambda xs: f(a + b - xs), a, mid, rel_tol)
+    if sing_lo:
+        return ref_toward_face(f, a, b, rel_tol)
+    return ref_toward_face(lambda xs: f(a + b - xs), a, b, rel_tol)
+
+
 def ref_integrate_box(fn, box, rel_tol=1e-8):
     """Nested scalar reference: each outer point integrates the inner axes on
     its own, through the same one-dimensional rules."""
@@ -386,7 +437,7 @@ def ref_integrate_box(fn, box, rel_tol=1e-8):
         lo, hi = box.lower[i], box.upper[i]
         s_lo, s_hi = (i, "lower") in sing, (i, "upper") in sing
         if s_lo or s_hi:
-            return _int1d_singular(f, lo, hi, s_lo, s_hi, rel_tol)
+            return ref_int1d_singular(f, lo, hi, s_lo, s_hi, rel_tol)
         return quad_interval(f, lo, hi, rel=rel_tol)
 
     return level(0, [])
@@ -452,6 +503,52 @@ class TestIntegrateBox:
         box = oz.BoxDomain.unit(2, singular=((0, "lower"),))
         with pytest.raises(oz.modular.QuadratureError):
             integrate_box(alternating_face, box)
+
+
+    # outer rows of an inner singular axis that end the walk differently:
+    # rows x0 < 1/2 are zero, the others converge, and rows x0 > 3/4 diverge,
+    # alternate or converge; 1/2 and 3/4 are panel ends of the outer axis
+    @pytest.mark.parametrize("tail", ["converge", "diverge", "negative diverge"])
+    def test_inner_rows_that_end_differently(self, tail):
+        def fn(X):
+            x0, x1 = X[:, 0], X[:, 1]
+            far = {"converge": (1.0 + x0) * x1 ** -0.5, "diverge": 1.0 / x1,
+                   "negative diverge": -1.0 / x1}[tail]
+            near = np.exp(x0) * x1 ** -0.3 * (1.0 + x1)
+            return np.where(x0 < 0.5, 0.0, np.where(x0 > 0.75, far, near))
+
+        box = oz.BoxDomain.unit(2, singular=((1, "lower"),))
+        got, want = integrate_box(fn, box), ref_integrate_box(fn, box)
+        if tail == "converge":
+            assert math.isfinite(got) and got == pytest.approx(want, rel=1e-12)
+        else:
+            assert got == want == (-INF if tail.startswith("negative") else INF)
+
+    @pytest.mark.parametrize("far", ["converge", "lower diverges", "upper diverges"])
+    def test_inner_rows_on_two_faces(self, far):
+        # rows x0 > 1/2 converge, or diverge at one face and make the box +inf
+        def fn(X):
+            x0, x1 = X[:, 0], X[:, 1]
+            tail = {"converge": (2.0 + x0) * (x1 * (1.0 - x1)) ** -0.2,
+                    "lower diverges": 1.0 / x1, "upper diverges": 1.0 / (1.0 - x1)}[far]
+            return np.where(x0 > 0.5, tail, (1.0 + x0) * (x1 * (1.0 - x1)) ** -0.4)
+
+        box = oz.BoxDomain.unit(2, singular=((1, "lower"), (1, "upper")))
+        got, want = integrate_box(fn, box), ref_integrate_box(fn, box)
+        if far == "converge":
+            assert math.isfinite(got) and got == pytest.approx(want, rel=1e-12)
+        else:
+            assert got == want == INF
+
+    def test_inner_row_without_signature_raises(self):
+        def fn(X):
+            x0 = X[:, 0]
+            return np.where(x0 > 0.75, alternating_face(X[:, 1:]), np.where(x0 < 0.5, 0.0, 1.0))
+
+        box = oz.BoxDomain.unit(2, singular=((1, "lower"),))
+        for integrate in (integrate_box, ref_integrate_box):
+            with pytest.raises(QuadratureError, match="no convergence or divergence signature"):
+                integrate(fn, box)
 
 
 def alternating_face(X):
