@@ -9,6 +9,7 @@ not depend on which other rows share its calls, and equals the scalar rule's.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -110,11 +111,21 @@ def quad_interval(f, a: float, b: float, rel: float = 1e-10, depth: int = 14) ->
                            a, b, rel, depth)[0])
 
 
+@functools.cache
+def gauss_legendre(nodes: int) -> tuple:
+    """The ``nodes``-point Gauss-Legendre rule on [-1, 1], (x, w): cached,
+    read-only."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def tensor_rule(lower, upper, nodes: int) -> tuple:
     """Tensor Gauss-Legendre rule on a box: (points (N, n), weights (N,)),
     N = nodes ** n, the last axis varying fastest."""
     xs, ws = [], []
-    gx, gw = np.polynomial.legendre.leggauss(nodes)
+    gx, gw = gauss_legendre(nodes)
     for lo, hi in zip(lower, upper):
         h = 0.5 * (hi - lo)
         xs.append(0.5 * (lo + hi) + h * gx)

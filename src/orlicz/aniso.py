@@ -12,12 +12,14 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property, partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from ._quad import gauss_legendre
 from .conjugate import SobolevConjugate, sobolev_conjugate
+from .nemytskii import Envelope
 from .young import (
     INF,
     ConstructionError,
@@ -25,9 +27,9 @@ from .young import (
     GrowthOrder,
     YoungError,
     YoungFunction,
+    _U_MAX,
     _log_root,
     _log_root_many,
-    _numeric_inverse,
 )
 
 
@@ -143,6 +145,18 @@ class LinearImage(NDimYoung):
             total += v
         return total
 
+    def values(self, points) -> np.ndarray:
+        pts = np.array(points, dtype=float)
+        gone = np.isinf(pts).any(axis=1)
+        pts[gone] = 0.0
+        out = np.zeros(len(pts))
+        for m, a in self.terms:
+            with np.errstate(over="ignore", invalid="ignore"):  # huge rows read inf
+                r = np.linalg.norm(pts @ np.asarray(m, dtype=float).T, axis=1)
+            out += a.values(r)
+        out[gone] = INF
+        return out
+
 
 @dataclass(frozen=True, eq=False)
 class BlackBox(NDimYoung):
@@ -219,36 +233,93 @@ def bar_p(ps: Sequence[float]) -> float:
 # Sublevel-set volumes and the measure rearrangement
 # ---------------------------------------------------------------------------
 
+def _read_only(*arrays) -> tuple:
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+@cache
 def _half_sphere_rule(n: int, m: int) -> tuple:
     """Directions (k, n) and weights w (k,) such that sum(w * rho ** n) is
     the volume of a set, even about 0, with radial function rho: an m-node
     Gauss-Legendre rule on each piece of the half sphere cut by the
-    coordinate planes, where rho has its kinks."""
+    coordinate planes, where rho has its kinks.  Cached; read-only."""
     if n == 1:
-        return np.ones((1, 1)), np.array([2.0])
-    x, w = np.polynomial.legendre.leggauss(m)
+        return _read_only(np.ones((1, 1)), np.array([2.0]))
+    x, w = gauss_legendre(m)
     quarter, wq = 0.25 * math.pi * (x + 1.0), 0.25 * math.pi * w  # on [0, pi/2]
     if n == 2:  # vol = int_0^pi rho^2 d theta
         ang = np.concatenate([quarter, quarter + 0.5 * math.pi])
-        return np.stack([np.cos(ang), np.sin(ang)], axis=-1), np.tile(wq, 2)
+        return _read_only(np.stack([np.cos(ang), np.sin(ang)], axis=-1), np.tile(wq, 2))
     # vol = (2/3) int_0^{pi/2} int_0^{2 pi} rho^3 sin(a) d phi d a, a the polar
     # angle; in z = cos(a) the pole would be a square-root singularity
     a, az = np.meshgrid(quarter, (quarter + 0.5 * math.pi * np.arange(4)[:, None]).ravel(),
                         indexing="ij")
     dirs = np.stack([np.sin(a) * np.cos(az), np.sin(a) * np.sin(az), np.cos(a)], axis=-1)
     wts = (2.0 / 3.0) * np.sin(a) * np.outer(wq, np.tile(wq, 4))
-    return dirs.reshape(-1, 3), wts.ravel()
+    return _read_only(dirs.reshape(-1, 3), wts.ravel())
 
 
-def _ray_extents(phi: NDimYoung, level: float, dirs) -> np.ndarray:
-    """sup{s : phi(s d) <= level} for each direction d; rays from the origin
-    are monotone."""
-    rho = np.empty(len(dirs))
-    for i, d in enumerate(dirs):
-        rho[i] = _numeric_inverse(lambda s: phi(s * d), level)
-        if rho[i] > 1e10:
-            raise YoungError("sublevel set is unbounded at this level")
+def _values_of(phi) -> Callable[[np.ndarray], np.ndarray]:
+    """``phi.values``, or the row loop of ``NDimYoung.values`` for an object
+    that has only ``n`` and ``__call__``."""
+    values = getattr(phi, "values", None)
+    return values if values is not None else partial(NDimYoung.values, phi)
+
+
+def _ray_extents(phi: NDimYoung, levels: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """sup{s : phi(s p) <= level} for each row p of ``pts`` at its entry of
+    ``levels``, all rows in one batched search; rays from the origin are
+    monotone.  An extent above 1e10 raises: the set is unbounded."""
+    values = _values_of(phi)
+
+    def along(s: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore"):  # an inf coordinate reads phi = inf
+            x = s[:, None] * pts[rows]
+        return values(x)
+
+    rho = _log_root_many(along, levels, False)[1]
+    if np.any(rho > 1e10):
+        raise YoungError("sublevel set is unbounded at this level")
     return rho
+
+
+def _polar_volumes(phi: NDimYoung, levels, max_depth: int, rel_tol: float) -> tuple:
+    """The polar volumes and errors of ``sublevel_volume`` for every entry of
+    ``levels`` at once, as arrays.  The axis probes of all levels are one
+    batched ray search, and each rule doubling one more over the rays of the
+    levels still open; every level keeps its own stop, so its volume does not
+    depend on the levels that share its searches."""
+    n = phi.n
+    t = np.asarray(levels, dtype=float).ravel()
+    vol, err = np.zeros(t.size), np.zeros(t.size)
+    live = np.flatnonzero(t > 0.0)
+    # exact axis probes catch sets unbounded along a coordinate axis
+    axes = _ray_extents(phi, np.repeat(t[live], n),
+                        np.tile(np.eye(n), (live.size, 1))).reshape(-1, n)
+    # in units of the axis extents the set is rounder and its rays near 1
+    scale, last = axes.prod(axis=1), np.full(live.size, INF)
+    err[live] = INF
+    rows = np.arange(live.size)  # the levels still open
+    for depth in range(max_depth + 1):
+        if not rows.size:
+            break
+        dirs, w = _half_sphere_rule(n, 2 << depth)
+        pts = (axes[rows, None, :] * dirs).reshape(-1, n)
+        rho = _ray_extents(phi, np.repeat(t[live[rows]], len(dirs)), pts)
+        q = scale[rows] * (rho.reshape(rows.size, -1) ** n * w).sum(axis=1)
+        done = np.zeros(rows.size, dtype=bool)
+        if depth:
+            diff = np.abs(q - vol[live[rows]])
+            # two rules can agree by accident before they resolve the set,
+            # so the error is the larger of the last two differences
+            e = np.maximum(last[rows], diff) + n * 1e-12 * q
+            done = e <= rel_tol * q
+            err[live[rows]], last[rows] = e, diff
+        vol[live[rows]] = q
+        rows = rows[~done]
+    return vol, err
 
 
 def sublevel_volume(phi: NDimYoung, level: float, max_depth: int = 12,
@@ -265,9 +336,13 @@ def sublevel_volume(phi: NDimYoung, level: float, max_depth: int = 12,
     n 1e-12 Q_2N for the accuracy of the ray extents; Q_2N is returned once
     the error is at most ``rel_tol`` Q_2N.  ``max_depth`` caps the doublings;
     a call stopped there returns an error above ``rel_tol`` times the volume.
+    All rays of one rule are found in one batched root search; the volume
+    table of the radial rearrangement runs many levels through the same
+    searches.  ``phi`` needs only ``n`` and ``__call__``; its ``values``,
+    where it has one, evaluates the rays a search step at a time.
 
     Monte Carlo ("mc") samples a padded box around the largest ray extent
-    found and returns its standard error.
+    found, along the axes and a 16-node rule, and returns its standard error.
     """
     n = phi.n
     if n > 3:
@@ -276,37 +351,29 @@ def sublevel_volume(phi: NDimYoung, level: float, max_depth: int = 12,
         raise YoungError(f"unknown volume method {method!r}")
     if level <= 0.0:
         return 0.0, 0.0
-    # exact axis probes catch sets unbounded along a coordinate axis
-    axes = _ray_extents(phi, level, np.eye(n))
-
-    if method == "mc":
-        dirs, _ = _half_sphere_rule(n, 16)
-        # the largest extent found is not the largest there is: pad the box
-        rho = 1.05 * max(axes.max(), _ray_extents(phi, level, dirs).max())
-        rng = np.random.default_rng(seed)
-        pts = rng.uniform(-rho, rho, size=(mc_samples, n))
-        frac = np.count_nonzero(phi.values(pts) <= level) / mc_samples
-        box_vol = (2 * rho) ** n
-        se = box_vol * math.sqrt(max(frac * (1 - frac), 1e-12) / mc_samples)
-        return frac * box_vol, se
-
-    # in units of the axis extents the set is rounder and its rays near 1
-    scale, q, err, last = float(np.prod(axes)), None, INF, INF
-    for depth in range(max_depth + 1):
-        dirs, w = _half_sphere_rule(n, 2 << depth)
-        prev, q = q, scale * float(w @ _ray_extents(phi, level, dirs * axes) ** n)
-        if prev is not None:
-            diff = abs(q - prev)
-            # two rules can agree by accident before they resolve the set,
-            # so the error is the larger of the last two differences
-            err = max(last, diff) + n * 1e-12 * q
-            if err <= rel_tol * q:
-                break
-            last = diff
-    return q, err
+    if method == "polar":
+        vol, err = _polar_volumes(phi, [level], max_depth, rel_tol)
+        return float(vol[0]), float(err[0])
+    pts = np.concatenate([np.eye(n), _half_sphere_rule(n, 16)[0]])
+    # the largest extent found is not the largest there is: pad the box
+    rho = 1.05 * float(_ray_extents(phi, np.full(len(pts), float(level)), pts).max())
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-rho, rho, size=(mc_samples, n))
+    frac = np.count_nonzero(_values_of(phi)(pts) <= level) / mc_samples
+    box_vol = (2 * rho) ** n
+    se = box_vol * math.sqrt(max(frac * (1 - frac), 1e-12) / mc_samples)
+    return frac * box_vol, se
 
 
 _OMEGA = {1: 2.0, 2: math.pi, 3: 4.0 * math.pi / 3.0}
+
+
+def _circ_radii(phi: NDimYoung, ts, max_depth: int = 12, rel_tol: float = 1e-3) -> np.ndarray:
+    """The volume route of ``phi_circ`` at every level of ``ts`` at once."""
+    if phi.n > 3:
+        raise YoungError("volume computation supports n <= 3")
+    vol, _ = _polar_volumes(phi, ts, max_depth, rel_tol)
+    return (vol / _OMEGA[phi.n]) ** (1.0 / phi.n)
 
 
 def phi_circ(phi: NDimYoung, t: float, method: str = "auto", **vol_kwargs) -> float:
@@ -314,7 +381,8 @@ def phi_circ(phi: NDimYoung, t: float, method: str = "auto", **vol_kwargs) -> fl
     sublevel-set volume of {phi <= t}.
 
     Isotropic and orthotropic forms use their scalar reductions directly;
-    anything else goes through the volume computation (n <= 3).
+    anything else goes through the polar volume (n <= 3), with
+    ``sublevel_volume``'s ``max_depth`` and ``rel_tol``.
     """
     if t < 0:
         raise YoungError("level must be nonnegative")
@@ -325,42 +393,85 @@ def phi_circ(phi: NDimYoung, t: float, method: str = "auto", **vol_kwargs) -> fl
             return phi.scalar_profile().inverse(t)
     if t == 0.0:
         return 0.0
-    vol, _ = sublevel_volume(phi, t, **vol_kwargs)
-    return (vol / _OMEGA[phi.n]) ** (1.0 / phi.n)
+    return float(_circ_radii(phi, [t], **vol_kwargs)[0])
+
+
+class _ChordTable(YoungFunction):
+    """A Young function whose inverse is piecewise linear in (ln t, ln r)
+    through the nodes (ts, rs), extended along the end chords: the inverse
+    interpolates the nodes as ``np.interp`` does, bit for bit, and the
+    forward map reads the same chords the other way, in closed form."""
+
+    kind = "radial_rearrangement"
+
+    def __init__(self, ts: np.ndarray, rs: np.ndarray):
+        lts, lrs = np.log(ts).tolist(), np.log(rs).tolist()
+        # np.interp's chord slopes inside the table (its value, bit for bit,
+        # with no per-call array setup); the end chords extend beyond it
+        slopes = [(r1 - r0) / (t1 - t0) for t0, t1, r0, r1 in zip(lts, lts[1:], lrs, lrs[1:])]
+        slopes.append(slopes[-1])
+        self._inv = (lts, lrs, slopes)  # ln t to ln r, and back
+        self._fwd = (lrs, lts, [1.0 / k for k in slopes])
+        self._inv_a, self._fwd_a = (tuple(map(np.array, c)) for c in (self._inv, self._fwd))
+        self._zero = GrowthOrder(1.0 / slopes[0]) if slopes[0] > 1e-9 else None
+        self._inf = GrowthOrder(1.0 / slopes[-1]) if slopes[-1] > 1e-9 else None
+
+    @staticmethod
+    def _read(x: float, chords: tuple) -> float:
+        if x <= 0.0:
+            return 0.0
+        xs, ys, slopes = chords
+        lx = math.log(x)
+        j = max(bisect.bisect_right(xs, lx) - 1, 0)
+        y = slopes[j] * (lx - xs[j]) + ys[j]
+        return INF if y > _U_MAX else math.exp(y)
+
+    @staticmethod
+    def _read_many(x, chords: tuple) -> np.ndarray:
+        x = np.asarray(x, dtype=float).ravel()
+        xs, ys, slopes = chords
+        with np.errstate(divide="ignore"):
+            lx = np.log(np.maximum(x, 0.0))  # -inf at 0 reads 0
+        j = np.maximum(np.searchsorted(xs, lx, side="right") - 1, 0)
+        with np.errstate(over="ignore"):
+            out = np.exp(slopes[j] * (lx - xs[j]) + ys[j])
+        out[x <= 0.0] = 0.0
+        return out
+
+    def __call__(self, r: float) -> float:
+        return self._read(r, self._fwd)
+
+    def values(self, rs: np.ndarray) -> np.ndarray:
+        return self._read_many(rs, self._fwd_a)
+
+    def inverse(self, t: float) -> float:
+        return self._read(t, self._inv)
+
+    def inverse_values(self, ts: np.ndarray) -> np.ndarray:
+        return self._read_many(ts, self._inv_a)
+
+    @property
+    def zero_order(self):
+        return self._zero
+
+    @property
+    def inf_order(self):
+        return self._inf
 
 
 def _phi_circ_young(phi: NDimYoung, t_lo: float = 1e-3, t_hi: float = 1e4,
                     points: int = 25, **vol_kwargs) -> YoungFunction:
-    """Tabulated radial rearrangement as a Young function (volume route)."""
+    """Tabulated radial rearrangement as a Young function (volume route).
+
+    The polar volumes of all ``points`` levels run together: one batched ray
+    search for the axis probes of every level and one per rule doubling over
+    the levels still open, each level with the stop of ``sublevel_volume``.
+    The table reads back in closed form, both ways (``_ChordTable``)."""
     ts = np.geomspace(t_lo, t_hi, points)
-    rs = np.array([phi_circ(phi, float(t), method="volume", **vol_kwargs) for t in ts])
+    rs = _circ_radii(phi, ts, **vol_kwargs)
     if np.any(rs <= 0) or np.any(np.diff(np.log(rs)) <= 0):
         raise ConstructionError("volume table is not strictly increasing")
-    lts, lrs = np.log(ts).tolist(), np.log(rs).tolist()
-    # np.interp's chord slopes inside the table (its value, bit for bit, with
-    # no per-call array setup); the end chords extend beyond it
-    slopes = [(r1 - r0) / (t1 - t0) for t0, t1, r0, r1 in zip(lts, lts[1:], lrs, lrs[1:])]
-    slopes.append(slopes[-1])
-
-    def inv(t: float) -> float:
-        if t <= 0.0:
-            return 0.0
-        lt = math.log(t)
-        j = max(bisect.bisect_right(lts, lt) - 1, 0)
-        return math.exp(slopes[j] * (lt - lts[j]) + lrs[j])
-
-    lts_a, lrs_a, slopes_a = np.array(lts), np.array(lrs), np.array(slopes)
-
-    def inv_many(ts: np.ndarray) -> np.ndarray:
-        lt = np.log(ts)
-        j = np.maximum(np.searchsorted(lts_a, lt, side="right") - 1, 0)
-        with np.errstate(over="ignore"):
-            return np.exp(slopes_a[j] * (lt - lts_a[j]) + lrs_a[j])
-
-    zero = GrowthOrder(1.0 / slopes[0]) if slopes[0] > 1e-9 else None
-    inf_ = GrowthOrder(1.0 / slopes[-1]) if slopes[-1] > 1e-9 else None
-    return FromInverse(inv_fn=inv, zero=zero, inf_=inf_, label="radial-rearrangement",
-                       inv_many=inv_many)
+    return _ChordTable(ts, rs)
 
 
 def phi_n(phi: NDimYoung, n: Optional[int] = None, method: str = "auto",
@@ -407,13 +518,14 @@ class ThetaSolver:
         if not phi.nondegenerate():
             raise YoungError("theta needs a nondegenerate vector Young function")
         self.phi = phi
-        self.envelope = envelope
+        self.envelope = (envelope if isinstance(envelope, Envelope)
+                         else Envelope.custom(envelope))
         self.conj = conj if conj is not None else phi_n(phi, n)
         if self.conj.h_limit != INF:
             raise YoungError(
                 "conjugate saturates at a finite level; theta is not defined")
         # smallest scale at which the envelope is positive
-        t = 0.0
+        envelope, t = self.envelope, 0.0
         if envelope(0.0) <= 0.0:
             t = 1e-12
             while envelope(t) <= 0.0 and t < 1e12:
@@ -426,7 +538,7 @@ class ThetaSolver:
     def _rhs_many(self, xis: np.ndarray, ts: np.ndarray) -> np.ndarray:
         """Phi(xi / E(t)) for nonzero rows ``xis`` at scales ``ts``, 0 where
         it is below the smallest normal float."""
-        e = np.array([self.envelope(t) for t in ts.tolist()])
+        e = self.envelope.values(ts)
         out = np.full(len(ts), INF)
         pos = e > 0.0
         out[pos] = self.phi.values(xis[pos] / e[pos, None])

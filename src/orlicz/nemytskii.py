@@ -113,6 +113,40 @@ class Envelope:
     def custom(cls, fn: Callable[[float], float]) -> "Envelope":
         return cls("custom", {}, fn)
 
+    def values(self, ts) -> np.ndarray:
+        """``__call__`` on a 1-D array, in numpy for the built-in kinds: the
+        same values at t <= 0 and the same overflow cut-offs to inf, and inf
+        where the scalar power would overflow.  ``custom`` loops over rows."""
+        t = np.maximum(np.asarray(ts, dtype=float).ravel(), 0.0)
+        kind, p = self.kind, self.params
+        if kind == "custom":
+            return np.array([self(x) for x in t.tolist()], dtype=float)
+        if kind == "one":
+            return np.ones(t.size)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # masked below
+            if kind == "log_power":
+                return np.log1p(t) ** p["r"]
+            if kind == "power":
+                out = t ** p["r"]
+                if p["gamma"] == 0.0:
+                    return out
+                slow = np.log1p(t) if p["second"] == "log" else np.log(np.log(math.e + t))
+                return np.where(t > 0.0, out * slow ** p["gamma"], 0.0)
+            x = t ** p["a"]
+            if kind == "exp_power":
+                if p["log_exp"]:
+                    x = x * np.log1p(t) ** p["log_exp"]
+                out = np.exp(np.minimum(x, 709.0))
+                out[x > 709.0] = INF
+                out[t <= 0.0] = 1.0
+                return out
+            if kind == "exp_exp":
+                out = np.exp(np.exp(np.minimum(x, 6.5)))  # exp(exp(x)) overflows past ~6.56
+                out[x > 6.5] = INF
+                out[t <= 0.0] = math.e
+                return out
+        raise YoungError(f"unknown envelope kind {kind!r}")
+
     def non_decreasing(self, lo: float = 1e-8, hi: float = 1e6,
                        points: int = 200) -> bool:
         ts = np.geomspace(lo, hi, points)

@@ -142,7 +142,11 @@ class GrowthOrder:
 # h(u) = ln fn(e^u) - ln level: regula falsi that halves the value kept at an
 # end that stayed put twice (Dowell & Jarratt, BIT 11, 1971), each point held
 # half the tolerance inside the bracket.  A step bisects the bracket in u
-# instead when an end value is infinite or exactly at the level.
+# instead when an end value is infinite or exactly at the level.  The first
+# point that lands exactly on the level (a secant step does on a power law)
+# is followed, once per search, by a probe half the tolerance above it: fn
+# above the level there closes the bracket, fn still at the level marks a
+# plateau, and the steps go on from the probe.
 
 _U_MIN = math.log(sys.float_info.min)  # the smallest normal float
 _U_MAX = math.log(sys.float_info.max)
@@ -164,7 +168,7 @@ def _log_root(fn: Callable[[float], float], level: float, exact: bool,
 
     ul = uh = None
     lo, hi, hl, hh = 0.0, INF, -INF, INF
-    u, step, side = 0.0, 1.0, 0
+    u, step, side, probed = 0.0, 1.0, 0, False
     for _ in range(max_iter):
         s = math.exp(u)
         f = fn(s)
@@ -184,11 +188,15 @@ def _log_root(fn: Callable[[float], float], level: float, exact: bool,
             if side < 0:
                 hh *= 0.5
             side = -1
-        if ul is None or uh is None:
+        grow = ul is None or uh is None
+        if not grow and hi - lo <= rel_tol * hi:
+            return lo, hi
+        if f == level and not probed:
+            probed = True
+            u = min(u + 0.5 * rel_tol, _U_MAX)
+        elif grow:
             u = max(u - step, _U_MIN) if ul is None else min(u + step, _U_MAX)
             step *= 2.0
-        elif hi - lo <= rel_tol * hi:
-            return lo, hi
         elif -INF < hl < hh < INF:
             u = uh - hh * (uh - ul) / (hh - hl)
             u = min(max(u, ul + 0.5 * rel_tol), uh - 0.5 * rel_tol)
@@ -212,6 +220,7 @@ def _log_root_many(fn_many: Callable[[np.ndarray, np.ndarray], np.ndarray], leve
     lo, hi, hl, hh = np.zeros(m), np.full(m, INF), np.full(m, -INF), np.full(m, INF)
     ul, uh = np.full(m, np.nan), np.full(m, np.nan)  # nan: no end found yet
     u, step, side = np.zeros(m), np.ones(m), np.zeros(m, dtype=np.int8)
+    probed, at_level = np.zeros(m, dtype=bool), np.zeros(m, dtype=bool)
     act = np.arange(m)
     for _ in range(max_iter):
         if not act.size:
@@ -243,18 +252,26 @@ def _log_root_many(fn_many: Callable[[np.ndarray, np.ndarray], np.ndarray], leve
         side[r] = -1
         r = act[above | below]
         grow = np.isnan(ul[r]) | np.isnan(uh[r])
-        g = r[grow]
+        g, r = r[grow], r[~grow]
+        r = r[~(hi[r] - lo[r] <= rel_tol * hi[r])]
+        p = r[:0]
+        at = act[below & (f == lv)]
+        if at.size:  # the first point at the level is followed by the probe
+            at_level[at] = True
+            pg, pr = at_level[g] & ~probed[g], at_level[r] & ~probed[r]
+            at_level[at] = False
+            p, g, r = np.concatenate([g[pg], r[pr]]), g[~pg], r[~pr]
+            probed[p] = True
+            u[p] = np.minimum(u[p] + 0.5 * rel_tol, _U_MAX)
         u[g] = np.where(np.isnan(ul[g]), np.maximum(u[g] - step[g], _U_MIN),
                         np.minimum(u[g] + step[g], _U_MAX))
         step[g] *= 2.0
-        r = r[~grow]
-        r = r[~(hi[r] - lo[r] <= rel_tol * hi[r])]
         ill = (-INF < hl[r]) & (hl[r] < hh[r]) & (hh[r] < INF)
         i, b = r[ill], r[~ill]
         u[i] = np.minimum(np.maximum(uh[i] - hh[i] * (uh[i] - ul[i]) / (hh[i] - hl[i]),
                                      ul[i] + 0.5 * rel_tol), uh[i] - 0.5 * rel_tol)
         u[b] = 0.5 * (ul[b] + uh[b])
-        act = np.sort(np.concatenate([g, r]))
+        act = np.sort(np.concatenate([p, g, r]))
     if not act.size:
         return lo, hi
     i = act[0]

@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orlicz as oz
-from orlicz.aniso import _OMEGA, _phi_circ_young
-from orlicz.young import INF, GrowthOrder, Piecewise
+from orlicz import aniso, young
+from orlicz.aniso import _OMEGA, _half_sphere_rule, _phi_circ_young, _polar_volumes
+from orlicz.young import INF, GrowthOrder, Piecewise, _numeric_inverse
 
 
 def dirichlet_volume(ps, level: float) -> float:
@@ -36,6 +37,37 @@ def rotation(angles) -> np.ndarray:
         return plane(angles[0], 0, 1, 2)
     a, b, c = angles
     return plane(a, 0, 1, 3) @ plane(b, 1, 2, 3) @ plane(c, 0, 1, 3)
+
+
+def ref_sublevel_volume(phi, level, max_depth=12, rel_tol=1e-3):
+    """The polar ``sublevel_volume`` as one level at a time with one scalar
+    root search per ray, as it was before the batched searches."""
+    n = phi.n
+
+    def extents(dirs):
+        rho = np.array([_numeric_inverse(lambda s: phi(s * d), level) for d in dirs])
+        if np.any(rho > 1e10):
+            raise oz.YoungError("sublevel set is unbounded at this level")
+        return rho
+
+    axes = extents(np.eye(n))
+    scale, q, err, last = float(np.prod(axes)), None, INF, INF
+    for depth in range(max_depth + 1):
+        dirs, w = _half_sphere_rule(n, 2 << depth)
+        prev, q = q, scale * float(w @ extents(dirs * axes) ** n)
+        if prev is not None:
+            diff = abs(q - prev)
+            err = max(last, diff) + n * 1e-12 * q
+            if err <= rel_tol * q:
+                break
+            last = diff
+    return q, err
+
+
+def ellipse_image(angles, stretch):
+    """{|M x|^2 <= t} for M a stretch of a rotation: no symmetry about the
+    coordinate planes."""
+    return oz.LinearImage(((np.diag(stretch) @ rotation(angles), oz.Power(2)),), len(stretch))
 
 
 class TestBar:
@@ -165,6 +197,103 @@ class TestVolume:
             vol, err = oz.sublevel_volume(phi, 1.0, max_depth=depth, rel_tol=1e-9)
             assert err > 1e-9 * vol
             assert abs(vol - dirichlet_volume(ps, 1.0)) <= err
+            # every level of a table stops at the cap alike
+            vols, errs = _polar_volumes(phi, [0.5, 1.0], depth, 1e-9)
+            assert (float(vols[1]), float(errs[1])) == (vol, err)
+            assert errs[0] > 1e-9 * vols[0]
+
+    def test_unbounded_level_in_a_table_rejected(self):
+        flat = oz.BlackBox(lambda xi: xi[0] ** 2, 2)  # no growth along x2
+        with pytest.raises(oz.YoungError, match="unbounded"):
+            _phi_circ_young(flat, points=5)
+
+
+class TestBatchedVolumes:
+    """The batched volume route against the per-ray loop it replaced."""
+
+    @staticmethod
+    def check_against_reference(phi, levels, rel_tol=1e-3):
+        # each ray extent is placed to the root finder's 1e-12, so a volume
+        # is fixed to n 1e-12 of itself (the term its error carries for
+        # this), and an error, a difference of two volumes, to twice that
+        n = phi.n
+        vols, errs = _polar_volumes(phi, levels, 12, rel_tol)
+        for level, vol, err in zip(levels, vols.tolist(), errs.tolist()):
+            ref_vol, ref_err = ref_sublevel_volume(phi, level, rel_tol=rel_tol)
+            assert abs(vol - ref_vol) <= n * 1e-12 * ref_vol
+            assert abs(err - ref_err) <= 2 * n * 1e-12 * ref_vol
+            # a level's volume does not depend on the levels beside it
+            assert oz.sublevel_volume(phi, level, rel_tol=rel_tol) == (vol, err)
+
+    @settings(max_examples=30, deadline=None)
+    @given(ps=st.lists(st.floats(1.0, 6.0), min_size=2, max_size=2),
+           log_levels=st.lists(st.floats(-2.0, 3.0), min_size=1, max_size=4),
+           rel_tol=st.sampled_from([1e-2, 1e-3, 1e-5]))
+    def test_orthotropic_pairs(self, ps, log_levels, rel_tol):
+        phi = oz.Orthotropic(tuple(oz.Power(p) for p in ps))
+        self.check_against_reference(phi, [10.0 ** e for e in log_levels], rel_tol)
+
+    @settings(max_examples=6, deadline=None)
+    @given(ps=st.lists(st.floats(1.0, 6.0), min_size=3, max_size=3),
+           log_levels=st.lists(st.floats(-2.0, 3.0), min_size=1, max_size=2),
+           rel_tol=st.sampled_from([1e-2, 1e-3]))
+    def test_orthotropic_triples(self, ps, log_levels, rel_tol):
+        phi = oz.Orthotropic(tuple(oz.Power(p) for p in ps))
+        self.check_against_reference(phi, [10.0 ** e for e in log_levels], rel_tol)
+
+    @settings(max_examples=15, deadline=None)
+    @given(angle=st.floats(0.0, math.pi),
+           stretch=st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
+           log_levels=st.lists(st.floats(-2.0, 3.0), min_size=1, max_size=3))
+    def test_linear_image(self, angle, stretch, log_levels):
+        self.check_against_reference(ellipse_image([angle], stretch),
+                                     [10.0 ** e for e in log_levels])
+
+    def test_zero_and_negative_levels(self):
+        phi = oz.Orthotropic((oz.Power(2), oz.Power(3)))
+        vols, errs = _polar_volumes(phi, [0.0, -1.0, 2.0], 12, 1e-3)
+        assert vols[:2].tolist() == errs[:2].tolist() == [0.0, 0.0]
+        assert (float(vols[2]), float(errs[2])) == oz.sublevel_volume(phi, 2.0)
+
+    def test_volume_route_3d_work_count(self, monkeypatch):
+        # the library defaults: 25 levels, max_depth 12; every ray of every
+        # level is found by the array search, one call per rule doubling
+        calls = []
+        real = young._log_root_many
+
+        def many(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        def scalar(*args, **kwargs):
+            raise AssertionError("the volume route made a scalar root search")
+
+        for module in (young, aniso):
+            monkeypatch.setattr(module, "_log_root_many", many)
+            monkeypatch.setattr(module, "_log_root", scalar)
+        oz.phi_n(oz.Orthotropic((oz.Power(1.5), oz.Power(2), oz.Power(3))), method="volume")
+        assert 0 < len(calls) <= 12 + 2
+
+    def test_scalar_only_phi_is_evaluated_row_by_row(self):
+        # an object with only n and __call__ (a counting wrapper, say)
+        phi = oz.Orthotropic((oz.Power(1.5), oz.Power(2.5)))
+
+        class Plain:
+            n = 2
+
+            def __call__(self, xi):
+                return phi(xi)
+
+        (vol, err), (ref, ref_err) = (oz.sublevel_volume(f, 2.0) for f in (Plain(), phi))
+        assert abs(vol - ref) <= 2e-12 * ref and abs(err - ref_err) <= 4e-12 * ref
+        vol, se = oz.sublevel_volume(Plain(), 2.0, method="mc", mc_samples=20_000)
+        assert abs(vol - ref) <= 5 * se
+
+    def test_rule_is_cached_and_read_only(self):
+        dirs, w = _half_sphere_rule(3, 8)
+        assert _half_sphere_rule(3, 8)[0] is dirs
+        with pytest.raises(ValueError):
+            w[0] = 0.0
 
 
 class TestPhiCirc:
@@ -535,3 +664,25 @@ class TestThetaMany:
         phi = oz.Isotropic(oz.PowerLog(2, 1), 3)
         pts = np.array([[0.0, 0.0, 0.0], [1.0, -2.0, 0.5], [INF, 0.0, 1.0], [3e5, 0.0, 0.0]])
         assert phi.values(pts).tolist() == [phi(p) for p in pts]
+
+    @settings(max_examples=40, deadline=None)
+    @given(angles=st.tuples(st.floats(0.0, math.pi), st.floats(0.0, math.pi),
+                            st.floats(0.0, math.pi)),
+           stretch=st.tuples(st.floats(0.2, 5.0), st.floats(0.2, 5.0), st.floats(0.2, 5.0)),
+           kinds=st.lists(st.sampled_from(["power", "power_log"]), min_size=1, max_size=2),
+           n=st.sampled_from([2, 3]),
+           rows=st.lists(st.lists(st.one_of(st.floats(-1e3, 1e3),
+                                            st.sampled_from([0.0, -0.0, INF, -INF])),
+                                  min_size=3, max_size=3),
+                         min_size=1, max_size=12))
+    def test_linear_image_values_match_rows(self, angles, stretch, kinds, n, rows):
+        # polynomial growth: an exponential would scale the rounding of the
+        # norm, an ulp or so apart in the two forms, by the norm itself
+        make = {"power": lambda: oz.Power(2.5), "power_log": lambda: oz.PowerLog(2, 1)}
+        m = np.diag(stretch[:n]) @ rotation(angles[:1] if n == 2 else angles)
+        phi = oz.LinearImage(tuple((m if i % 2 else m.T, make[k]()) for i, k in enumerate(kinds)),
+                             n)
+        pts = np.array([r[:n] for r in rows])
+        got = phi.values(pts)
+        for g, want in zip(got.tolist(), [phi(p) for p in pts]):
+            assert g == pytest.approx(want, rel=1e-14, abs=0.0)

@@ -21,7 +21,7 @@ from orlicz.nemytskii import (
     signed_square_spec,
     singular_log_field,
 )
-from orlicz.young import INF
+from orlicz.young import INF, _numeric_inverse
 
 UNIT_1D = oz.BoxDomain.interval(0.0, 1.0)
 
@@ -32,6 +32,48 @@ class TestEnvelope:
                     oz.Envelope.power(1.0, 1.0), oz.Envelope.log_power(2.0),
                     oz.Envelope.exp_power(2.0), oz.Envelope.exp_exp(2.0)):
             assert env.non_decreasing()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_values_match_scalar(self, data):
+        env = data.draw(st.one_of(
+            st.just(oz.Envelope.one()),
+            st.builds(oz.Envelope.power, st.floats(0.0, 4.0)),
+            st.builds(oz.Envelope.power, st.floats(0.0, 4.0), st.floats(0.0, 3.0),
+                      st.sampled_from(["log", "loglog"])),
+            st.builds(oz.Envelope.log_power, st.floats(0.0, 4.0)),
+            st.builds(oz.Envelope.exp_power, st.floats(0.1, 4.0), st.floats(0.0, 2.0)),
+            st.builds(oz.Envelope.exp_exp, st.floats(0.1, 4.0)),
+            st.just(oz.Envelope.custom(lambda t: 2.0 + t)),
+        ))
+        edges = [0.0]  # where the exp kinds overflow to inf
+        if env.kind == "exp_power":
+            a, b = env.params["a"], env.params["log_exp"]
+            edges.append(_numeric_inverse(lambda t: t ** a * math.log1p(t) ** b, 709.0))
+        if env.kind == "exp_exp":
+            edges.append(6.5 ** (1.0 / env.params["a"]))
+        near = st.sampled_from(edges).flatmap(
+            lambda e: st.floats(-1e-12, 1e-12).map(lambda d: e * (1.0 + d)))
+        ts = data.draw(st.lists(st.one_of(
+            st.floats(-50.0, 0.0), st.sampled_from([0.0, -0.0]), near,
+            st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)), min_size=1, max_size=16))
+        got = env.values(np.array(ts))
+        for t, g in zip(ts, got.tolist()):
+            try:
+                want = env(t)
+            except OverflowError:  # a power past the float range
+                want = INF
+            if want == INF or g == INF:
+                # the cut-off moves with the rounding of its exponent
+                cut = {"exp_power": math.exp(709.0), "exp_exp": math.exp(math.exp(6.5))}
+                assert g == want or min(g, want) >= cut[env.kind] * (1.0 - 1e-12)
+                continue
+            # the exponentials scale the rounding of their exponent, an ulp or
+            # so apart in numpy and in math, by the exponent itself
+            log_e = math.log(want) if want > 0.0 else 0.0
+            gain = {"exp_power": max(1.0, log_e),
+                    "exp_exp": max(1.0, log_e * math.log(max(log_e, 1.0)))}.get(env.kind, 1.0)
+            assert g == pytest.approx(want, rel=1e-15 * gain, abs=0.0)
 
     def test_parse_round_trip(self):
         env = oz.parse_envelope("power:1")

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import orlicz as oz
 from orlicz import corpus
-from orlicz._quad import _panel_sums, gauss15, quad_interval, quad_rows
+from orlicz._quad import _panel_sums, gauss15, gauss_legendre, quad_interval, quad_rows, tensor_rule
 from orlicz.modular import QuadratureError, constant_function, integrate_box
 from orlicz.nemytskii import abs_shift_spec, signed_square_spec, singular_log_field
 
@@ -574,3 +574,17 @@ class TestScalarUserField:
                     oz.modular_integral(twin, y, lam, box), rel=1e-12)
                 assert oz.modular_integral_gradient(scalar, y, lam, box) == pytest.approx(
                     oz.modular_integral_gradient(twin, y, lam, box), rel=1e-12)
+
+
+class TestTensorRule:
+    def test_rule_is_cached_and_read_only(self):
+        x, w = gauss_legendre(24)
+        assert gauss_legendre(24)[0] is x
+        np.testing.assert_array_equal(np.stack([x, w]),
+                                      np.stack(np.polynomial.legendre.leggauss(24)))
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+        pts, wts = tensor_rule([0.0, -1.0], [2.0, 1.0], 24)
+        assert wts.sum() == pytest.approx(4.0, rel=1e-14)
+        wts[0] = 0.0  # the tensor rule is the caller's own copy
+        assert tensor_rule([0.0, -1.0], [2.0, 1.0], 24)[1][0] > 0.0

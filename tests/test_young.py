@@ -226,7 +226,7 @@ class TestLogRoot:
     @given(t=log_uniform(1e-12, 1e12))
     def test_radial_table_forward_matches_bisection(self, t):
         circ = circ_table()
-        assert math.isclose(circ(t), ref_solve_increasing(circ.inv_fn, t), rel_tol=1e-12)
+        assert math.isclose(circ(t), ref_solve_increasing(circ.inverse, t), rel_tol=1e-12)
 
     @settings(max_examples=200, deadline=None)
     @given(t=st.one_of(log_uniform(1e-4, 1e4), st.sampled_from(CIRC_TS)))
@@ -242,7 +242,7 @@ class TestLogRoot:
             want = math.exp(lrs[-1] + slope * (lt - lts[-1]))
         else:
             want = math.exp(float(np.interp(lt, lts, lrs)))
-        assert circ_table().inv_fn(t) == want
+        assert circ_table().inverse(t) == want
 
     def test_orthotropic_work_count(self):
         bar = oz.orthotropic_bar((oz.Power(1.37), oz.Power(1.66)))
@@ -270,6 +270,31 @@ class TestLogRoot:
         # values 0 or inf: every step bisects in log c, as the predicate searches do
         lo, hi = _log_root(lambda c: INF if c >= 3.7 else 0.0, 1.0, False, rel_tol=1e-9)
         assert lo < 3.7 <= hi and hi - lo <= 1e-9 * hi
+
+    def test_exact_hit_probe_closes_a_power_law_ray(self):
+        # along e2 the ray is s^1.773, linear in log-log: the first secant
+        # step lands exactly on the level 0.5 in both forms, and the probe
+        # above it closes the bracket
+        phi = oz.Orthotropic((oz.Power(1.3), oz.Power(1.773)))
+        e2 = np.array([0.0, 1.0])
+        seen, seen_many = [], []
+
+        def ray(s):
+            seen.append(phi(s * e2))
+            return seen[-1]
+
+        def rays(s, rows):
+            seen_many.extend(phi.values(s[:, None] * e2).tolist())
+            return np.array(seen_many[-len(s):])
+
+        fn, fn_many = counted(ray), counted(rays)
+        lo, hi = _log_root(fn, 0.5, False)
+        many = _log_root_many(fn_many, [0.5], False)
+        assert 0.5 in seen and 0.5 in seen_many
+        assert fn.calls <= 6 and fn_many.calls <= 6
+        assert phi(lo * e2) <= 0.5 < phi(hi * e2) and hi - lo <= 1e-12 * hi
+        assert_same_root((many[0][0], many[1][0]), (lo, hi))
+        assert_same_steps(ray, [0.5], False)
 
     def test_open_bracket_raises(self):
         # gate values are 0 or inf, so every step bisects; 5 cannot close it
@@ -453,7 +478,15 @@ class TestArrayForms:
                                  st.just(INF)), min_size=1, max_size=16))
     def test_radial_table_inv_many(self, ts):
         circ = circ_table()
-        close(circ.inv_many(np.array(ts)), [circ.inv_fn(t) for t in ts], rel=1e-13)
+        close(circ.inverse_values(np.array(ts)), [circ.inverse(t) for t in ts], rel=1e-13)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rs=st.lists(st.one_of(st.floats(-50.0, 0.0), log_uniform(1e-300, 1e300),
+                                 st.just(INF)), min_size=1, max_size=16))
+    def test_radial_table_values(self, rs):
+        # the chords read the other way, in closed form: 0, inf and overflow too
+        circ = circ_table()
+        close(circ.values(np.array(rs)), [circ(r) for r in rs], rel=1e-13)
 
     @settings(max_examples=60, deadline=None)
     @given(q=st.floats(0.01, 50.0),
