@@ -1,8 +1,9 @@
 """Command-line front end: conjugate tables, norms, convergence runs,
 condition checks, exponent tables, and the counterexample driver.
 
-Output is deterministic for a fixed argument list and seed; CSV headers are
-fixed and JSON carries ``schema: 1`` for golden-file regression testing.
+Output is byte-identical for a fixed argument list (no subcommand draws
+random numbers); CSV headers are fixed and JSON carries ``schema: 1`` for
+golden-file regression testing.
 Exit codes: 0 success; 2 indeterminate verdict, or a quadrature that found
 neither convergence nor divergence; 1 usage or runtime error.
 """

@@ -256,7 +256,8 @@ def _ass2_analytic(a: YoungFunction, b: YoungFunction, env: Envelope,
 def _min_constant(lhs: np.ndarray, ts: np.ndarray, a: YoungFunction,
                   c_max: float = 1e8) -> Optional[float]:
     """Smallest c in [1, c_max] with lhs <= A(c t) on the grid, to 1e-6
-    relative, or None when c_max fails."""
+    relative, or None when c_max fails.  Each trial c stops at the first
+    point that fails, so A is called point by point."""
 
     def ok(c: float) -> bool:
         for t, l in zip(ts, lhs):
@@ -269,52 +270,67 @@ def _min_constant(lhs: np.ndarray, ts: np.ndarray, a: YoungFunction,
     return _least_constant(ok, c_max, 1e-6) if ok(c_max) else None
 
 
+def _window_constants(lhs: np.ndarray, ts: np.ndarray, a: YoungFunction,
+                      windows: Sequence[np.ndarray]) -> tuple:
+    """(cs, growing): the least constants of ``_min_constant`` on nested
+    windows (boolean masks over the grid, widest last), ending with None at
+    the first window that admits none; and whether they grow by 5 % per
+    window and 10 % overall, the sign of an asymptotic failure."""
+    cs = []
+    for w in windows:
+        cs.append(_min_constant(lhs[w], ts[w], a))
+        if cs[-1] is None:
+            return cs, False
+    return cs, len(cs) >= 2 and cs[-1] > cs[0] * 1.1 \
+        and all(d > c * 1.05 for c, d in zip(cs, cs[1:]))
+
+
+def _margin(lhs: np.ndarray, ts: np.ndarray, a: YoungFunction, c: float) -> tuple:
+    """(min of A(c t) - lhs over the grid, the first t attaining it), points
+    where A(c t) is inf skipped; (inf, None) when every point is.  ``lhs``
+    holds no inf, since ``_min_constant`` has accepted c on the whole grid."""
+    m = a.values(c * ts) - lhs
+    i = int(np.argmin(m))
+    return (float(m[i]), float(ts[i])) if m[i] < INF else (INF, None)
+
+
+def _composed(b: YoungFunction, x: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """B(x e) on arrays; inf, without calling B, where the envelope e is inf."""
+    out = np.full(e.shape, INF)
+    live = e != INF
+    with np.errstate(over="ignore"):  # inf, as for floats
+        out[live] = b.values(x[live] * e[live])
+    return out
+
+
+def _grid_start(t0: float, t_hi: float) -> float:
+    """Left end of a log grid ending at t_hi for the cutoff t0."""
+    if not t0 < t_hi:
+        raise YoungError(f"t0 = {t0:g} leaves no grid: the grid ends at {t_hi:g}")
+    return max(t0, 1e-6)
+
+
 def _ass2_grid(a: YoungFunction, b: YoungFunction, env: Envelope, n: float,
                t0: float, conj: Optional[SobolevConjugate] = None,
                points: int = 512, t_hi: float = 1e6):
+    t_lo = _grid_start(t0, t_hi)
     conj = conj if conj is not None else sobolev_conjugate(a, n)
-    t_lo = max(t0, 1e-6)
     ts = np.geomspace(t_lo, t_hi, points)
-    lhs = np.empty(len(ts))
-    for i, t in enumerate(ts):
-        t = float(t)
-        e = env(conj.hn(t))
-        lhs[i] = b(t * e) if e != INF else INF
+    lhs = _composed(b, ts, env.values([conj.hn(t) for t in ts.tolist()]))
     spans = [t for t in (1e2, 1e4, t_hi) if t > t_lo]
-    cs = []
-    for span in spans:
-        mask = ts <= span * (1 + 1e-12)
-        c = _min_constant(lhs[mask], ts[mask], a)
-        if c is None:
-            worst_i = int(np.argmax([l if l != INF else INF for l in lhs]))
-            return ConditionVerdict(
-                False, -INF, float(ts[worst_i]),
-                grid=f"log grid [{t_lo:g}, {span:g}], {points} points",
-                analytic=False, constant=INF,
-                note="no admissible constant up to 1e8")
-        cs.append(c)
-    growing = all(cs[i + 1] > cs[i] * 1.05 for i in range(len(cs) - 1)) \
-        and cs[-1] > cs[0] * 1.1 and len(cs) >= 2
+    cs, growing = _window_constants(lhs, ts, a, [ts <= s * (1 + 1e-12) for s in spans])
     c = cs[-1]
-    margin = INF
-    witness = None
-    for t, l in zip(ts, lhs):
-        rhs = a(c * float(t))
-        if rhs == INF:
-            continue
-        m = rhs - (l if l != INF else INF)
-        if m < margin:
-            margin, witness = m, float(t)
-    if growing:
+    if c is None:
         return ConditionVerdict(
-            False, margin, float(ts[-1]),
-            grid=f"log grid [{t_lo:g}, {t_hi:g}], {points} points",
-            analytic=False, constant=c,
-            note="required constant grows with the grid span: asymptotic failure")
+            False, -INF, float(ts[int(np.argmax(lhs))]),
+            grid=f"log grid [{t_lo:g}, {spans[len(cs) - 1]:g}], {points} points",
+            analytic=False, constant=INF,
+            note="no admissible constant up to 1e8")
+    margin, witness = _margin(lhs, ts, a, c)
     return ConditionVerdict(
-        True, margin, witness,
-        grid=f"log grid [{t_lo:g}, {t_hi:g}], {points} points",
-        analytic=False, constant=c)
+        not growing, margin, float(ts[-1]) if growing else witness,
+        grid=f"log grid [{t_lo:g}, {t_hi:g}], {points} points", analytic=False, constant=c,
+        note="required constant grows with the grid span: asymptotic failure" if growing else "")
 
 
 def check_inq_ass2(a: YoungFunction, b: YoungFunction, envelope, n: float,
@@ -397,35 +413,17 @@ def _assd_analytic(a, b, env, f_young) -> Optional[tuple]:
 
 
 def _assd_grid(a, b, env, f_young, t1: float, points: int = 512):
-    cutoffs = (t1 * 1e-3, t1 * 1e-6, t1 * 1e-9)
-    cs = []
     master = np.geomspace(t1 * 1e-9, t1, points)
-    lhs = np.empty(len(master))
-    for i, t in enumerate(master):
-        t = float(t)
-        at = a(t)
-        arg = env(f_young.inverse(at))
-        lhs[i] = b(t * arg) if arg != INF else INF
-    for cutoff in cutoffs:
-        mask = master >= cutoff * (1 - 1e-12)
-        c = _min_constant(lhs[mask], master[mask], a)
-        if c is None:
-            worst = float(master[int(np.argmax(lhs))])
-            return ConditionVerdict(False, -INF, worst,
-                                    grid=f"log grid near zero, {points} points",
-                                    analytic=False, constant=INF)
-        cs.append(c)
-    growing = all(cs[i + 1] > cs[i] * 1.05 for i in range(len(cs) - 1)) \
-        and cs[-1] > cs[0] * 1.1
+    lhs = _composed(b, master, env.values(f_young.inverse_values(a.values(master))))
+    cutoffs = (t1 * 1e-3, t1 * 1e-6, t1 * 1e-9)
+    cs, growing = _window_constants(lhs, master, a,
+                                    [master >= t * (1 - 1e-12) for t in cutoffs])
     c = cs[-1]
-    margin, witness = INF, None
-    for t, l in zip(master, lhs):
-        rhs = a(c * float(t))
-        if rhs == INF or l == INF:
-            continue
-        m = rhs - l
-        if m < margin:
-            margin, witness = m, float(t)
+    if c is None:
+        return ConditionVerdict(False, -INF, float(master[int(np.argmax(lhs))]),
+                                grid=f"log grid near zero, {points} points",
+                                analytic=False, constant=INF)
+    margin, witness = _margin(lhs, master, a, c)
     return ConditionVerdict(not growing, margin, witness,
                             grid=f"log grid (0, {t1:g}], {points} points",
                             analytic=False, constant=c,
@@ -469,24 +467,22 @@ def _limsup_probe(f_young: YoungFunction, a: YoungFunction,
                                 grid="zero-growth descriptors", analytic=True,
                                 note=note)
     ts = np.geomspace(lo, hi, points)
+    at = a.values(ts)
+    # points where A is 0 lie below the representable range of the
+    # denominator; the trend detector on the remaining window decides
+    keep = at != 0.0
+    if not keep.any():
+        return ConditionVerdict(False, 0.0, None, grid="ratio probe near zero",
+                                analytic=False, indeterminate=True,
+                                note="no usable probe points")
+    half = int(keep.sum()) // 2
     worst_bound = 0.0
     for lam in lambdas:
-        ratios = []
-        for t in ts:
-            at = a(float(t))
-            ft = f_young(lam * float(t))
-            if at == 0.0:
-                # below the representable range of the denominator; the trend
-                # detector on the remaining window carries the decision
-                continue
-            ratios.append(ft / at)
-        if not ratios:
-            return ConditionVerdict(False, 0.0, None, grid="ratio probe near zero",
-                                    analytic=False, indeterminate=True,
-                                    note="no usable probe points")
-        half = len(ratios) // 2
-        lo_max = max(ratios[:half]) if ratios[:half] else 0.0
-        hi_max = max(ratios[half:]) if ratios[half:] else 0.0
+        # as for floats: inf past the float range, and nan at inf / inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            ratios = f_young.values(lam * ts[keep]) / at[keep]
+        lo_max = float(ratios[:half].max()) if half else 0.0
+        hi_max = float(ratios[half:].max())
         if not math.isfinite(lo_max) or (hi_max > 0 and lo_max > 100.0 * hi_max):
             return ConditionVerdict(False, -INF, float(ts[0]),
                                     grid="ratio probe near zero", analytic=False,
@@ -506,6 +502,8 @@ def check_inq_assD(a: YoungFunction, b: YoungFunction, envelope,
     """Near-zero condition pair: B(t E(F^{-1}(A(t)))) <= A(t) on (0, t1] and a
     bounded ratio F(lambda t)/A(t) as t -> 0 for lambda in {1, 10, 100}."""
     env = parse_envelope(envelope)
+    if not 0.0 < t1 < INF:
+        raise YoungError(f"t1 must be positive and finite, got {t1:g}")
     if f_young.finite_jump is not None:
         raise YoungError("the splitting function must be finite-valued")
     ana = _assd_analytic(a, b, env, f_young)
@@ -580,31 +578,22 @@ def check_ortho(a_list: Sequence[YoungFunction], b_list: Sequence[YoungFunction]
                                     analytic=True,
                                     note="envelope too strong for the mean power")
 
+    ts = np.geomspace(_grid_start(t0, 1e6), 1e6, 256)
     conj = sobolev_conjugate(bar, n)
-    ts = np.geomspace(max(t0, 1e-6), 1e6, 256)
-    worst = INF
-    witness = None
-    consts = []
+    ms = bar.values(ts)
+    es = env.values([conj.hn(t) for t in ts.tolist()])
+    worst, witness, consts = INF, None, []
     for i, (ai, bi) in enumerate(zip(a_list, b_list)):
-        lhs = np.empty(len(ts))
-        for j, t in enumerate(ts):
-            t = float(t)
-            m = bar(t)
-            e = env(conj.hn(t))
-            lhs[j] = bi(ai.inverse(m) * e) if e != INF else INF
+        lhs = _composed(bi, ai.inverse_values(ms), es)
         c = _min_constant(lhs, ts, bar)
         if c is None:
             return ConditionVerdict(False, -INF, i, grid="log grid per component",
                                     analytic=False, constant=INF,
                                     note=f"component {i} admits no constant")
         consts.append(c)
-        for t, l in zip(ts, lhs):
-            rhs = bar(c * float(t))
-            if rhs == INF or l == INF:
-                continue
-            m = rhs - l
-            if m < worst:
-                worst, witness = m, (i, float(t))
+        m, t = _margin(lhs, ts, bar, c)
+        if m < worst:
+            worst, witness = m, (i, t)
     return ConditionVerdict(True, worst, witness, grid="log grid per component",
                             analytic=False, constant=max(consts))
 

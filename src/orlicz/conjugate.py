@@ -88,20 +88,19 @@ def _in_log_variable(g):
 
 
 def _fit_slope(g, ts) -> Optional[float]:
-    """Local log-log slopes over consecutive points; None when unstable."""
-    vals = []
-    for v in g(np.asarray(ts, dtype=float)).tolist():
-        if v == INF:
-            return INF
-        if v <= 0.0:
-            return -INF
-        vals.append(math.log(v))
-    xs = [math.log(float(t)) for t in ts]
-    slopes = [(vals[i + 1] - vals[i]) / (xs[i + 1] - xs[i]) for i in range(len(ts) - 1)]
-    for i in range(len(slopes) - 2):
-        window = slopes[i:i + 3]
-        if max(window) - min(window) <= 0.02:
-            return window[-1]
+    """Local log-log slopes over consecutive points: the last of the first
+    three within 0.02, else None; inf (-inf) where g is first inf (<= 0).
+    The few windows are scanned in Python, faster than numpy at this size."""
+    ts = np.asarray(ts, dtype=float)
+    v = g(ts)
+    bad = (v == INF) | (v <= 0.0)
+    if bad.any():
+        return INF if v[bad.argmax()] == INF else -INF
+    lv, lt = np.log(v), np.log(ts)
+    s = ((lv[1:] - lv[:-1]) / (lt[1:] - lt[:-1])).tolist()
+    for i in range(len(s) - 2):
+        if max(s[i:i + 3]) - min(s[i:i + 3]) <= 0.02:
+            return s[i + 2]
     return None
 
 

@@ -149,9 +149,8 @@ class Envelope:
 
     def non_decreasing(self, lo: float = 1e-8, hi: float = 1e6,
                        points: int = 200) -> bool:
-        ts = np.geomspace(lo, hi, points)
-        vals = [self(float(t)) for t in ts]
-        return all(vals[i + 1] >= vals[i] * (1 - 1e-12) for i in range(len(vals) - 1))
+        vals = self.values(np.geomspace(lo, hi, points))
+        return bool(np.all(vals[1:] >= vals[:-1] * (1 - 1e-12)))
 
 
 def parse_envelope(record) -> Envelope:
@@ -213,11 +212,9 @@ class LipschitzSpec:
                                points: int = 200) -> bool:
         ts = np.concatenate([-np.geomspace(lo, hi, points)[::-1], [0.0],
                              np.geomspace(lo, hi, points)])
-        for t, d in zip(ts.tolist(), np.abs(_elementwise(self.fprime, ts)).tolist()):
-            bound = self.kappa * self.envelope(self.kappa * abs(t))
-            if d > bound * (1 + 1e-9) + 1e-300:
-                return False
-        return True
+        with np.errstate(over="ignore"):  # inf, as for floats
+            bound = self.kappa * self.envelope.values(self.kappa * np.abs(ts))
+        return not np.any(np.abs(_elementwise(self.fprime, ts)) > bound * (1 + 1e-9) + 1e-300)
 
 
 # ---------------------------------------------------------------------------
@@ -302,29 +299,22 @@ class LemmaGridVerdict:
 
 
 def _lemma_grid(a: YoungFunction, b: YoungFunction,
-                row: Callable[[float], tuple], div: float, c: float,
+                row: Callable[[np.ndarray], tuple], div: float, c: float,
                 lo: float, hi: float, count: int) -> LemmaGridVerdict:
     """Grid check of B(E(s) t / div) <= r(s) + A(t) over the count x count
-    log grid on [lo, hi]^2, where row(s) = (E(s), r(s))."""
-    grid = np.geomspace(lo, hi, count).tolist()
-    worst = INF
-    worst_pt = (None, None)
-    holds = True
-    for s in grid:
-        es, r = row(s)
-        for t in grid:
-            rhs = r + a(t)
-            if rhs == INF:
-                continue
-            lhs = b(es * t / div)
-            margin = rhs - lhs
-            if margin < worst:
-                worst = margin
-                worst_pt = (s, t)
-            if margin < -1e-9 * (1.0 + rhs):
-                holds = False
-    return LemmaGridVerdict(holds, worst, worst_pt, c,
-                            grid=f"{count}x{count} log grid on [{lo:g},{hi:g}]^2")
+    log grid on [lo, hi]^2, where row(s) = (E(s), r(s)) on an array of s.
+    Points where the right side is inf are skipped; the worst point is the
+    first minimum with s outer and t inner."""
+    g = np.geomspace(lo, hi, count)
+    es, r = row(g)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf as for floats; inf - inf skipped
+        rhs = r[:, None] + a.values(g)
+        lhs = b.values(np.outer(es, g) / div).reshape(count, count)
+        margin = np.where(rhs == INF, INF, rhs - lhs)
+    i, j = np.unravel_index(np.argmin(margin), margin.shape)
+    pt = (float(g[i]), float(g[j])) if margin[i, j] < INF else (None, None)
+    return LemmaGridVerdict(not np.any(margin < -1e-9 * (1.0 + rhs)), float(margin[i, j]), pt,
+                            c, grid=f"{count}x{count} log grid on [{lo:g},{hi:g}]^2")
 
 
 def lemma_product_bound(a: YoungFunction, b: YoungFunction, envelope: Envelope,
@@ -344,7 +334,7 @@ def lemma_product_bound(a: YoungFunction, b: YoungFunction, envelope: Envelope,
         c = b(t0 * envelope(conj.an.inverse(a(t0))))
     else:
         c = 0.0
-    return _lemma_grid(a, b, lambda s: (envelope(s), c + conj.an_value(s)),
+    return _lemma_grid(a, b, lambda s: (envelope.values(s), c + conj.an_values(s)),
                        2.0, c, lo, hi, count)
 
 
@@ -372,7 +362,7 @@ def lemma_split_bound(a: YoungFunction, b: YoungFunction, envelope: Envelope,
     pre = conditions.check_inq_assD(a, b, envelope, f_young, t1=t1)
     if not pre.holds:
         raise PreconditionError("split bound needs the near-zero admissibility pair")
-    return _lemma_grid(a, b, lambda s: (envelope(s), f_young(s)),
+    return _lemma_grid(a, b, lambda s: (envelope.values(s), f_young.values(s)),
                        1.0, 0.0, lo, hi, count)
 
 

@@ -63,6 +63,13 @@ class TestCheck:
         assert run(["check", "--cond", "bogus", "--A", "power:2",
                     "--B", "power:1"]) == 1
 
+    @pytest.mark.parametrize("t1", ["-1", "0"])
+    def test_assd_rejects_a_nonpositive_t1(self, t1, capsys):
+        code = run(["check", "--cond", "inq-assD", "--A", "power:2", "--B", "power:1.5",
+                    "--E", "power:1,1", "--F", "power_log:2,1", "--t1", t1])
+        assert code == 1
+        assert "t1 must be positive and finite" in capsys.readouterr().err
+
     def test_aniso_takes_an_integral_dimension(self, tmp_path):
         out = tmp_path / "verdict.json"
         code = run(["check", "--cond", "aniso", "--A", "iso:power:2",

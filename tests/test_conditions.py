@@ -1,5 +1,6 @@
 """Admissibility checkers and the closed-form exponent tables."""
 
+import functools
 import math
 
 import numpy as np
@@ -8,7 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orlicz as oz
-from orlicz.conditions import _TOL, _ass2_grid, _min_constant
+from orlicz.conditions import (
+    _TOL,
+    ConditionVerdict,
+    _ass2_grid,
+    _assd_grid,
+    _limsup_probe,
+    _min_constant,
+)
 from orlicz.young import INF
 
 
@@ -77,6 +85,12 @@ class TestInqAss2:
         v2 = oz.check_inq_ass2(a, oz.Power(1.9), oz.Envelope.power(1.0), 3)
         assert not v2.analytic and not v2.holds
 
+    @pytest.mark.parametrize("t0", [1e6, 2e6])
+    def test_cutoff_at_or_past_the_grid_end(self, t0):
+        a = oz.Custom(lambda t: t * t, zero=oz.GrowthOrder(2.0), label="sq")
+        with pytest.raises(oz.YoungError, match=r"ends at 1e\+06"):
+            oz.check_inq_ass2(a, oz.Power(1.2), oz.Envelope.power(1.0), 3, t0=t0)
+
 
 class TestInqAssD:
     def test_flat_exponential_family(self):
@@ -105,6 +119,12 @@ class TestInqAssD:
         with pytest.raises(oz.YoungError):
             oz.check_inq_assD(oz.Power(2), oz.Power(2), oz.Envelope.one(),
                               oz.gate(1.0))
+
+    @pytest.mark.parametrize("t1", [-1.0, 0.0, INF, math.nan])
+    def test_t1_must_be_positive_and_finite(self, t1):
+        with pytest.raises(oz.YoungError, match="t1 must be positive and finite"):
+            oz.check_inq_assD(oz.Power(2), oz.Power(1.5), oz.Envelope.power(1.0, 1.0),
+                              oz.PowerLog(2, 1), t1=t1)
 
 
 class TestOrtho:
@@ -141,6 +161,12 @@ class TestOrtho:
         env = oz.Envelope.exp_power(2.0)
         assert oz.check_ortho(ps, [oz.Power(1.9)] * 2, env, 2).holds
         assert not oz.check_ortho(ps, [oz.Power(2.0)] * 2, env, 2).holds
+
+    @pytest.mark.parametrize("t0", [1e6, 2e6])
+    def test_grid_cutoff_at_or_past_the_grid_end(self, t0):
+        ps = [oz.Power(2), oz.Power(2)]
+        with pytest.raises(oz.YoungError, match=r"ends at 1e\+06"):
+            oz.check_ortho(ps, [oz.Power(1.5)] * 2, oz.Envelope.log_power(1.0), 2, t0=t0)
 
 
 class TestAniso:
@@ -311,3 +337,251 @@ class TestMinConstant:
             assert got == ref
         else:
             assert math.isclose(got, ref, rel_tol=2e-6)
+
+
+# ---------------------------------------------------------------------------
+# The grid probes against the point-by-point loops they replaced
+# ---------------------------------------------------------------------------
+
+def ref_ass2_grid(a, b, env, n, t0, conj, points=512, t_hi=1e6):
+    """The former ``_ass2_grid``: A, B and E called one point at a time."""
+    t_lo = max(t0, 1e-6)
+    ts = np.geomspace(t_lo, t_hi, points)
+    lhs = np.empty(len(ts))
+    for i, t in enumerate(ts):
+        t = float(t)
+        e = env(conj.hn(t))
+        lhs[i] = b(t * e) if e != INF else INF
+    spans = [t for t in (1e2, 1e4, t_hi) if t > t_lo]
+    cs = []
+    for span in spans:
+        mask = ts <= span * (1 + 1e-12)
+        c = _min_constant(lhs[mask], ts[mask], a)
+        if c is None:
+            return ConditionVerdict(False, -INF, float(ts[int(np.argmax(lhs))]),
+                                    grid=f"log grid [{t_lo:g}, {span:g}], {points} points",
+                                    analytic=False, constant=INF,
+                                    note="no admissible constant up to 1e8")
+        cs.append(c)
+    growing = all(cs[i + 1] > cs[i] * 1.05 for i in range(len(cs) - 1)) \
+        and cs[-1] > cs[0] * 1.1 and len(cs) >= 2
+    c = cs[-1]
+    margin, witness = INF, None
+    for t, l in zip(ts, lhs):
+        rhs = a(c * float(t))
+        if rhs == INF:
+            continue
+        m = rhs - l
+        if m < margin:
+            margin, witness = m, float(t)
+    grid = f"log grid [{t_lo:g}, {t_hi:g}], {points} points"
+    if growing:
+        return ConditionVerdict(False, margin, float(ts[-1]), grid=grid, analytic=False,
+                                constant=c, note="required constant grows with the grid "
+                                "span: asymptotic failure")
+    return ConditionVerdict(True, margin, witness, grid=grid, analytic=False, constant=c)
+
+
+def ref_assd_grid(a, b, env, f_young, t1, points=512):
+    """The former ``_assd_grid``."""
+    cutoffs = (t1 * 1e-3, t1 * 1e-6, t1 * 1e-9)
+    master = np.geomspace(t1 * 1e-9, t1, points)
+    lhs = np.empty(len(master))
+    for i, t in enumerate(master):
+        t = float(t)
+        arg = env(f_young.inverse(a(t)))
+        lhs[i] = b(t * arg) if arg != INF else INF
+    cs = []
+    for cutoff in cutoffs:
+        mask = master >= cutoff * (1 - 1e-12)
+        c = _min_constant(lhs[mask], master[mask], a)
+        if c is None:
+            return ConditionVerdict(False, -INF, float(master[int(np.argmax(lhs))]),
+                                    grid=f"log grid near zero, {points} points",
+                                    analytic=False, constant=INF)
+        cs.append(c)
+    growing = all(cs[i + 1] > cs[i] * 1.05 for i in range(len(cs) - 1)) \
+        and cs[-1] > cs[0] * 1.1
+    c = cs[-1]
+    margin, witness = INF, None
+    for t, l in zip(master, lhs):
+        rhs = a(c * float(t))
+        if rhs == INF or l == INF:
+            continue
+        m = rhs - l
+        if m < margin:
+            margin, witness = m, float(t)
+    return ConditionVerdict(not growing, margin, witness,
+                            grid=f"log grid (0, {t1:g}], {points} points",
+                            analytic=False, constant=c,
+                            note="constant trend over shrinking spans" if growing else "")
+
+
+def ref_limsup_probe(f_young, a, lambdas=(1.0, 10.0, 100.0), lo=1e-8, hi=1e-2, points=64):
+    """The former grid branch of ``_limsup_probe``."""
+    ts = np.geomspace(lo, hi, points)
+    worst_bound = 0.0
+    for lam in lambdas:
+        ratios = []
+        for t in ts:
+            at = a(float(t))
+            ft = f_young(lam * float(t))
+            if at == 0.0:
+                continue
+            ratios.append(ft / at)
+        if not ratios:
+            return ConditionVerdict(False, 0.0, None, grid="ratio probe near zero",
+                                    analytic=False, indeterminate=True,
+                                    note="no usable probe points")
+        half = len(ratios) // 2
+        lo_max = max(ratios[:half]) if ratios[:half] else 0.0
+        hi_max = max(ratios[half:]) if ratios[half:] else 0.0
+        if not math.isfinite(lo_max) or (hi_max > 0 and lo_max > 100.0 * hi_max):
+            return ConditionVerdict(False, -INF, float(ts[0]),
+                                    grid="ratio probe near zero", analytic=False,
+                                    note=f"growing trend toward zero at lambda={lam:g}")
+        if hi_max > 0 and lo_max > 1.5 * hi_max:
+            return ConditionVerdict(False, 0.0, float(ts[0]),
+                                    grid="ratio probe near zero", analytic=False,
+                                    indeterminate=True,
+                                    note="non-monotone trend at the window edge")
+        worst_bound = max(worst_bound, lo_max, hi_max)
+    return ConditionVerdict(True, worst_bound, None, grid="ratio probe near zero",
+                            analytic=False, note=f"sup ratio {worst_bound:.6g}")
+
+
+def ref_ortho_grid(a_list, b_list, env, n, t0=0.0):
+    """The former grid fallback of ``check_ortho``."""
+    bar = oz.orthotropic_bar(a_list)
+    conj = oz.sobolev_conjugate(bar, n)
+    ts = np.geomspace(max(t0, 1e-6), 1e6, 256)
+    worst, witness, consts = INF, None, []
+    for i, (ai, bi) in enumerate(zip(a_list, b_list)):
+        lhs = np.empty(len(ts))
+        for j, t in enumerate(ts):
+            t = float(t)
+            m = bar(t)
+            e = env(conj.hn(t))
+            lhs[j] = bi(ai.inverse(m) * e) if e != INF else INF
+        c = _min_constant(lhs, ts, bar)
+        if c is None:
+            return ConditionVerdict(False, -INF, i, grid="log grid per component",
+                                    analytic=False, constant=INF,
+                                    note=f"component {i} admits no constant")
+        consts.append(c)
+        for t, l in zip(ts, lhs):
+            rhs = bar(c * float(t))
+            if rhs == INF or l == INF:
+                continue
+            m = rhs - l
+            if m < worst:
+                worst, witness = m, (i, float(t))
+    return ConditionVerdict(True, worst, witness, grid="log grid per component",
+                            analytic=False, constant=max(consts))
+
+
+def assert_matches_reference(got, ref, a):
+    """Every verdict field as the reference's, the constant to 1e-6 relative
+    (its stop) and the margin to 1e-12 of A(c t) at the witness: the array
+    and the scalar evaluations differ in the last bits.  A worst margin
+    within that of zero is a tie over the grid (lhs = A(c t) up to rounding),
+    and rounding picks its first point, so there the witness may move."""
+    assert (got.holds, got.grid, got.note, got.analytic, got.indeterminate) == \
+        (ref.holds, ref.grid, ref.note, ref.analytic, ref.indeterminate)
+    assert got.constant == ref.constant or math.isclose(got.constant, ref.constant,
+                                                        rel_tol=1e-6)
+    t = ref.witness[1] if isinstance(ref.witness, tuple) else ref.witness
+    if not isinstance(t, float) or not math.isfinite(ref.worst_margin):
+        assert (got.witness, got.worst_margin) == (ref.witness, ref.worst_margin)
+        return
+    tol = 1e-12 * a(ref.constant * t)
+    assert abs(got.worst_margin - ref.worst_margin) <= tol
+    assert got.witness == ref.witness or abs(ref.worst_margin) <= tol
+
+
+def black_box(t):
+    return t ** 1.3 * math.log1p(t)
+
+
+BLACK_BOX_POWERS = st.floats(1.0, 3.0).map(
+    lambda p: oz.Custom(lambda t: t ** p, label="black box"))
+
+
+TARGETS = st.one_of(
+    st.builds(oz.Power, st.floats(1.0, 2.5)),
+    st.builds(oz.PowerLog, st.floats(1.0, 2.5), st.floats(0.0, 1.5)),
+    st.just(oz.Custom(black_box, label="black box")),
+)
+ENVELOPES = st.one_of(
+    st.just(oz.Envelope.one()),
+    st.builds(oz.Envelope.power, st.floats(0.0, 1.5)),
+    st.builds(oz.Envelope.power, st.floats(0.0, 1.5), st.floats(0.0, 1.5),
+              st.sampled_from(["log", "loglog"])),
+    st.builds(oz.Envelope.log_power, st.floats(0.0, 2.0)),
+    st.builds(oz.Envelope.exp_power, st.floats(0.1, 1.0)),
+)
+ASS2_SOURCES = [(oz.Power(1.5), 2), (oz.Power(2), 3), (oz.PowerLog(2, 0.5), 3),
+                (oz.PowerLogLog(2, 1), 3),
+                (oz.Custom(lambda t: t * t, zero=oz.GrowthOrder(2.0), label="sq"), 3)]
+
+
+@functools.lru_cache(maxsize=None)
+def ass2_conjugate(j):
+    return oz.sobolev_conjugate(*ASS2_SOURCES[j])
+
+
+class TestGridProbesMatchPointLoops:
+    @settings(max_examples=25, deadline=None)
+    @given(j=st.integers(0, len(ASS2_SOURCES) - 1), b=TARGETS, env=ENVELOPES,
+           t0=st.sampled_from([0.0, 1.0, 50.0, 3e3, 2e4, 5e5]))
+    def test_ass2_grid(self, j, b, env, t0):
+        a, n = ASS2_SOURCES[j]
+        conj = ass2_conjugate(j)
+        assert_matches_reference(_ass2_grid(a, b, env, n, t0, conj=conj),
+                                 ref_ass2_grid(a, b, env, n, t0, conj), a)
+
+    @settings(max_examples=25, deadline=None)
+    @given(a=st.one_of(st.builds(oz.Power, st.floats(1.0, 3.0)),
+                       st.builds(oz.PowerLog, st.floats(1.0, 3.0), st.floats(0.0, 1.5)),
+                       st.just(oz.Custom(lambda t: t * t * (1 + t), label="black box"))),
+           b=TARGETS, env=ENVELOPES.filter(lambda e: e.kind != "exp_power"),
+           f=st.one_of(st.builds(oz.Power, st.floats(1.0, 3.0)),
+                       st.builds(oz.PowerLog, st.floats(1.0, 3.0), st.floats(0.0, 1.5)),
+                       st.just(oz.Custom(lambda t: t ** 2.5, label="black box"))),
+           t1=st.sampled_from([1.0, 0.3, 5.0]))
+    def test_assd_grid(self, a, b, env, f, t1):
+        assert_matches_reference(_assd_grid(a, b, env, f, t1),
+                                 ref_assd_grid(a, b, env, f, t1), a)
+
+    @settings(max_examples=40, deadline=None)
+    @given(f=st.one_of(st.builds(oz.Power, st.floats(1.0, 3.0)),
+                       st.builds(oz.PowerLog, st.floats(1.0, 3.0), st.floats(-1.0, 1.5)),
+                       st.just(oz.Exp(1.0)), BLACK_BOX_POWERS,
+                       st.just(oz.Custom(lambda t: t * t * (1.5 + math.sin(1.0 / t)),
+                                         label="black box"))),
+           a=st.one_of(BLACK_BOX_POWERS, st.floats(1.0, 3.0).map(
+               lambda p: oz.Custom(lambda t: t ** p * (2.0 + math.sin(math.log(t))),
+                                   label="black box"))))
+    def test_limsup_probe(self, f, a):
+        got = _limsup_probe(f, a)
+        ref = ref_limsup_probe(f, a)
+        assert (got.holds, got.witness, got.grid, got.analytic, got.indeterminate) == \
+            (ref.holds, ref.witness, ref.grid, ref.analytic, ref.indeterminate)
+        assert got.worst_margin == ref.worst_margin or math.isclose(
+            got.worst_margin, ref.worst_margin, rel_tol=1e-12)
+        if got.note.startswith("sup ratio"):
+            assert float(got.note.split()[-1]) == pytest.approx(ref.worst_margin, rel=1e-5)
+        else:
+            assert got.note == ref.note
+
+    @settings(max_examples=5, deadline=None)
+    @given(ps=st.lists(st.floats(1.2, 1.9), min_size=2, max_size=2),
+           bs=st.lists(TARGETS, min_size=2, max_size=2),
+           env=st.one_of(st.builds(oz.Envelope.log_power, st.floats(0.0, 2.0)),
+                         st.builds(oz.Envelope.power, st.floats(0.0, 1.0),
+                                   st.floats(0.5, 1.5))))
+    def test_ortho_grid(self, ps, bs, env):
+        a_list = [oz.Power(p) for p in ps]
+        got = oz.check_ortho(a_list, bs, env, 2)
+        assert_matches_reference(got, ref_ortho_grid(a_list, bs, env, 2),
+                                 oz.orthotropic_bar(a_list))

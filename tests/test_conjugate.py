@@ -82,6 +82,45 @@ class TestClassification:
         assert oz.classify_integral_inf(y, 2) is IntegralClass.INDETERMINATE
 
 
+def ref_fit_slope(g, ts):
+    """The former point loop of ``conjugate._fit_slope``."""
+    vals = []
+    for v in g(np.asarray(ts, dtype=float)).tolist():
+        if v == INF:
+            return INF
+        if v <= 0.0:
+            return -INF
+        vals.append(math.log(v))
+    xs = [math.log(float(t)) for t in ts]
+    slopes = [(vals[i + 1] - vals[i]) / (xs[i + 1] - xs[i]) for i in range(len(ts) - 1)]
+    for i in range(len(slopes) - 2):
+        window = slopes[i:i + 3]
+        if max(window) - min(window) <= 0.02:
+            return window[-1]
+    return None
+
+
+class TestFitSlope:
+    """The array slope fit against the point loop it replaced."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(y=st.one_of(
+        st.builds(oz.Power, st.floats(1.0, 4.0)),
+        st.builds(oz.PowerLog, st.floats(1.0, 4.0), st.floats(-1.0, 3.0)),
+        st.builds(oz.Exp, st.floats(0.5, 2.0)), st.builds(oz.ExpNegInv, st.floats(0.5, 2.0)),
+        st.builds(oz.gate, st.floats(1e-6, 1e6)),
+        st.floats(0.1, 1.0).map(lambda w: oz.Custom(
+            lambda t: t ** (2.0 + w * math.sin(math.log(t))), label="wobble"))),
+        n=st.sampled_from([2.0, 3.0, 4.5]), side=st.sampled_from(["zero", "inf"]))
+    def test_matches_point_loop(self, y, n, side):
+        ks = range(2, 9) if side == "zero" else range(2, 10)
+        ts = [10.0 ** (-k if side == "zero" else k) for k in ks]
+        g = conjugate._integrand(y, n)
+        got, ref = conjugate._fit_slope(g, ts), ref_fit_slope(g, ts)
+        assert got == ref or (None not in (got, ref)
+                              and math.isclose(got, ref, rel_tol=1e-12, abs_tol=1e-12))
+
+
 class TestConjugate:
     @pytest.mark.parametrize("p,n", [(1, 2), (2, 3), (3, 4)])
     def test_classical_exponent(self, p, n):

@@ -292,6 +292,13 @@ class TestConvergence:
                                      (0.5, 1.0, 2.0), indices=ks)
         assert rep.rows_non_increasing_in_lambda()
 
+    @settings(max_examples=200, deadline=None)
+    @given(m=st.lists(st.lists(st.one_of(st.floats(0.0, 1e308), st.sampled_from([INF, math.nan])),
+                               min_size=4, max_size=4), min_size=1, max_size=4))
+    def test_rows_non_increasing_matches_point_loop(self, m):
+        rep = oz.ModularReport((), (), None, None, np.array(m), (), False, INF)
+        assert rep.rows_non_increasing_in_lambda() is ref_rows_non_increasing(m)
+
     def test_trajectory_rule(self):
         assert trajectory_converges([1.0, 0.1, 0.01, 0.0005])
         assert not trajectory_converges([1.0, 0.1, 0.01, 0.002])
@@ -325,7 +332,66 @@ class TestOneDimensionalEmbeddings:
         assert 0.0 < worst <= c * (1 + 1e-6)
 
 
+def ref_rows_non_increasing(m, slack=1e-7):
+    """The former loop of ``ModularReport.rows_non_increasing_in_lambda``."""
+    for row in m:
+        finite_prev = None
+        for v in row:
+            if finite_prev is not None and math.isfinite(finite_prev):
+                if math.isfinite(v) and v > finite_prev * (1 + slack) + 1e-300:
+                    return False
+            finite_prev = v
+    return True
+
+
+def ref_gradient_consistent(u, box, points=32, rel_tol=1e-4, seed=7, margin=0.05):
+    """The former loop of ``TestFunction.gradient_consistent``: one draw of
+    ``rng.random(n)`` per point."""
+    rng = np.random.default_rng(seed)
+    lo, hi = np.array(box.lower, dtype=float), np.array(box.upper, dtype=float)
+    width = hi - lo
+    ok = True
+    for _ in range(points):
+        x = lo + width * (margin + (1 - 2 * margin) * rng.random(box.n))
+        g = np.asarray(u.gradient(x), dtype=float)
+        h = 1e-5 * np.maximum(width, 1.0)
+        fd = np.zeros(box.n)
+        for i in range(box.n):
+            xp, xm = x.copy(), x.copy()
+            xp[i] += h[i]
+            xm[i] -= h[i]
+            fd[i] = (u.value(xp) - u.value(xm)) / (2 * h[i])
+        scale = max(np.linalg.norm(g), np.linalg.norm(fd), 1e-8)
+        if np.linalg.norm(fd - g) > rel_tol * scale * 10:
+            ok = False
+    return ok
+
+
 class TestTestFunction:
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1),
+           points=st.integers(1, 12), tilt=st.sampled_from([0.0, 1e-2]))
+    def test_gradient_probe_matches_point_loop(self, n, seed, points, tilt):
+        # the probe visits the same points as the loop, and a gradient off by
+        # ``tilt`` in one corner fails both
+        seen = {"new": [], "ref": []}
+
+        def field(log):
+            def value(x):
+                seen[log].append(x.copy())
+                return float(np.sum(np.sin(3.0 * x)))
+
+            def gradient(x):
+                seen[log].append(x.copy())
+                return 3.0 * np.cos(3.0 * x) + (tilt if x[0] > 0.8 else 0.0)
+
+            return oz.TestFunction(value, gradient)
+
+        box = oz.BoxDomain((0.0,) * n, (1.0,) * n)
+        got = field("new").gradient_consistent(box, points=points, seed=seed)
+        assert got is ref_gradient_consistent(field("ref"), box, points=points, seed=seed)
+        assert np.array_equal(np.unique(seen["new"], axis=0), np.unique(seen["ref"], axis=0))
+
     def test_gradient_consistency(self):
         for u, box in interval_vanishing_corpus():
             if u.label == "tent":

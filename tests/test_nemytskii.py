@@ -14,6 +14,8 @@ from orlicz._quad import tensor_rule
 from orlicz.corpus import interval_vanishing_corpus
 from orlicz.modular import constant_function, sup_norm
 from orlicz.nemytskii import (
+    LemmaGridVerdict,
+    _lemma_grid,
     _poincare_constant,
     abs_shift_spec,
     counterexample_run,
@@ -94,6 +96,53 @@ class TestLipschitzSpec:
         bad = oz.LipschitzSpec(lambda t: t * t, lambda t: 2 * t, kappa=1.0,
                                envelope=oz.Envelope.one(), label="quad")
         assert not bad.derivative_bound_holds()
+
+
+def ref_non_decreasing(env, lo=1e-8, hi=1e6, points=200):
+    """The former point loop of ``Envelope.non_decreasing``."""
+    vals = [env(float(t)) for t in np.geomspace(lo, hi, points)]
+    return all(vals[i + 1] >= vals[i] * (1 - 1e-12) for i in range(len(vals) - 1))
+
+
+def ref_derivative_bound_holds(spec, lo=1e-6, hi=1e3, points=200):
+    """The former point loop of ``LipschitzSpec.derivative_bound_holds``."""
+    ts = np.concatenate([-np.geomspace(lo, hi, points)[::-1], [0.0],
+                         np.geomspace(lo, hi, points)])
+    fp = np.broadcast_to(np.asarray(spec.fprime(ts), dtype=float), ts.shape)
+    for t, d in zip(ts.tolist(), np.abs(fp).tolist()):
+        if d > spec.kappa * spec.envelope(spec.kappa * abs(t)) * (1 + 1e-9) + 1e-300:
+            return False
+    return True
+
+
+ENVELOPES = st.one_of(
+    st.just(oz.Envelope.one()),
+    st.builds(oz.Envelope.power, st.floats(0.0, 3.0)),
+    st.builds(oz.Envelope.power, st.floats(0.0, 3.0), st.floats(0.0, 2.0),
+              st.sampled_from(["log", "loglog"])),
+    st.builds(oz.Envelope.log_power, st.floats(0.0, 3.0)),
+    st.builds(oz.Envelope.exp_power, st.floats(0.1, 2.0), st.floats(0.0, 1.0)),
+    st.builds(oz.Envelope.exp_exp, st.floats(0.1, 2.0)),
+    st.just(oz.Envelope.custom(lambda t: 2.0 + math.sin(t))),
+)
+
+
+class TestProbesMatchPointLoops:
+    @settings(max_examples=60, deadline=None)
+    @given(env=ENVELOPES, lo=st.floats(-9.0, 0.0), hi=st.floats(1.0, 8.0))
+    def test_non_decreasing(self, env, lo, hi):
+        assert env.non_decreasing(10.0 ** lo, 10.0 ** hi) is \
+            ref_non_decreasing(env, 10.0 ** lo, 10.0 ** hi)
+
+    @settings(max_examples=60, deadline=None)
+    @given(env=ENVELOPES, kappa=st.floats(0.1, 4.0), k=st.integers(0, 3),
+           gain=st.floats(0.5, 2.0))
+    def test_derivative_bound_holds(self, env, kappa, k, gain):
+        fprime = [lambda t: gain * np.ones_like(t), lambda t: gain * np.abs(t),
+                  lambda t: gain * np.sign(t) * np.abs(t) ** 1.5,
+                  lambda t: gain * np.exp(np.minimum(np.abs(t), 700.0))][k]
+        spec = oz.LipschitzSpec(lambda t: t, fprime, kappa=kappa, envelope=env)
+        assert spec.derivative_bound_holds() is ref_derivative_bound_holds(spec)
 
 
 def old_abs_shift_fprime(t):
@@ -243,6 +292,75 @@ class TestLemmaGrids:
         v = oz.lemma_split_bound(oz.Power(2), oz.Power(2), oz.Envelope.one(),
                                  oz.Power(2))
         assert v.holds and v.worst_margin >= 0.0
+
+
+def ref_lemma_grid(a, b, row, div, c, lo, hi, count):
+    """The former double loop of ``_lemma_grid``, row(s) on one s."""
+    grid = np.geomspace(lo, hi, count).tolist()
+    worst, worst_pt, holds = INF, (None, None), True
+    for s in grid:
+        es, r = row(s)
+        for t in grid:
+            rhs = r + a(t)
+            if rhs == INF:
+                continue
+            margin = rhs - b(es * t / div)
+            if margin < worst:
+                worst, worst_pt = margin, (s, t)
+            if margin < -1e-9 * (1.0 + rhs):
+                holds = False
+    return LemmaGridVerdict(holds, worst, worst_pt, c,
+                            grid=f"{count}x{count} log grid on [{lo:g},{hi:g}]^2")
+
+
+LEMMA_FAMILIES = st.one_of(
+    st.builds(oz.Power, st.floats(1.0, 3.0)),
+    st.builds(oz.PowerLog, st.floats(1.0, 3.0), st.floats(0.0, 1.5)),
+    st.builds(oz.Exp, st.floats(0.5, 2.0)),
+    st.floats(1.0, 3.0).map(lambda p: oz.Custom(lambda t: t ** p if t < 1e100 else INF,
+                                                label="black box")),
+)
+LEMMA_CONJUGATES = [(oz.Power(2), 3), (oz.Power(1.5), 2), (oz.PowerLog(2, 1), 3)]
+
+
+@functools.lru_cache(maxsize=None)
+def lemma_conjugate(j):
+    return oz.sobolev_conjugate(*LEMMA_CONJUGATES[j])
+
+
+class TestLemmaGridMatchesPointLoop:
+    @settings(max_examples=40, deadline=None)
+    @given(a=LEMMA_FAMILIES, b=LEMMA_FAMILIES, env=ENVELOPES,
+           f=st.one_of(st.integers(0, len(LEMMA_CONJUGATES) - 1), LEMMA_FAMILIES),
+           c=st.sampled_from([0.0, 0.5]), count=st.integers(2, 40),
+           lo=st.floats(-4.0, -1.0), hi=st.floats(0.0, 4.0))
+    def test_matches(self, a, b, env, f, c, count, lo, hi):
+        if isinstance(f, int):  # the product bound's row, s -> (E(s), c + A_n(s))
+            conj, div = lemma_conjugate(f), 2.0
+            rows = (lambda s: (env.values(s), c + conj.an_values(s)),
+                    lambda s: (env(s), c + conj.an_value(s)))
+        else:  # the split bound's row, s -> (E(s), F(s))
+            div, c = 1.0, 0.0
+            rows = (lambda s: (env.values(s), f.values(s)), lambda s: (env(s), f(s)))
+        got = _lemma_grid(a, b, rows[0], div, c, 10.0 ** lo, 10.0 ** hi, count)
+        ref = ref_lemma_grid(a, b, rows[1], div, c, 10.0 ** lo, 10.0 ** hi, count)
+        assert (got.holds, got.additive_constant, got.grid) == \
+            (ref.holds, ref.additive_constant, ref.grid)
+        if not math.isfinite(ref.worst_margin):
+            assert (got.worst_margin, got.worst_point) == (ref.worst_margin, ref.worst_point)
+            return
+
+        def margin_at(s, t):  # the reference's arithmetic at one point
+            es, r = rows[1](s)
+            return r + a(t) - b(es * t / div), max(r + a(t), b(es * t / div))
+
+        # the array and the scalar evaluations differ in the last bits, so the
+        # margin agrees to 1e-12 of the larger side, and a point whose margin
+        # ties with the minimum to that much may take the witness
+        tol = 1e-12 * margin_at(*ref.worst_point)[1]
+        assert abs(got.worst_margin - ref.worst_margin) <= tol
+        assert got.worst_point == ref.worst_point or \
+            margin_at(*got.worst_point)[0] - ref.worst_margin <= tol
 
 
 class TestConjugateRatioNearZero:

@@ -611,12 +611,21 @@ class TestDelta2:
 
     def test_custom_grid_probe(self):
         y = oz.Custom(lambda t: t * math.exp(t), label="texp")
-        assert not oz.check_delta2(y, oz.Regime.near_infinity()).holds
+        v = oz.check_delta2(y, oz.Regime.near_infinity())
+        # the probe stops at the first point where A(2t) overflows
+        assert not v.holds and v.witness == 352.26946514731014
         assert oz.check_delta2(oz.Custom(lambda t: 5 * t * t, label="sq"),
                                oz.Regime.everywhere()).holds
 
 
 class TestEquivalence:
+    def test_black_box_overflow_stops_the_sandwich(self):
+        # each trial constant stops at its first failing point, before
+        # t e^t overflows the float range further up the grid
+        v = oz.equivalent(oz.Power(2), oz.Custom(lambda t: t * math.exp(t), label="texp"),
+                          oz.Regime.near_infinity())
+        assert v.status == "indeterminate" and v.witness == 31.622776601683793
+
     def test_scaling_constant(self):
         v = oz.equivalent(oz.Power(2), oz.Power(2, scale=3.0),
                           oz.Regime.everywhere())
