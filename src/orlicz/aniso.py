@@ -65,10 +65,11 @@ class Isotropic(NDimYoung):
     n: int = 2
 
     def __call__(self, xi) -> float:
-        xi = np.asarray(xi, dtype=float)
-        if np.any(np.isinf(xi)):
+        xi = np.asarray(xi, dtype=float).ravel(order="K")
+        r2 = float(xi.dot(xi))  # np.linalg.norm(xi) squared, bit for bit
+        if not r2 < INF and np.isinf(xi).any():  # inf, or inf and nan
             return INF
-        return self.a(float(np.linalg.norm(xi)))
+        return self.a(math.sqrt(r2))
 
     def values(self, points) -> np.ndarray:
         points = np.asarray(points, dtype=float)
@@ -128,18 +129,20 @@ class LinearImage(NDimYoung):
     n: int
 
     def __post_init__(self):
-        for m, _ in self.terms:
-            m = np.asarray(m, dtype=float)
+        mats = tuple(np.asarray(m, dtype=float) for m, _ in self.terms)
+        for m in mats:
             if m.shape != (self.n, self.n) or abs(np.linalg.det(m)) < 1e-14:
                 raise YoungError("linear-image matrices must be square and nonsingular")
+        object.__setattr__(self, "_mats", mats)  # read on every call
 
     def __call__(self, xi) -> float:
         xi = np.asarray(xi, dtype=float)
         if np.any(np.isinf(xi)):
             return INF
         total = 0.0
-        for m, a in self.terms:
-            v = a(float(np.linalg.norm(np.asarray(m) @ xi)))
+        for m, (_, a) in zip(self._mats, self.terms):
+            w = m @ xi
+            v = a(math.sqrt(float(w.dot(w))))  # np.linalg.norm, bit for bit
             if v == INF:
                 return INF
             total += v
@@ -150,9 +153,9 @@ class LinearImage(NDimYoung):
         gone = np.isinf(pts).any(axis=1)
         pts[gone] = 0.0
         out = np.zeros(len(pts))
-        for m, a in self.terms:
+        for m, (_, a) in zip(self._mats, self.terms):
             with np.errstate(over="ignore", invalid="ignore"):  # huge rows read inf
-                r = np.linalg.norm(pts @ np.asarray(m, dtype=float).T, axis=1)
+                r = np.linalg.norm(pts @ m.T, axis=1)
             out += a.values(r)
         out[gone] = INF
         return out
@@ -506,9 +509,11 @@ class ThetaSolver:
     log-space root finder on the ratio Phi_n / Phi(xi / E): they search
     theta >= the smallest scale with E > 0, read a right side below the
     smallest normal float as 0, and stop once the bracket is within 1e-13
-    of its upper end.  A root above 2**120 max(that scale, 1) fails to
-    bracket and a theta whose sides differ by more than 1e-6 (1 + Phi_n)
-    fails the residual check; both raise YoungError.
+    of its upper end: ``solve`` by the scalar finder on plain floats,
+    ``solve_many`` by the batched one, each checking the sides its search
+    reads.  A root above 2**120 max(that scale, 1) fails to bracket and a
+    theta whose sides differ by more than 1e-6 (1 + Phi_n) fails the
+    residual check; both raise YoungError.
     """
 
     _TINY = np.finfo(float).tiny  # the smallest normal float
@@ -546,36 +551,40 @@ class ThetaSolver:
         return out
 
     @staticmethod
-    def _check(xis: np.ndarray, lhs: np.ndarray, rhs: np.ndarray, unbracketed):
-        """Raise for the first row of ``xis`` whose theta does not solve it:
-        one of the rows ``unbracketed``, or one whose sides ``lhs`` and
-        ``rhs`` at its theta fail the residual check."""
+    def _check_one(xi: np.ndarray, lhs: float, rhs: float, unbracketed: bool):
+        """Raise if the root is ``unbracketed`` or ``lhs``, ``rhs`` fail the residual check."""
+        if unbracketed:
+            raise YoungError(f"failed to bracket the theta root at xi={xi!r}")
+        if math.isfinite(lhs) and math.isfinite(rhs) and abs(lhs - rhs) > 1e-6 * (1.0 + lhs):
+            raise YoungError(f"theta residual too large at xi={xi!r}: {lhs} vs {rhs}")
+
+    @classmethod
+    def _check(cls, xis: np.ndarray, lhs: np.ndarray, rhs: np.ndarray, unbracketed):
+        """``_check_one`` on the first failing row of ``xis``; rows ``unbracketed`` fail."""
         with np.errstate(invalid="ignore"):
             bad = (np.isfinite(lhs) & np.isfinite(rhs)
                    & (np.abs(lhs - rhs) > 1e-6 * (1.0 + lhs)))
         bad[unbracketed] = True
         if bad.any():
             i = int(np.argmax(bad))
-            xi = xis[i]
-            if i in unbracketed:
-                raise YoungError(f"failed to bracket the theta root at xi={xi!r}")
-            raise YoungError(f"theta residual too large at xi={xi!r}: "
-                             f"{float(lhs[i])} vs {float(rhs[i])}")
+            cls._check_one(xis[i], float(lhs[i]), float(rhs[i]), i in unbracketed)
 
     def solve(self, xi) -> float:
         xi = np.asarray(xi, dtype=float)
-        if not np.any(xi):
+        if not xi.any():
             return 0.0
-        an = self.conj.an_value
-        lo0, cap = self._t_pos, self._cap
+        an, envelope, phi, lo0 = self.conj.an_value, self.envelope, self.phi, self._t_pos
+
+        def rhs(t: float) -> float:
+            e = envelope(t)
+            r = phi(xi / e) if e > 0.0 else INF
+            return 0.0 if r < self._TINY else r
 
         def ratio(t: float) -> float:
             # increasing in t, and below 1 exactly where an < rhs
             if t < lo0:
                 return 0.0
-            e = self.envelope(t)
-            a, r = an(t), (self.phi(xi / e) if e > 0.0 else INF)
-            r = 0.0 if r < self._TINY else r
+            a, r = an(t), rhs(t)
             return a / r if a < r or 0.0 < r < INF else INF
 
         if lo0 > 0.0 and ratio(lo0) >= 1.0:
@@ -583,8 +592,7 @@ class ThetaSolver:
             return lo0
         lo, hi = _log_root(ratio, 1.0, True, rel_tol=1e-13)
         theta = 0.5 * (lo + hi)
-        self._check(xi[None], np.array([an(theta)]),
-                    self._rhs_many(xi[None], np.array([theta])), [0] if hi > cap else [])
+        self._check_one(xi, an(theta), rhs(theta), hi > self._cap)
         return theta
 
     def solve_many(self, xis) -> np.ndarray:

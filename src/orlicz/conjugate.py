@@ -342,7 +342,8 @@ class HnTable:
             self._I_total = math.exp(self._lnI[-1]) + tail
         self.limit = (self._I_total ** (1.0 / self.nprime)
                       if self._I_total != INF else INF)
-        # plain-float copies of the table ends for the scalar paths
+        # plain-float copies of the knots and the table ends for the scalar paths
+        self._x_list = self._cubic._x
         self._x_lo, self._x_hi = float(self._xs[0]), float(self._xs[-1])
         self._lnH_lo, self._lnH_hi = float(self._lnH[0]), float(self._lnH[-1])
         self._lnI_lo = float(self._lnI[0])
@@ -370,11 +371,9 @@ class HnTable:
         x = math.log(s)
         if x < self._x_lo:
             return self(s)
-        j = int(np.searchsorted(self._xs, x, side="right")) - 1
-        j = min(j, len(self._xs) - 1)
+        j = bisect_right(self._x_list, x) - 1
         base = math.exp(self._lnI[j])
-        inc = _quad_interval(_in_log_variable(self._g),
-                             float(self._xs[j]), x, rel=1e-11)
+        inc = _quad_interval(_in_log_variable(self._g), self._x_list[j], x, rel=1e-11)
         if inc == INF:
             return INF
         total = base + inc
@@ -383,7 +382,20 @@ class HnTable:
         return total ** (1.0 / self.nprime)
 
     # -- inverse -----------------------------------------------------------
+    @cached_property
+    def _lnH_list(self) -> list:  # made on the first scalar inverse, not by a build
+        return self._lnH.tolist()
+
+    def _chord(self, lt: float) -> float:
+        """``np.interp(lt, lnH, xs)`` inside the table, bit for bit, on plain floats."""
+        xs, lnH = self._x_list, self._lnH_list
+        j = bisect_right(lnH, lt) - 1
+        if lt == lnH[j]:
+            return xs[j]
+        return (xs[j + 1] - xs[j]) / (lnH[j + 1] - lnH[j]) * (lt - lnH[j]) + xs[j]
+
     def inverse(self, t: float) -> float:
+        """H^{-1}(t): closed forms beyond the table ends, Newton from ``_chord`` inside."""
         if t <= 0.0:
             return 0.0
         if self.limit != INF and t >= self.limit:
@@ -398,7 +410,7 @@ class HnTable:
                 return INF
             x = self._x_hi + (lt - self._lnH_hi) / self._tail_slope
             return INF if x > 700.0 else math.exp(x)
-        x = float(np.interp(lt, self._lnH, self._xs))
+        x = self._chord(lt)
         at = self._cubic.at
         for _ in range(12):
             fx, dfx = at(x)
@@ -412,8 +424,8 @@ class HnTable:
         return math.exp(x)
 
     def inverse_many(self, ts) -> np.ndarray:
-        """``inverse`` on an array: the same branches, and the same Newton
-        iteration run on the entries that have not yet stopped."""
+        """``inverse`` on an array: the same branches, chord start and Newton
+        iteration, run on the entries that have not yet stopped."""
         ts = np.asarray(ts, dtype=float)
         t = ts.ravel()
         out = np.zeros(t.shape)

@@ -686,3 +686,182 @@ class TestThetaMany:
         got = phi.values(pts)
         for g, want in zip(got.tolist(), [phi(p) for p in pts]):
             assert g == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+# rows whose norm is 0, inf, nan or overflows; a test keeps their first n entries
+EDGE_ROWS = [[0.0, 0.0, 0.0], [-0.0, 0.0, 0.0], [INF, 0.0, 1.0], [-INF, math.nan, 0.0],
+             [math.nan, INF, 1.0], [math.nan, 1.0, 0.0], [1e200, 0.0, 0.0],
+             [1e200, -1e200, 1e200], [1e-200, 0.0, 3e-300]]
+
+
+def same(a: float, b: float) -> bool:
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+def ref_isotropic(phi, xi) -> float:
+    """The former ``Isotropic.__call__``."""
+    xi = np.asarray(xi, dtype=float)
+    return INF if np.any(np.isinf(xi)) else phi.a(float(np.linalg.norm(xi)))
+
+
+def ref_linear_image(phi, xi) -> float:
+    """The former ``LinearImage.__call__``."""
+    xi = np.asarray(xi, dtype=float)
+    if np.any(np.isinf(xi)):
+        return INF
+    total = 0.0
+    for m, a in phi.terms:
+        v = a(float(np.linalg.norm(np.asarray(m) @ xi)))
+        if v == INF:
+            return INF
+        total += v
+    return total
+
+
+class TestPlainFloatNorms:
+    """The scalar norms read as ``sqrt(x.dot(x))`` against ``np.linalg.norm``,
+    bit for bit, with the inf rule unchanged."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(["power", "power_log", "exp"]), n=st.sampled_from([1, 2, 3]),
+           rows=st.lists(st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3),
+                         max_size=12))
+    def test_isotropic(self, kind, n, rows):
+        make = {"power": lambda: oz.Power(2.5), "power_log": lambda: oz.PowerLog(2, 1),
+                "exp": lambda: oz.Exp(1.0)}
+        phi = oz.Isotropic(make[kind](), n)
+        for row in EDGE_ROWS + rows:
+            xi = np.array(row[:n])
+            with np.errstate(over="ignore"):  # the 1e200 rows overflow the dot
+                assert same(phi(xi), ref_isotropic(phi, xi))
+
+    @settings(max_examples=40, deadline=None)
+    @given(angles=st.tuples(st.floats(0.0, math.pi), st.floats(0.0, math.pi),
+                            st.floats(0.0, math.pi)),
+           stretch=st.tuples(st.floats(0.2, 5.0), st.floats(0.2, 5.0), st.floats(0.2, 5.0)),
+           n=st.sampled_from([2, 3]),
+           rows=st.lists(st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3),
+                         max_size=12))
+    def test_linear_image(self, angles, stretch, n, rows):
+        m = np.diag(stretch[:n]) @ rotation(angles[:1] if n == 2 else angles)
+        phi = oz.LinearImage(((m, oz.Power(2.5)), (m.T.tolist(), oz.PowerLog(2, 1))), n)
+        for row in EDGE_ROWS + rows:
+            xi = np.array(row[:n])
+            with np.errstate(over="ignore"):
+                assert same(phi(xi), ref_linear_image(phi, xi))
+
+
+def check_message(check, *args):
+    """The message of the YoungError ``check(*args)`` raises, or None."""
+    try:
+        check(*args)
+    except oz.YoungError as err:
+        return str(err)
+    return None
+
+
+class TestScalarTheta:
+    """``solve`` reads its sides on plain floats: its residual check against
+    the one-row check it replaces, and its work."""
+
+    @staticmethod
+    def gated_solver():
+        # the conjugate stays below 1 and then jumps to +inf: large xi fail
+        # the residual check (as in test_saturating_conjugate_raises_the_same_error)
+        gated = Piecewise(breaks=(1.0,), branches=(lambda t: t * t, lambda t: INF),
+                          jump=1.0, zero=GrowthOrder(2.0),
+                          inf_=GrowthOrder(0.0, family="jump"))
+        solver = oz.ThetaSolver(oz.Isotropic(oz.Power(2), 3), oz.Envelope.one(), 3)
+        solver.conj = oz.sobolev_conjugate(gated, 3)
+        return solver
+
+    @pytest.mark.parametrize("case", ["ordinary", "plateau", "subnormal", "residual",
+                                      "unbracketed", "decaying"])
+    def test_check_raises_as_the_row_check(self, case, monkeypatch):
+        solver, xi = {
+            "ordinary": lambda: (iso_solver("log_power"), [0.3, -2.0, 0.5]),
+            "plateau": lambda: (iso_solver("power"), [1e-60, 0.0, 0.0]),
+            "subnormal": lambda: (iso_solver("one"), [1e-158, 0.0, 0.0]),
+            "residual": lambda: (self.gated_solver(), [2.0, 0.0, 0.0]),
+            "unbracketed": lambda: (iso_solver("one"), [1e120, 0.0, 0.0]),
+            "decaying": lambda: (oz.ThetaSolver(iso_solver("one").phi,
+                                                lambda t: (1.0 + t) ** -10.0, 3,
+                                                conj=iso_solver("one").conj), [1.0, 0.0, 0.0]),
+        }[case]()
+        xi = np.array(xi)
+        brackets = []
+        log_root = aniso._log_root
+
+        def recording(*args, **kwargs):
+            brackets.append(log_root(*args, **kwargs))
+            return brackets[-1]
+
+        monkeypatch.setattr(aniso, "_log_root", recording)
+        with np.errstate(over="ignore"):
+            got = check_message(solver.solve, xi)
+        if case == "plateau":  # the plateau-edge exit: no search and no check
+            assert not brackets and got is None
+            return
+        lo, hi = brackets[-1]
+        theta = 0.5 * (lo + hi)
+        with np.errstate(over="ignore"):  # the former check of ``solve``
+            want = check_message(solver._check, xi[None], np.array([solver.conj.an_value(theta)]),
+                                 solver._rhs_many(xi[None], np.array([theta])),
+                                 [0] if hi > solver._cap else [])
+        assert got == want
+        assert (got is None) == (case in ("ordinary", "subnormal"))
+
+    @settings(max_examples=60, deadline=None)
+    @given(env_name=st.sampled_from(sorted(ENVELOPES)),
+           xi=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(0.1, 1.0),
+                        st.floats(-4.0, 3.0)),
+           shift=st.floats(-9.0, -3.0), sign=st.sampled_from([-1.0, 1.0]),
+           unbracketed=st.booleans())
+    def test_check_one_near_the_residual_bound(self, env_name, xi, shift, sign, unbracketed):
+        # theta moved off the root by 1e-9 .. 1e-3 of itself: the residual
+        # bound 1e-6 (1 + Phi_n) falls inside that range
+        solver = iso_solver(env_name)
+        xi = np.array(xi[:3]) * 10.0 ** xi[3]
+        theta = solver.solve(xi) * (1.0 + sign * 10.0 ** shift)
+        lhs = solver.conj.an_value(theta)
+        rhs = solver._rhs_many(xi[None], np.array([theta]))
+        got = check_message(solver._check_one, xi, lhs, float(rhs[0]), unbracketed)
+        want = check_message(solver._check, xi[None], np.array([lhs]), rhs,
+                             [0] if unbracketed else [])
+        assert got == want
+
+    @pytest.mark.parametrize("env_name", sorted(ENVELOPES))
+    def test_one_conjugate_value_per_step_and_no_rows(self, env_name, monkeypatch):
+        solver = iso_solver(env_name)
+        calls = {"an_value": 0, "ratio": 0, "_rhs_many": 0, "values": 0}
+
+        def counting(owner, name):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        counting(type(solver.conj), "an_value")
+        counting(oz.ThetaSolver, "_rhs_many")
+        counting(oz.Isotropic, "values")
+        log_root = aniso._log_root
+
+        def steps(fn, *args, **kwargs):
+            def ratio(t):
+                # a step below the smallest scale with E > 0 reads no side
+                calls["ratio"] += t >= solver._t_pos
+                return fn(t)
+            return log_root(ratio, *args, **kwargs)
+
+        monkeypatch.setattr(aniso, "_log_root", steps)
+        edge = solver._t_pos > 0.0  # the plateau-edge test is one more step
+        for xi in CRITERION_6_XIS[::50] + [np.array([r, 0.0, -r]) for r in (1e-30, 1e-3, 1e3)]:
+            calls.update(dict.fromkeys(calls, 0))
+            theta = solver.solve(xi)
+            if edge and theta == solver._t_pos:
+                continue  # the plateau-edge exit: one step, no search, no check
+            assert calls["an_value"] == calls["ratio"] + edge + 1
+            assert calls["_rhs_many"] == calls["values"] == 0

@@ -5,6 +5,7 @@ import math
 import pathlib
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -315,6 +316,72 @@ class TestArrayPaths:
         ts = np.geomspace(1e-3, 1e3, 12).reshape(3, 4)
         assert conj.hn.inverse_many(ts).shape == (3, 4)
         assert conj.an_values(ts).shape == (3, 4)
+
+
+# the bases whose tables the plain-float reads are checked on, at n = 2 and 3
+PLAIN_BASES = {"power": oz.Power(1.5), "power_log": oz.PowerLog(2, 1), "exp": oz.Exp(1.0)}
+
+
+@functools.lru_cache(maxsize=None)
+def plain_table(name: str, n: int) -> HnTable:
+    return oz.sobolev_conjugate(PLAIN_BASES[name], n).hn
+
+
+plain_tables = pytest.mark.parametrize("name, n", [(k, n) for k in sorted(PLAIN_BASES)
+                                                   for n in (2, 3)])
+
+
+class TestPlainFloatReads:
+    """The scalar table reads on plain floats against the numpy calls they
+    replace, bit for bit."""
+
+    @plain_tables
+    def test_chord_start_is_np_interp(self, name, n):
+        hn = plain_table(name, n)
+        rng = np.random.default_rng(7)
+        lo, hi = hn._lnH_lo, hn._lnH_hi
+        lts = np.concatenate([rng.uniform(lo, hi, 4000), hn._lnH,  # every knot exactly
+                              [np.nextafter(lo, INF), np.nextafter(hi, -INF)]])
+        for lt in lts.tolist():
+            assert hn._chord(lt) == float(np.interp(lt, hn._lnH, hn._xs))
+
+    @plain_tables
+    def test_inverse_many_matches_inverse_bit_for_bit(self, name, n, monkeypatch):
+        # the paths differ only in their exp and log: libm's in one, numpy's
+        # in the other, which may round the last bit differently (numpy's
+        # AVX-512 exp does); with numpy's in both they must agree exactly
+        hn = plain_table(name, n)
+        rng = np.random.default_rng(11)
+        ts = np.concatenate([10.0 ** rng.uniform(-30.0, 30.0, 4000),  # head, core, tail
+                             np.exp(hn._lnH), [hn.limit, 0.0, -1.0]])
+        want = hn.inverse_many(ts).tolist()
+        monkeypatch.setattr(conjugate, "math", types.SimpleNamespace(
+            log=lambda x: float(np.log(x)), exp=lambda x: float(np.exp(x))))
+        assert [hn.inverse(t) for t in ts.tolist()] == want
+        lts = np.log(ts[(ts > 0.0) & (ts < hn.limit)])
+        assert (lts < hn._lnH_lo).any() and ((lts >= hn._lnH_lo) & (lts <= hn._lnH_hi)).any()
+        # a saturating table ends at its limit: it has no tail branch
+        assert (lts > hn._lnH_hi).any() or hn.limit != INF
+
+    @plain_tables
+    def test_refined_reads_the_searchsorted_panel(self, name, n, monkeypatch):
+        hn = plain_table(name, n)
+        starts = []
+        quad = conjugate._quad_interval
+
+        def recording(f, a, b, rel):
+            starts.append(a)
+            return quad(f, a, b, rel=rel)
+
+        monkeypatch.setattr(conjugate, "_quad_interval", recording)
+        rng = np.random.default_rng(13)
+        xs = np.concatenate([rng.uniform(hn._x_lo, hn._x_hi + 5.0, 40), hn._xs[::40],
+                             [hn._x_lo, hn._x_hi]])
+        for x in xs.tolist():
+            starts.clear()
+            hn.refined(math.exp(x))
+            j = int(np.searchsorted(hn._xs, math.log(math.exp(x)), side="right")) - 1
+            assert starts == [float(hn._xs[min(j, len(hn._xs) - 1)])]
 
 
 # ---------------------------------------------------------------------------
