@@ -27,7 +27,8 @@ from .modular import (
     modular_integral_gradient,
     w1a_quantities,
 )
-from .young import INF, PowerExp, YoungError, YoungFunction, _log_root
+from .young import (INF, IndeterminateError, PowerExp, YoungError, YoungFunction,
+                    _log_root_many)
 
 
 class PreconditionError(YoungError):
@@ -546,33 +547,55 @@ class PoincareReport:
         return math.isfinite(self.c_star) and self.drift <= tol
 
 
+def _poincare_constants(rows: Sequence[tuple], conj: SobolevConjugate) -> np.ndarray:
+    """The smallest c with int A_n(|u| / (c R^{1/n})) <= R, R the gradient
+    modular, for every (u, box, nodes) of ``rows`` on its tensor Gauss rule,
+    to 1e-6 relative.  All rows share one ``young._log_root_many`` search on
+    s = 1/c, where each left side increases; a c where it equals R exactly
+    ends its row.  Each step makes one ``an_values`` call over the distinct
+    |u| values of the rows still open and gathers them back onto each grid,
+    which gives the full grid's left side bit for bit, since ``an_values``
+    works entry by entry.  The search is held to c in [1e-12, 1e18]: a
+    constant above 1e18 reads inf, one below 1e-12 reads 1e-12.  A zero
+    field (R <= 0) reads 0; a nan or infinite R, or a nan |u| value, raises
+    IndeterminateError."""
+    out = np.zeros(len(rows))
+    live, levels, grids = [], [], []
+    for i, (u, box, nodes) in enumerate(rows):
+        pts, w = tensor_rule(box.lower, box.upper, nodes)
+        uvals = np.abs(u.values(pts))
+        r_mod = float(np.dot(w, conj.base.values(np.linalg.norm(u.gradients(pts), axis=1))))
+        if not r_mod < INF or np.isnan(uvals).any():
+            raise IndeterminateError("Poincare grid holds a nan field value or a nan or "
+                                     "infinite gradient modular")
+        if r_mod <= 0.0:
+            continue
+        live.append(i)
+        levels.append(r_mod)
+        grids.append((*np.unique(uvals, return_inverse=True), w, r_mod ** (1.0 / box.n)))
+
+    def lhs(s: np.ndarray, act: np.ndarray) -> np.ndarray:
+        f = np.where(s > 1e12, INF, 0.0)
+        go = np.flatnonzero((s >= 1e-18) & (s <= 1e12))
+        if go.size:
+            open_grids = [grids[r] for r in act[go]]
+            vals = conj.an_values(np.concatenate(
+                [uq * (s[j] / scale) for j, (uq, _, _, scale) in zip(go, open_grids)]))
+            cuts = np.cumsum([g[0].size for g in open_grids])[:-1]
+            for j, (_, inv, w, _), v in zip(go, open_grids, np.split(vals, cuts)):
+                f[j] = INF if np.any(np.isinf(v)) else float(np.dot(w, v[inv]))
+        return f
+
+    lo = _log_root_many(lhs, levels, True, rel_tol=1e-6)[0]
+    with np.errstate(divide="ignore"):
+        out[live] = np.where(lo < 1e-18, INF, 1.0 / lo)
+    return out
+
+
 def _poincare_constant(u: TestFunction, box: BoxDomain, conj: SobolevConjugate,
                        nodes: int) -> float:
-    """Smallest c with int A_n(|u| / (c R^{1/n})) <= R, R the gradient
-    modular, to 1e-6 relative by ``young._log_root`` on s = 1/c, where the
-    left side increases; a c where it equals R exactly ends the search.  The
-    search is held to c in [1e-12, 1e18]: a constant above 1e18 reads inf,
-    one below 1e-12 reads 1e-12."""
-    n = box.n
-    pts, w = tensor_rule(box.lower, box.upper, nodes)
-    uvals = np.abs(u.values(pts))
-    r_mod = float(np.dot(w, conj.base.values(np.linalg.norm(u.gradients(pts), axis=1))))
-    if r_mod <= 0.0:
-        return 0.0
-    scale = r_mod ** (1.0 / n)
-
-    def lhs(s: float) -> float:
-        if s < 1e-18:
-            return 0.0
-        if s > 1e12:
-            return INF
-        vals = conj.an_values(uvals * (s / scale))
-        if np.any(np.isinf(vals)):
-            return INF
-        return float(np.dot(w, vals))
-
-    lo = _log_root(lhs, r_mod, True, rel_tol=1e-6)[0]
-    return INF if lo < 1e-18 else 1.0 / lo
+    """``_poincare_constants`` for one field on one rule."""
+    return float(_poincare_constants([(u, box, nodes)], conj)[0])
 
 
 def poincare_probe(corpus: Sequence[tuple], a: YoungFunction, n: int,
@@ -581,20 +604,19 @@ def poincare_probe(corpus: Sequence[tuple], a: YoungFunction, n: int,
     hold for each compactly supported field, and check grid stability.
 
     ``corpus`` holds (TestFunction, BoxDomain) pairs; fields vanish on the
-    box boundary.  The corpus maximum must be finite and move by at most a
-    few percent under quadrature refinement.
+    box boundary.  Every field is solved on ``nodes`` and on ``2 * nodes``
+    points per axis, all of them in one batched search; a zero field reads
+    0 and is left out of the maxima.  The corpus maximum must be finite and
+    move by at most a few percent under quadrature refinement.
     """
+    if any(box.n != n for _, box in corpus):
+        raise YoungError("corpus domain dimension mismatch")
     conj = sobolev_conjugate(a, n)
-    cs, cs_ref = [], []
-    for u, box in corpus:
-        if box.n != n:
-            raise YoungError("corpus domain dimension mismatch")
-        cs.append(_poincare_constant(u, box, conj, nodes))
-        cs_ref.append(_poincare_constant(u, box, conj, 2 * nodes))
-    nonzero = [c for c in cs if c > 0.0]
-    nonzero_ref = [c for c in cs_ref if c > 0.0]
+    cs = _poincare_constants([(u, box, k) for u, box in corpus
+                              for k in (nodes, 2 * nodes)], conj).reshape(-1, 2)
+    # constants are 0 or positive, so the maxima skip the zero fields
     return PoincareReport(
-        constants=tuple(cs),
-        c_star=max(nonzero) if nonzero else 0.0,
-        c_star_refined=max(nonzero_ref) if nonzero_ref else 0.0,
+        constants=tuple(cs[:, 0].tolist()),
+        c_star=float(cs[:, 0].max(initial=0.0)),
+        c_star_refined=float(cs[:, 1].max(initial=0.0)),
     )

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -732,8 +733,9 @@ class TestPlainFloatNorms:
         phi = oz.Isotropic(make[kind](), n)
         for row in EDGE_ROWS + rows:
             xi = np.array(row[:n])
-            with np.errstate(over="ignore"):  # the 1e200 rows overflow the dot
-                assert same(phi(xi), ref_isotropic(phi, xi))
+            got = phi(xi)
+            with np.errstate(over="ignore"):  # the 1e200 rows overflow the former dot
+                assert same(got, ref_isotropic(phi, xi))
 
     @settings(max_examples=40, deadline=None)
     @given(angles=st.tuples(st.floats(0.0, math.pi), st.floats(0.0, math.pi),
@@ -747,8 +749,47 @@ class TestPlainFloatNorms:
         phi = oz.LinearImage(((m, oz.Power(2.5)), (m.T.tolist(), oz.PowerLog(2, 1))), n)
         for row in EDGE_ROWS + rows:
             xi = np.array(row[:n])
+            got = phi(xi)
             with np.errstate(over="ignore"):
-                assert same(phi(xi), ref_linear_image(phi, xi))
+                assert same(got, ref_linear_image(phi, xi))
+
+
+HUGE_ROWS = [[1e200, 1e200], [1e308, -1e308], [1e200, 0.0, -1e200], [1e160, 1e160, 1e160]]
+
+
+def quietly(fn, *args):
+    """``fn(*args)`` with every RuntimeWarning raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        return fn(*args)
+
+
+class TestQuietOverflow:
+    """A row whose squared norm overflows reads inf, without a warning, on
+    the scalar and the array path of both norm-based kinds."""
+
+    @staticmethod
+    def linear_image(n):
+        m = np.array([[2.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.5, 3.0]])[:n, :n]
+        return oz.LinearImage(((np.eye(n), oz.Power(2)), (m, oz.Power(1.5))), n)
+
+    @pytest.mark.parametrize("row", HUGE_ROWS)
+    def test_isotropic_call(self, row):
+        assert quietly(oz.Isotropic(oz.Power(2), len(row)), np.array(row)) == INF
+
+    @pytest.mark.parametrize("row", HUGE_ROWS)
+    def test_isotropic_values(self, row):
+        phi = oz.Isotropic(oz.Power(2), len(row))
+        assert quietly(phi.values, np.array([row, [0.0] * len(row)])).tolist() == [INF, 0.0]
+
+    @pytest.mark.parametrize("row", HUGE_ROWS)
+    def test_linear_image_call(self, row):
+        assert quietly(self.linear_image(len(row)), np.array(row)) == INF
+
+    @pytest.mark.parametrize("row", HUGE_ROWS)
+    def test_linear_image_values(self, row):
+        phi = self.linear_image(len(row))
+        assert quietly(phi.values, np.array([row, [0.0] * len(row)])).tolist() == [INF, 0.0]
 
 
 def check_message(check, *args):

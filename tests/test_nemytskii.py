@@ -9,21 +9,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orlicz as oz
-from orlicz import corpus
+from orlicz import corpus, nemytskii
 from orlicz._quad import tensor_rule
+from orlicz.conjugate import SobolevConjugate
 from orlicz.corpus import interval_vanishing_corpus
 from orlicz.modular import constant_function, sup_norm
 from orlicz.nemytskii import (
     LemmaGridVerdict,
     _lemma_grid,
     _poincare_constant,
+    _poincare_constants,
     abs_shift_spec,
     counterexample_run,
     identity_spec,
     signed_square_spec,
     singular_log_field,
 )
-from orlicz.young import INF, _numeric_inverse
+from orlicz.young import INF, _log_root, _numeric_inverse
 
 UNIT_1D = oz.BoxDomain.interval(0.0, 1.0)
 
@@ -561,3 +563,133 @@ class TestPoincareSearch:
         got = _poincare_constant(u, box, conj, nodes)
         assert got == ref or math.isclose(got, ref, rel_tol=2e-6)
 
+
+def scalar_poincare_constant(u, box, conj, nodes):
+    """The former per-field search: one scalar ``_log_root`` over the full grid."""
+    pts, w = tensor_rule(box.lower, box.upper, nodes)
+    uvals = np.abs(u.values(pts))
+    r_mod = float(np.dot(w, conj.base.values(np.linalg.norm(u.gradients(pts), axis=1))))
+    if r_mod <= 0.0:
+        return 0.0
+    scale = r_mod ** (1.0 / box.n)
+
+    def lhs(s):
+        if s < 1e-18:
+            return 0.0
+        if s > 1e12:
+            return INF
+        vals = conj.an_values(uvals * (s / scale))
+        return INF if np.any(np.isinf(vals)) else float(np.dot(w, vals))
+
+    lo = _log_root(lhs, r_mod, True, rel_tol=1e-6)[0]
+    return INF if lo < 1e-18 else 1.0 / lo
+
+
+def agrees(got, ref):
+    """Bit for bit, or within 2e-6 where np.exp and math.exp round apart."""
+    return got == ref or math.isclose(got, ref, rel_tol=2e-6)
+
+
+def bad_gradient(u, bad):
+    """``u`` with one gradient entry set to ``bad``."""
+    def gradients(X):
+        g = np.array(u.gradients(X))
+        g[len(g) // 2, 0] = bad
+        return g
+    return oz.TestFunction.from_batch(u.values, gradients, f"{bad}-gradient")
+
+
+class TestBatchedPoincare:
+    """The probe's one batched search against a scalar search per field."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(j=st.integers(0, len(POINCARE_BASES) - 1),
+           ks=st.lists(st.integers(0, 4), min_size=1, max_size=5, unique=True),
+           scales=st.lists(st.floats(-1.0, 1.0).map(lambda e: 10.0 ** e),
+                           min_size=5, max_size=5),
+           nodes=st.sampled_from((6, 8, 12)))
+    def test_matches_scalar_searches(self, j, ks, scales, nodes):
+        a, n = POINCARE_BASES[j]
+        bumps = corpus.bump_corpus(n)
+        fields = [(bumps[k][0].scaled(scales[i]), bumps[k][1]) for i, k in enumerate(ks)]
+        rep = oz.poincare_probe(fields, a, n, nodes=nodes)
+        conj = poincare_conjugate(j)
+        ref = [scalar_poincare_constant(u, box, conj, nodes) for u, box in fields]
+        ref2 = [scalar_poincare_constant(u, box, conj, 2 * nodes) for u, box in fields]
+        assert all(agrees(got, r) for got, r in zip(rep.constants, ref))
+        assert agrees(rep.c_star, max(ref)) and agrees(rep.c_star_refined, max(ref2))
+
+    def test_gathered_left_side_is_the_full_grid(self, monkeypatch):
+        """The map the search meets reads, at any s, the left side of the full
+        grid bit for bit."""
+        conj = poincare_conjugate(1)
+        fields = corpus.bump_corpus(2)
+        rows = [(u, box, k) for u, box in fields for k in (24, 48)]
+        seen = []
+
+        def capture(fn_many, levels, exact, **kw):
+            seen.append(fn_many)
+            return np.ones(len(levels)), np.ones(len(levels))
+
+        monkeypatch.setattr(nemytskii, "_log_root_many", capture)
+        _poincare_constants(rows, conj)
+        (lhs,) = seen
+        s = 10.0 ** np.random.default_rng(15).uniform(-3.0, 3.0, 50)
+        for r, (u, box, k) in enumerate(rows):
+            pts, w = tensor_rule(box.lower, box.upper, k)
+            uvals = np.abs(u.values(pts))
+            r_mod = float(np.dot(w, conj.base.values(np.linalg.norm(u.gradients(pts), axis=1))))
+            scale = r_mod ** (1.0 / box.n)
+            got = lhs(s, np.full(s.size, r))
+            full = [float(np.dot(w, conj.an_values(uvals * (x / scale)))) for x in s]
+            assert got.tolist() == full
+
+    def test_zero_field_and_dimension_mismatch(self):
+        z = (constant_function(0.0, 2), oz.BoxDomain.unit(2))
+        bumps = corpus.bump_corpus(2, count=3)
+        rep = oz.poincare_probe(bumps[:1] + [z] + bumps[1:], oz.Power(2), 2, nodes=12)
+        alone = oz.poincare_probe(bumps, oz.Power(2), 2, nodes=12)
+        assert rep.constants == alone.constants[:1] + (0.0,) + alone.constants[1:]
+        assert (rep.c_star, rep.c_star_refined) == (alone.c_star, alone.c_star_refined)
+        assert oz.poincare_probe([z], oz.Power(2), 2, nodes=12).c_star == 0.0
+        mixed = bumps[:1] + corpus.bump_corpus(3, count=1)
+        with pytest.raises(oz.YoungError, match="dimension mismatch"):
+            oz.poincare_probe(mixed, oz.Power(2), 2, nodes=12)
+
+    def test_nan_or_infinite_modular_raises(self):
+        u, box = corpus.bump_corpus(2)[0]
+        conj = poincare_conjugate(1)
+        nan_value = oz.TestFunction.from_batch(
+            lambda X: np.where(X[:, 0] < 0.5, u.values(X), math.nan), u.gradients)
+        for v in (bad_gradient(u, math.nan), bad_gradient(u, INF), nan_value):
+            with pytest.raises(oz.IndeterminateError):
+                _poincare_constant(v, box, conj, 16)
+        with pytest.raises(oz.IndeterminateError):
+            oz.poincare_probe([(bad_gradient(u, math.nan), box)], oz.Power(2), 2, nodes=16)
+
+    def test_work(self, monkeypatch):
+        """One ``an_values`` call per search step, each over at most the
+        distinct |u| values of the rows still open."""
+        bumps = corpus.bump_corpus(2, 5)
+        distinct = [np.unique(np.abs(u.values(tensor_rule(box.lower, box.upper, k)[0]))).size
+                    for u, box in bumps for k in (24, 48)]
+        sizes, steps = [], []  # steps: (distinct values open, sizes of the step's calls)
+        real_an, real_root = SobolevConjugate.an_values, nemytskii._log_root_many
+
+        def an_values(self, ts):
+            sizes.append(np.size(ts))
+            return real_an(self, ts)
+
+        def log_root_many(fn_many, levels, exact, **kw):
+            def counted(s, rows):
+                start = len(sizes)
+                f = fn_many(s, rows)
+                steps.append((sum(distinct[r] for r in rows), sizes[start:]))
+                return f
+            return real_root(counted, levels, exact, **kw)
+
+        monkeypatch.setattr(SobolevConjugate, "an_values", an_values)
+        monkeypatch.setattr(nemytskii, "_log_root_many", log_root_many)
+        oz.poincare_probe(bumps, oz.Power(2), 2, nodes=24)
+        assert 0 < len(sizes) <= 20
+        assert all(len(made) <= 1 and sum(made) <= bound for bound, made in steps)
