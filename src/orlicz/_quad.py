@@ -5,6 +5,8 @@ it integrates many integrands that share one interval, each row with its own
 stopping rule, and evaluates every panel of every active row in one call.
 Panel sums accumulate node by node in a fixed order, so a row's result does
 not depend on which other rows share its calls, and equals the scalar rule's.
+Finiteness is checked once per panel, on its sum: only a non-finite sum is
+searched for the signs of its non-finite samples.
 """
 
 from __future__ import annotations
@@ -34,8 +36,11 @@ def _panel_sums(vals: np.ndarray, halfwidths) -> np.ndarray:
     terms = v * G15_W
     with np.errstate(invalid="ignore"):  # an inf and a -inf: set below
         total = np.cumsum(terms, axis=2, out=terms)[:, :, -1] * halfwidths
-    total[(v == -INF).any(axis=2)] = -INF
-    total[(np.isnan(v) | (v == INF)).any(axis=2)] = INF
+    bad = ~np.isfinite(total)  # a non-finite sample makes the sum non-finite
+    if bad.any():
+        vb = v[bad]
+        total[bad] = np.where((np.isnan(vb) | (vb == INF)).any(axis=1), INF,
+                              np.where((vb == -INF).any(axis=1), -INF, total[bad]))
     return total
 
 
@@ -65,12 +70,13 @@ def quad_rows(F, a: float, b: float, rel: float = 1e-10, depth: int = 14,
     xs = np.concatenate([_nodes(a, b), _nodes(a, mid), _nodes(mid, b)])
     sums = _panel_sums(np.asarray(F(xs, idx), dtype=float),
                        np.array([0.5 * (b - a), 0.5 * (mid - a), 0.5 * (b - mid)]))
-    whole = sums[:, 0]
+    whole, left, right = sums.T
     out = whole.copy()
     ok = np.isfinite(whole)
-    if ok.any():
-        out[ok] = _refine(F, idx[ok], a, b, whole[ok], sums[ok, 1], sums[ok, 2],
-                          rel, depth, np.zeros(np.count_nonzero(ok)))
+    if not ok.all():  # copies only when some row stops here
+        idx, whole, left, right = idx[ok], whole[ok], left[ok], right[ok]
+    if len(idx):
+        out[ok] = _refine(F, idx, a, b, whole, left, right, rel, depth, np.zeros(len(idx)))
     return out
 
 
@@ -82,9 +88,11 @@ def _refine(F, idx, a, b, whole, left, right, rel, depth, floor):
     go = np.isfinite(out) & ~(np.abs(out - whole) <= rel * np.abs(out) + floor)
     if depth <= 0 or not go.any():
         return out
-    sub, fl, mid = idx[go], 0.5 * floor[go], 0.5 * (a + b)
-    out[go] = _add(_split(F, sub, a, mid, left[go], rel, depth - 1, fl),
-                   _split(F, sub, mid, b, right[go], rel, depth - 1, fl))
+    if not go.all():  # copies only when some row stops here
+        idx, floor, left, right = idx[go], floor[go], left[go], right[go]
+    mid, fl = 0.5 * (a + b), 0.5 * floor
+    out[go] = _add(_split(F, idx, a, mid, left, rel, depth - 1, fl),
+                   _split(F, idx, mid, b, right, rel, depth - 1, fl))
     return out
 
 

@@ -261,16 +261,25 @@ def integrate_box(fn: Callable[[np.ndarray], np.ndarray], box: BoxDomain,
     """Nested adaptive integration of fn over the box; +inf or -inf, with
     its sign, on certified divergence toward a singular face.
 
-    ``fn`` is a batch integrand: it maps an (m, n) array of points to their
-    (m,) values.  Axis i is integrated for all points of the outer axes at
-    once, so each panel of the innermost axis is one call of ``fn``.  An
-    axis with a singular face is integrated by geometric panels toward the
-    face, for all points of the outer axes and several panels at once.
+    ``fn`` maps an (m, n) array of points to their (m,) values: this is the
+    one-row case of ``_integrate_rows``.  Axis i is integrated for all points
+    of the outer axes at once, each innermost panel in one call of ``fn``, and
+    toward a singular face by geometric panels, several at once.  Finiteness
+    is checked once per Gauss panel, on its sum.
 
     Half-infinite boxes are refused unless a truncation radius is supplied;
     the result is then the integral over the clipped box (a lower bound for
     nonnegative integrands), with the tail left to the caller's decay bound.
     """
+    return float(_integrate_rows(lambda X, P: fn(X), np.zeros(1), box, rel_tol,
+                                 truncation_radius)[0])
+
+
+def _integrate_rows(fn, params, box: BoxDomain, rel_tol: float, truncation_radius=None):
+    """The integrals of x -> fn(x, p) for each p in ``params``, one top row
+    each, in one pass; each equals its own ``integrate_box`` bit for bit.
+    ``fn(X, P)`` takes the (m, n) points and their parameters, one per point
+    or, when all points share one, a single one."""
     if not box.finite:
         if truncation_radius is None:
             raise DomainError(
@@ -282,24 +291,26 @@ def integrate_box(fn: Callable[[np.ndarray], np.ndarray], box: BoxDomain,
     n = box.n
     sing = set(box.singular_faces)
 
-    def level(i: int, prefix: np.ndarray) -> np.ndarray:
+    def level(i: int, prefix: np.ndarray, ps: np.ndarray) -> np.ndarray:
         """Integrals over axes i.. for each row of the (m, i) outer points."""
         if i == n:
-            return np.asarray(fn(prefix), dtype=float)
+            return np.asarray(fn(prefix, ps), dtype=float)
 
-        def grid(rows, xs):
-            pts = np.empty((len(rows), xs.shape[1], i + 1))
-            pts[:, :, :i] = rows[:, None, :]
+        def grid(idx, xs):
+            pts = np.empty((len(idx), np.shape(xs)[-1], i + 1))
+            pts[:, :, :i] = prefix[idx, None, :]
             pts[:, :, i] = xs
-            return level(i + 1, pts.reshape(-1, i + 1)).reshape(xs.shape)
+            own = ps if len(ps) == 1 else np.repeat(ps[idx], pts.shape[1])
+            return level(i + 1, pts.reshape(-1, i + 1), own).reshape(pts.shape[:2])
 
         def block(xs, idx):
             """Rows ``idx`` at nodes xs: shared, or one row of nodes per row."""
-            rows = prefix[idx]
-            xs = np.broadcast_to(xs, (len(rows), np.shape(xs)[-1]))
-            step = max(1, _BLOCK_POINTS // xs.shape[1])
-            return np.concatenate([grid(rows[s:s + step], xs[s:s + step])
-                                   for s in range(0, len(rows), step)])
+            step = max(1, _BLOCK_POINTS // np.shape(xs)[-1])
+            if len(idx) <= step:
+                return grid(idx, xs)
+            xs = np.broadcast_to(xs, (len(idx), np.shape(xs)[-1]))
+            return np.concatenate([grid(idx[s:s + step], xs[s:s + step])
+                                   for s in range(0, len(idx), step)])
 
         lo, hi = box.lower[i], box.upper[i]
         sing_lo, sing_hi = (i, "lower") in sing, (i, "upper") in sing
@@ -315,7 +326,7 @@ def integrate_box(fn: Callable[[np.ndarray], np.ndarray], box: BoxDomain,
             out[fin] += _toward_face(flip, np.flatnonzero(fin), lo, mid, rel_tol)
         return out
 
-    return float(level(0, np.empty((1, 0)))[0])
+    return level(0, np.empty((len(params), 0)), params)
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +339,9 @@ def modular_integral(u: TestFunction, y: YoungFunction, lam: float,
     """int_box A(|u(x)| / lambda) dx, +inf allowed."""
     if lam <= 0:
         raise YoungError("modular scale lambda must be positive")
-    return integrate_box(lambda X: y.values(np.abs(u.values(X)) / lam), box,
-                         rel_tol, truncation_radius=truncation_radius)
+    f = _integrand(u, y, False)
+    return integrate_box(lambda X: f(X, lam), box, rel_tol,
+                         truncation_radius=truncation_radius)
 
 
 def modular_integral_gradient(u: TestFunction, y, lam: float,
@@ -338,11 +350,18 @@ def modular_integral_gradient(u: TestFunction, y, lam: float,
     Young function acts on the full gradient vector."""
     if lam <= 0:
         raise YoungError("modular scale lambda must be positive")
+    f = _integrand(u, y, True)
+    return integrate_box(lambda X: f(X, lam), box, rel_tol)
+
+
+def _integrand(u: TestFunction, y, gradient: bool):
+    """(X, lam) -> the value or gradient modular's integrand at one or per-point lam."""
+    if not gradient:
+        return lambda X, lam: y.values(np.abs(u.values(X)) / lam)
     from .aniso import NDimYoung  # local import avoids a hard dependency
     if isinstance(y, NDimYoung):
-        return integrate_box(lambda X: y.values(u.gradients(X) / lam), box, rel_tol)
-    return integrate_box(
-        lambda X: y.values(np.linalg.norm(u.gradients(X), axis=1) / lam), box, rel_tol)
+        return lambda X, lam: y.values(u.gradients(X) / np.expand_dims(lam, -1))
+    return lambda X, lam: y.values(np.linalg.norm(u.gradients(X), axis=1) / lam)
 
 
 def luxemburg_norm(u: TestFunction, y: YoungFunction, box: BoxDomain,
@@ -464,11 +483,11 @@ def modular_convergence(seq: Sequence[TestFunction], limit: TestFunction,
     K, L = len(seq), len(lams)
     value_m = np.zeros((K, L))
     grad_m = np.zeros((K, L)) if include_gradient else None
-    for i, d in enumerate(diffs):
-        for j, lam in enumerate(lams):
-            value_m[i, j] = modular_integral(d, y, lam, box, rel_tol)
-            if include_gradient:
-                grad_m[i, j] = modular_integral_gradient(d, y, lam, box, rel_tol)
+    scales = np.array(lams)
+    for i, d in enumerate(diffs):  # one pass over the lambda grid per modular
+        value_m[i] = _integrate_rows(_integrand(d, y, False), scales, box, rel_tol)
+        if include_gradient:
+            grad_m[i] = _integrate_rows(_integrand(d, y, True), scales, box, rel_tol)
     combined = value_m + grad_m if include_gradient else value_m.copy()
 
     converging = tuple(lams[j] for j in range(L)

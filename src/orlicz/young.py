@@ -324,16 +324,6 @@ class YoungFunction:
         """Smallest t with A(t) = inf, when the function jumps to infinity."""
         return None
 
-    @property
-    def zero_exponent(self) -> Optional[float]:
-        o = self.zero_order
-        return o.power if o is not None and o.family in ("poly",) else None
-
-    @property
-    def inf_exponent(self) -> Optional[float]:
-        o = self.inf_order
-        return o.power if o is not None and o.family in ("poly",) else None
-
     def inverse(self, v: float) -> float:
         """Generalized right-continuous inverse, inf{s : A(s) > v}."""
         return _numeric_inverse(self.__call__, v)

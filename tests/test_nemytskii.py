@@ -461,17 +461,16 @@ class TestCounterexample:
 
     def test_face_walk_takes_few_integrand_calls(self, monkeypatch):
         # the walk toward the singular face integrates six panels per call
-        # (62 calls here; 152 with one call per panel)
+        # (62 calls here; 152 with one call per panel); counted at A, which
+        # every integrand of the run calls, the lambda grid's passes included
         calls = [0]
-        integrate_box = oz.modular.integrate_box
+        values = oz.PowerExp.values
 
-        def counted(fn, box, *args, **kwargs):
-            def counted_fn(X):
-                calls[0] += 1
-                return fn(X)
-            return integrate_box(counted_fn, box, *args, **kwargs)
+        def counted(self, t):
+            calls[0] += 1
+            return values(self, t)
 
-        monkeypatch.setattr(oz.modular, "integrate_box", counted)
+        monkeypatch.setattr(oz.PowerExp, "values", counted)
         counterexample_run((8, 64), (8e-4, 8e-5), dim=2)
         assert calls[0] <= 62
 

@@ -14,8 +14,10 @@ from hypothesis import strategies as st
 
 import orlicz as oz
 from orlicz import corpus
-from orlicz._quad import _panel_sums, gauss15, gauss_legendre, quad_interval, quad_rows, tensor_rule
-from orlicz.modular import QuadratureError, constant_function, integrate_box
+from orlicz._quad import (G15_W, _nodes, _panel_sums, gauss15, gauss_legendre, quad_interval,
+                          quad_rows, tensor_rule)
+from orlicz.modular import (_BLOCK_POINTS, _FACE_BATCH, _MAX_PANELS, QuadratureError, _face_rules,
+                            _integrand, _integrate_rows, constant_function, integrate_box)
 from orlicz.nemytskii import abs_shift_spec, signed_square_spec, singular_log_field
 
 INF = math.inf
@@ -588,3 +590,297 @@ class TestTensorRule:
         assert wts.sum() == pytest.approx(4.0, rel=1e-14)
         wts[0] = 0.0  # the tensor rule is the caller's own copy
         assert tensor_rule([0.0, -1.0], [2.0, 1.0], 24)[1][0] > 0.0
+
+
+# ---------------------------------------------------------------------------
+# The panel kernel and the row passes against the one-row engine, bit for bit
+# ---------------------------------------------------------------------------
+
+# Frozen copies of the engine as it was before finiteness was checked once per
+# panel and before box integration took many integrands per pass: every
+# sample searched for +-inf and nan, every live row copied, one integrand per
+# box.  The library must match them bit for bit.
+
+def frozen_panel_sums(vals, halfwidths):
+    v = vals.reshape(vals.shape[0], -1, 15)
+    terms = v * G15_W
+    with np.errstate(invalid="ignore"):
+        total = np.cumsum(terms, axis=2, out=terms)[:, :, -1] * halfwidths
+    total[(v == -INF).any(axis=2)] = -INF
+    total[(np.isnan(v) | (v == INF)).any(axis=2)] = INF
+    return total
+
+
+def frozen_quad_rows(F, a, b, rel=1e-10, depth=14, rows=1):
+    idx = np.arange(rows)
+    mid = 0.5 * (a + b)
+    xs = np.concatenate([_nodes(a, b), _nodes(a, mid), _nodes(mid, b)])
+    sums = frozen_panel_sums(np.asarray(F(xs, idx), dtype=float),
+                             np.array([0.5 * (b - a), 0.5 * (mid - a), 0.5 * (b - mid)]))
+    whole = sums[:, 0]
+    out = whole.copy()
+    ok = np.isfinite(whole)
+    if ok.any():
+        out[ok] = frozen_refine(F, idx[ok], a, b, whole[ok], sums[ok, 1], sums[ok, 2],
+                                rel, depth, np.zeros(np.count_nonzero(ok)))
+    return out
+
+
+def frozen_refine(F, idx, a, b, whole, left, right, rel, depth, floor):
+    floor = np.where(floor == 0.0, rel * (np.abs(whole) + 1e-300), floor)
+    out = frozen_add(left, right)
+    go = np.isfinite(out) & ~(np.abs(out - whole) <= rel * np.abs(out) + floor)
+    if depth <= 0 or not go.any():
+        return out
+    sub, fl, mid = idx[go], 0.5 * floor[go], 0.5 * (a + b)
+    out[go] = frozen_add(frozen_split(F, sub, a, mid, left[go], rel, depth - 1, fl),
+                         frozen_split(F, sub, mid, b, right[go], rel, depth - 1, fl))
+    return out
+
+
+def frozen_add(x, y):
+    with np.errstate(invalid="ignore"):
+        s = x + y
+    s[np.isnan(s)] = INF
+    return s
+
+
+def frozen_split(F, idx, a, b, whole, rel, depth, floor):
+    mid = 0.5 * (a + b)
+    sums = frozen_panel_sums(np.asarray(F(np.concatenate([_nodes(a, mid), _nodes(mid, b)]), idx),
+                                        dtype=float),
+                             np.array([0.5 * (mid - a), 0.5 * (b - mid)]))
+    return frozen_refine(F, idx, a, b, whole, sums[:, 0], sums[:, 1], rel, depth, floor)
+
+
+def frozen_toward_face(F, idx, a, b, rel_tol):
+    x = a + (b - a) * 2.0 ** -np.arange(_MAX_PANELS + 1.0)
+    end = int(np.cumprod((x[1:] > a) & (x[:-1] > x[1:])).sum())
+    lo, width = x[1:end + 1], (x[:-1] - x[1:])[:end]
+    out = np.empty(len(idx))
+    walks = {r: _face_rules(rel_tol) for r in range(len(idx))}
+    for walk in walks.values():
+        next(walk)
+    for j0 in range(0, end, _FACE_BATCH):
+        x0, w0, open_rows = lo[j0:j0 + _FACE_BATCH], width[j0:j0 + _FACE_BATCH], [*walks]
+        row, panel = np.divmod(np.arange(len(open_rows) * len(x0)), len(x0))
+
+        def pairs(ts, q):
+            h = w0[panel[q], None]
+            return F(x0[panel[q], None] + h * ts, idx[open_rows][row[q]]) * h
+
+        vals = frozen_quad_rows(pairs, 0.0, 1.0, rel_tol * 0.1, rows=len(row))
+        for r, panel_vals in zip(open_rows, vals.reshape(-1, len(x0)).tolist()):
+            try:
+                for I in panel_vals:
+                    walks[r].send(I)
+            except StopIteration as done:
+                out[r] = done.value
+                del walks[r]
+        if not walks:
+            return out
+    raise QuadratureError("no convergence or divergence signature at singular face")
+
+
+def frozen_integrate_box(fn, box, rel_tol=1e-8):
+    n = box.n
+    sing = set(box.singular_faces)
+
+    def level(i, prefix):
+        if i == n:
+            return np.asarray(fn(prefix), dtype=float)
+
+        def grid(rows, xs):
+            pts = np.empty((len(rows), xs.shape[1], i + 1))
+            pts[:, :, :i] = rows[:, None, :]
+            pts[:, :, i] = xs
+            return level(i + 1, pts.reshape(-1, i + 1)).reshape(xs.shape)
+
+        def block(xs, idx):
+            rows = prefix[idx]
+            xs = np.broadcast_to(xs, (len(rows), np.shape(xs)[-1]))
+            step = max(1, _BLOCK_POINTS // xs.shape[1])
+            return np.concatenate([grid(rows[s:s + step], xs[s:s + step])
+                                   for s in range(0, len(rows), step)])
+
+        lo, hi = box.lower[i], box.upper[i]
+        sing_lo, sing_hi = (i, "lower") in sing, (i, "upper") in sing
+        if not (sing_lo or sing_hi):
+            return frozen_quad_rows(block, lo, hi, rel_tol, rows=len(prefix))
+        rows, flip = np.arange(len(prefix)), (lambda xs, idx: block(lo + hi - xs, idx))
+        if not (sing_lo and sing_hi):
+            return frozen_toward_face(block if sing_lo else flip, rows, lo, hi, rel_tol)
+        mid = 0.5 * (lo + hi)
+        out = frozen_toward_face(block, rows, lo, mid, rel_tol)
+        fin = ~np.isinf(out)
+        if fin.any():
+            out[fin] += frozen_toward_face(flip, np.flatnonzero(fin), lo, mid, rel_tol)
+        return out
+
+    return float(level(0, np.empty((1, 0)))[0])
+
+
+def same_bits(got, want):
+    """Equal bit for bit: signed zeros and nan payloads included."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+FINITE = st.floats(-1e3, 1e3)
+HUGE = st.floats(1e306, 1.7e308).flatmap(lambda x: st.sampled_from([x, -x]))
+
+
+def panels(samples, max_panels=4):
+    """(m, 15 p) sample arrays; p and m are drawn too."""
+    return st.integers(1, 3).flatmap(lambda m: st.integers(1, max_panels).flatmap(
+        lambda p: st.lists(samples, min_size=15 * m * p, max_size=15 * m * p).map(
+            lambda xs: np.array(xs).reshape(m, 15 * p))))
+
+
+def halfwidths(vals):
+    p = vals.shape[1] // 15
+    return st.lists(st.sampled_from([0.0, 0.5, 1e-3, 2.0, 1e300]), min_size=p,
+                    max_size=p).map(np.array)
+
+
+class TestPanelKernelBits:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(),
+           mix=st.sampled_from([(-INF,), (-INF, INF), (math.nan,), (-INF, INF, math.nan)]))
+    def test_non_finite_samples(self, data, mix):
+        # panels of -inf only, of mixed +-inf and of nan, among finite panels
+        vals = data.draw(panels(st.one_of(FINITE, st.sampled_from(mix))))
+        hw = data.draw(halfwidths(vals))
+        assert same_bits(_panel_sums(vals, hw), frozen_panel_sums(vals, hw))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_finite_samples_that_overflow(self, data):
+        vals = data.draw(panels(st.one_of(FINITE, HUGE)))
+        hw = data.draw(halfwidths(vals))
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = _panel_sums(vals, hw), frozen_panel_sums(vals, hw)
+        assert same_bits(got, want)
+
+    def test_overflow_and_zero_halfwidth_edges(self):
+        vals = np.ones((4, 30))
+        vals[0, :15] = 1.7e308      # sum overflows to +inf
+        vals[1, :15] = -1.7e308     # to -inf
+        vals[2, 3] = -INF           # a -inf sample times a zero half-width: nan, then -inf
+        vals[3, 15:] = 1.7e308      # an overflowed sum times zero: nan stays
+        for hw in (np.array([0.5, 0.0]), np.array([0.0, 0.0]), np.array([2.0, 1.0])):
+            with np.errstate(over="ignore", invalid="ignore"):
+                got, want = _panel_sums(vals, hw), frozen_panel_sums(vals, hw)
+            assert same_bits(got, want)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _panel_sums(vals, np.array([0.0, 0.0]))[2, 0] == -INF
+
+    @settings(max_examples=30, deadline=None)
+    @given(rows=ROWS, rel=st.sampled_from([1e-6, 1e-10, 1e-13]),
+           depth=st.integers(0, 9), a=st.floats(-1.0, 0.0), b=st.floats(1.0, 2.0))
+    def test_quad_rows(self, rows, rel, depth, a, b):
+        fs = [row_family(kind, c) for kind, c in rows]
+
+        def F(xs, idx):
+            return np.array([[fs[i](float(x)) for x in xs] for i in idx])
+
+        assert same_bits(quad_rows(F, a, b, rel, depth, rows=len(fs)),
+                         frozen_quad_rows(F, a, b, rel, depth, rows=len(fs)))
+
+
+def signed_face_family(X, P):
+    """Row p: sign(p) (x0 (1 - x0))^-|p| (1 + x_last^2 / 2); |p| >= 1 diverges
+    at both faces of axis 0, with the sign of p, and larger |p| refines deeper."""
+    x0 = X[:, 0]
+    return np.sign(P) * (x0 * (1.0 - x0)) ** -np.abs(P) * (1.0 + 0.5 * X[:, -1] ** 2)
+
+
+def peaked_family(X, P):
+    """Row p: a peak at x = p along every axis; the depth follows p."""
+    return 1.0 / (1e-2 + ((X - P[:, None]) ** 2).sum(axis=1))
+
+
+FACE_BOXES = [
+    oz.BoxDomain.unit(1, singular=((0, "lower"), (0, "upper"))),
+    oz.BoxDomain.unit(2, singular=((0, "lower"),)),
+    oz.BoxDomain.unit(2, singular=((0, "upper"),)),
+    oz.BoxDomain.unit(2, singular=((0, "lower"), (0, "upper"))),
+]
+
+
+class TestRowPassBits:
+    """k integrands in one pass against k one-row integrals."""
+
+    @settings(max_examples=8, deadline=None)
+    @given(ps=st.lists(st.one_of(st.floats(-0.8, 0.8), st.sampled_from([-1.2, -1.0, 1.0, 1.5])),
+                       min_size=1, max_size=6),
+           j=st.integers(0, len(FACE_BOXES) - 1))
+    def test_faces_and_divergent_rows(self, ps, j):
+        box = FACE_BOXES[j]
+        got = _integrate_rows(signed_face_family, np.array(ps), box, 1e-8)
+        want = [frozen_integrate_box(lambda X, p=p: signed_face_family(X, np.full(len(X), p)),
+                                     box) for p in ps]
+        assert same_bits(got, want)
+        assert same_bits(got, [integrate_box(
+            lambda X, p=p: signed_face_family(X, np.full(len(X), p)), box) for p in ps])
+        for p, v in zip(ps, got):
+            assert v == (math.copysign(INF, p) if abs(p) >= 1.0 else v)
+
+    @settings(max_examples=4, deadline=None)
+    @given(ps=st.lists(st.floats(0.05, 0.95), min_size=1, max_size=4))
+    def test_rows_that_stop_at_different_depths(self, ps):
+        for box in (oz.BoxDomain.interval(-0.5, 1.0), oz.BoxDomain.unit(2),
+                    oz.BoxDomain.unit(2, singular=((1, "upper"),))):
+            got = _integrate_rows(peaked_family, np.array(ps), box, 1e-8)
+            want = [frozen_integrate_box(
+                lambda X, p=p: peaked_family(X, np.full(len(X), p)), box) for p in ps]
+            assert same_bits(got, want)
+
+    def test_one_row_box_matches_frozen_engine(self):
+        for fn, box in ((smooth_batch([0.3, -1.0, 2.0]), oz.BoxDomain.unit(3)),
+                        (power_face(1, 0.4, [0.5, 0.5]),
+                         oz.BoxDomain.unit(2, singular=((1, "lower"),))),
+                        (lambda X: -1.0 / X[:, 1], oz.BoxDomain.unit(2, singular=((1, "lower"),))),
+                        (lambda X: (X[:, 0] * (1 - X[:, 0])) ** -0.5,
+                         oz.BoxDomain.unit(1, singular=((0, "lower"), (0, "upper"))))):
+            assert same_bits(integrate_box(fn, box), frozen_integrate_box(fn, box))
+
+    def test_modular_grid_matches_one_modular_per_lambda(self):
+        box = oz.BoxDomain.unit(2, singular=((0, "lower"),))
+        u = singular_log_field(2)
+        seq = [u.shifted(c) for c in (0.4, 0.05)]
+        lams = (0.25, 1.0, 4.0)
+        for y in (oz.PowerExp(1.0), oz.Power(2.5)):
+            rep = oz.modular_convergence(seq, u, y, box, lams)
+            for i, v in enumerate(seq):
+                d = v - u
+                assert same_bits(rep.value_modulars[i],
+                                 [oz.modular_integral(d, y, lam, box) for lam in lams])
+                assert same_bits(rep.gradient_modulars[i],
+                                 [oz.modular_integral_gradient(d, y, lam, box) for lam in lams])
+
+    def test_vector_young_gradient_rows(self):
+        # an n-dimensional Young function takes the gradient vector, one scale per point
+        box = oz.BoxDomain.unit(2)
+        u = corpus.product_sine(2)
+        lams = np.array([0.5, 1.0, 3.0])
+        for y in (oz.Isotropic(oz.Power(2), 2), oz.Orthotropic((oz.Power(2), oz.Power(3)))):
+            got = _integrate_rows(_integrand(u, y, True), lams, box, 1e-8)
+            assert same_bits(got, [oz.modular_integral_gradient(u, y, lam, box) for lam in lams])
+
+
+class TestCounterexampleWork:
+    def test_same_points_in_fewer_calls(self, monkeypatch):
+        # the one-row engine passed 302,400 points to A in 62 calls
+        calls, points = [0], [0]
+        values = oz.PowerExp.values
+
+        def counted(self, t):
+            calls[0] += 1
+            points[0] += np.size(t)
+            return values(self, t)
+
+        monkeypatch.setattr(oz.PowerExp, "values", counted)
+        oz.counterexample_run((8, 64), (10 ** -3.1, 10 ** -4.1), dim=2)
+        assert points[0] == 302_400
+        assert calls[0] <= 62
