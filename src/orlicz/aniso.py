@@ -225,8 +225,7 @@ def orthotropic_bar(components: Sequence[YoungFunction]) -> YoungFunction:
         return None
 
     return FromInverse(inv_fn=inv, zero=mean_order([a.zero_order for a in comps]),
-                       inf_=mean_order([a.inf_order for a in comps]), label="orthotropic-mean",
-                       inv_many=inv_many)
+                       inf_=mean_order([a.inf_order for a in comps]), inv_many=inv_many)
 
 
 def bar_p(ps: Sequence[float]) -> float:
@@ -331,46 +330,29 @@ def _polar_volumes(phi: NDimYoung, levels, max_depth: int, rel_tol: float) -> tu
 
 
 def sublevel_volume(phi: NDimYoung, level: float, max_depth: int = 12,
-                    rel_tol: float = 1e-3, method: str = "polar",
-                    mc_samples: int = 1_000_000, seed: int = 0):
+                    rel_tol: float = 1e-3):
     """Lebesgue measure of {phi <= level} for n <= 3: (volume, error).
 
-    Polar method: the set is star-shaped about 0, so its volume is
-    (1/n) int rho^n over the unit sphere, rho its radial function.  Half the
-    sphere suffices (phi is even); it is cut at the coordinate planes, where
-    rho has kinks, and each piece gets a Gauss-Legendre rule of N = 2, 4,
-    8, ... nodes per axis, in coordinates scaled by the extents along the
-    axes.  The error is the larger of |Q_N/2 - Q_N| and |Q_N - Q_2N|, plus
-    n 1e-12 Q_2N for the accuracy of the ray extents; Q_2N is returned once
-    the error is at most ``rel_tol`` Q_2N.  ``max_depth`` caps the doublings;
-    a call stopped there returns an error above ``rel_tol`` times the volume.
-    All rays of one rule are found in one batched root search; the volume
-    table of the radial rearrangement runs many levels through the same
-    searches.  ``phi`` needs only ``n`` and ``__call__``; its ``values``,
-    where it has one, evaluates the rays a search step at a time.
-
-    Monte Carlo ("mc") samples a padded box around the largest ray extent
-    found, along the axes and a 16-node rule, and returns its standard error.
+    The set is star-shaped about 0, so its volume is (1/n) int rho^n over
+    the unit sphere, rho its radial function.  Half the sphere suffices (phi
+    is even); it is cut at the coordinate planes, where rho has kinks, and
+    each piece gets a Gauss-Legendre rule of N = 2, 4, 8, ... nodes per axis,
+    in coordinates scaled by the extents along the axes.  The error is the
+    larger of |Q_N/2 - Q_N| and |Q_N - Q_2N|, plus n 1e-12 Q_2N for the
+    accuracy of the ray extents; Q_2N is returned once the error is at most
+    ``rel_tol`` Q_2N.  ``max_depth`` caps the doublings; a call stopped there
+    returns an error above ``rel_tol`` times the volume.  All rays of one
+    rule are found in one batched root search; the volume table of the
+    radial rearrangement runs many levels through the same searches.  ``phi``
+    needs only ``n`` and ``__call__``; its ``values``, where it has one,
+    evaluates the rays a search step at a time.
     """
-    n = phi.n
-    if n > 3:
+    if phi.n > 3:
         raise YoungError("volume computation supports n <= 3")
-    if method not in ("polar", "mc"):
-        raise YoungError(f"unknown volume method {method!r}")
     if level <= 0.0:
         return 0.0, 0.0
-    if method == "polar":
-        vol, err = _polar_volumes(phi, [level], max_depth, rel_tol)
-        return float(vol[0]), float(err[0])
-    pts = np.concatenate([np.eye(n), _half_sphere_rule(n, 16)[0]])
-    # the largest extent found is not the largest there is: pad the box
-    rho = 1.05 * float(_ray_extents(phi, np.full(len(pts), float(level)), pts).max())
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(-rho, rho, size=(mc_samples, n))
-    frac = np.count_nonzero(_values_of(phi)(pts) <= level) / mc_samples
-    box_vol = (2 * rho) ** n
-    se = box_vol * math.sqrt(max(frac * (1 - frac), 1e-12) / mc_samples)
-    return frac * box_vol, se
+    vol, err = _polar_volumes(phi, [level], max_depth, rel_tol)
+    return float(vol[0]), float(err[0])
 
 
 _OMEGA = {1: 2.0, 2: math.pi, 3: 4.0 * math.pi / 3.0}
@@ -631,9 +613,3 @@ class ThetaSolver:
         self._check(xs, an(th), self._rhs_many(xs, th), np.flatnonzero(hi > self._cap))
         theta[rows] = th
         return theta
-
-
-def solve_theta(phi: NDimYoung, envelope: Callable[[float], float], n: int,
-                xi, conj: Optional[SobolevConjugate] = None) -> float:
-    """One-shot theta solve; build a ThetaSolver for repeated queries."""
-    return ThetaSolver(phi, envelope, n, conj=conj).solve(xi)

@@ -208,6 +208,8 @@ def _cmd_check(args) -> int:
         payload = {"condition": args.cond, "verdict": _verdict_payload(v)}
         indeterminate = v.indeterminate
     elif args.cond == "inq-assD":
+        if args.F is None:
+            raise YoungError("inq-assD needs --F")
         v = conditions.check_inq_assD(from_config(args.A), from_config(args.B),
                                       env, from_config(args.F), t1=args.t1)
         payload = {
@@ -243,6 +245,8 @@ def zygmund_sweep(variant: str, n: float):
     """Canonical parameter sweep of the admissibility tables."""
     from .nemytskii import Envelope
 
+    if n < 2:
+        raise YoungError("dimension must satisfy n >= 2")
     nprime = n / (n - 1.0)
     rows = []
     pa_pairs = [(1.0, 0.0), (1.5, -1.0), (1.5, 0.0), (2.0, 0.0), (2.0, 1.0)]
@@ -328,6 +332,8 @@ def _cmd_counterexample(args) -> int:
 def _cmd_experiment(args) -> int:
     with open(args.config) as fh:
         cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise YoungError("experiment config must be a JSON object")
     dim = int(cfg.get("dim", 2))
     a = from_config(cfg["A"])
     b = from_config(cfg["B"])

@@ -334,8 +334,7 @@ def _ass2_grid(a: YoungFunction, b: YoungFunction, env: Envelope, n: float,
 
 
 def check_inq_ass2(a: YoungFunction, b: YoungFunction, envelope, n: float,
-                   t0: float = 0.0,
-                   conj: Optional[SobolevConjugate] = None) -> ConditionVerdict:
+                   t0: float = 0.0) -> ConditionVerdict:
     """Target-growth condition B(t E(H(t))) <= A(t) near infinity, up to the
     equivalence constant in the argument of A."""
     if n < 2:
@@ -354,7 +353,7 @@ def check_inq_ass2(a: YoungFunction, b: YoungFunction, envelope, n: float,
         holds, margin, note = ana
         return ConditionVerdict(holds, margin, None,
                                 grid="exponent algebra", analytic=True, note=note)
-    return _ass2_grid(a, b, env, n, t0, conj=conj)
+    return _ass2_grid(a, b, env, n, t0)
 
 
 # ---------------------------------------------------------------------------

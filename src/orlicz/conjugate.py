@@ -9,8 +9,10 @@ behaviour near infinity unchanged up to equivalence).
 H is tabulated once on a geometric grid at build time (15-node Gauss panels
 on a log axis, exponent-fit extrapolation at the improper endpoint) and
 wrapped in an in-house Fritsch–Carlson monotone cubic, so conjugate
-evaluations inside modular integrals stay cheap and the result is safe to
-share across threads.  The integrand is an array function with one
+evaluations inside modular integrals stay cheap.  ``an`` and the plain-float
+copy of the table are cached on first use; each is a pure function of the
+object that holds it, so two threads that first use it at once may both
+build it but read the same values.  The integrand is an array function with one
 ``values`` call of the base per call.  A build evaluates the nodes and right
 ends of 256 panels at a time, sums each panel in node order and accumulates
 the sums; it stops at the first panel that ends 3 zero panels in a row,

@@ -364,18 +364,20 @@ def _integrand(u: TestFunction, y, gradient: bool):
     return lambda X, lam: y.values(np.linalg.norm(u.gradients(X), axis=1) / lam)
 
 
+_LAM_FLOOR, _LAM_CAP = 1e-12, 1e12  # the lambda range of luxemburg_norm's search
+
+
 def luxemburg_norm(u: TestFunction, y: YoungFunction, box: BoxDomain,
-                   gradient: bool = False, rel_tol: float = 1e-8,
-                   lam_cap: float = 1e12) -> float:
+                   gradient: bool = False, rel_tol: float = 1e-8) -> float:
     """inf{lambda > 0 : modular(u/lambda) <= 1}, to 1e-11 relative.
 
     ``young._log_root`` finds where the modular at lambda = 1/s, which
     increases in s, crosses 1; a lambda where it equals 1 exactly ends the
-    search.  The search is held to lambda in [1e-12, lam_cap], and the
-    modular at an end, computed once, decides every point past it: a norm
-    above ``lam_cap`` reads inf, one below 1e-12 reads 0.
+    search.  The search is held to lambda in [1e-12, 1e12], and the modular
+    at an end, computed once, decides every point past it: a norm above
+    1e12 reads inf, one below 1e-12 reads 0.
     """
-    s_lo, s_hi = 1.0 / lam_cap, 1e12
+    s_lo, s_hi = 1.0 / _LAM_CAP, 1.0 / _LAM_FLOOR
 
     @functools.cache
     def m(s: float) -> float:
@@ -421,9 +423,9 @@ def w1a_quantities(u: TestFunction, y, box: BoxDomain,
 # Convergence reports
 # ---------------------------------------------------------------------------
 
-def trajectory_converges(values: Sequence[float], tail_tol: float = 1e-3) -> bool:
+def trajectory_converges(values: Sequence[float]) -> bool:
     """Finite-index proxy for a vanishing limit: the tail must be monotone
-    non-increasing and the final value at most tail_tol of the initial one."""
+    non-increasing and the final value at most 1e-3 of the initial one."""
     vals = list(values)
     if not vals:
         return False
@@ -434,7 +436,7 @@ def trajectory_converges(values: Sequence[float], tail_tol: float = 1e-3) -> boo
         return all(v == 0.0 for v in vals)
     if not math.isfinite(initial):
         return False
-    if final > tail_tol * initial:
+    if final > 1e-3 * initial:
         return False
     tail = vals[len(vals) // 2:]
     if not all(math.isfinite(v) for v in tail):
@@ -448,7 +450,7 @@ class ModularReport:
     lambda_grid: tuple
     indices: tuple
     value_modulars: np.ndarray          # index x lambda
-    gradient_modulars: Optional[np.ndarray]
+    gradient_modulars: np.ndarray
     modular_values: np.ndarray          # combined trajectory per (index, lambda)
     converging_lambdas: tuple
     norm_convergence: bool
@@ -466,9 +468,7 @@ def modular_convergence(seq: Sequence[TestFunction], limit: TestFunction,
                         y: YoungFunction, box: BoxDomain,
                         lambda_grid: Sequence[float],
                         indices: Optional[Sequence[int]] = None,
-                        include_gradient: bool = True,
-                        rel_tol: float = 1e-8,
-                        tail_tol: float = 1e-3) -> ModularReport:
+                        rel_tol: float = 1e-8) -> ModularReport:
     """Evaluate difference modulars along a sequence and decide per lambda
     whether the trajectory vanishes; norm convergence means every lambda in
     the grid converges."""
@@ -482,16 +482,14 @@ def modular_convergence(seq: Sequence[TestFunction], limit: TestFunction,
     diffs = [u - limit for u in seq]
     K, L = len(seq), len(lams)
     value_m = np.zeros((K, L))
-    grad_m = np.zeros((K, L)) if include_gradient else None
+    grad_m = np.zeros((K, L))
     scales = np.array(lams)
     for i, d in enumerate(diffs):  # one pass over the lambda grid per modular
         value_m[i] = _integrate_rows(_integrand(d, y, False), scales, box, rel_tol)
-        if include_gradient:
-            grad_m[i] = _integrate_rows(_integrand(d, y, True), scales, box, rel_tol)
-    combined = value_m + grad_m if include_gradient else value_m.copy()
+        grad_m[i] = _integrate_rows(_integrand(d, y, True), scales, box, rel_tol)
+    combined = value_m + grad_m
 
-    converging = tuple(lams[j] for j in range(L)
-                       if trajectory_converges(combined[:, j], tail_tol))
+    converging = tuple(lams[j] for j in range(L) if trajectory_converges(combined[:, j]))
     return ModularReport(
         lambda_grid=lams,
         indices=idx,

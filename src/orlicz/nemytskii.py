@@ -28,7 +28,7 @@ from .modular import (
     w1a_quantities,
 )
 from .young import (INF, IndeterminateError, PowerExp, YoungError, YoungFunction,
-                    _log_root_many)
+                    _log_root_many, _parse_text)
 
 
 class PreconditionError(YoungError):
@@ -154,25 +154,20 @@ class Envelope:
         return bool(np.all(vals[1:] >= vals[:-1] * (1 - 1e-12)))
 
 
+_TEXT_ENVELOPES = {
+    "one": Envelope.one, "power": Envelope.power, "logpower": Envelope.log_power,
+    "log_power": Envelope.log_power, "exppower": Envelope.exp_power,
+    "exp_power": Envelope.exp_power, "exp": Envelope.exp_power,
+    "expexp": Envelope.exp_exp, "exp_exp": Envelope.exp_exp,
+}
+
+
 def parse_envelope(record) -> Envelope:
     """Envelope from a config record or "kind:a,b" text."""
     if isinstance(record, Envelope):
         return record
     if isinstance(record, str):
-        name, _, rest = record.partition(":")
-        args = [float(x) for x in rest.split(",") if x] if rest else []
-        name = name.strip().lower()
-        if name == "one":
-            return Envelope.one()
-        if name == "power":
-            return Envelope.power(*args)
-        if name in ("logpower", "log_power"):
-            return Envelope.log_power(*args)
-        if name in ("exppower", "exp_power", "exp"):
-            return Envelope.exp_power(*args)
-        if name in ("expexp", "exp_exp"):
-            return Envelope.exp_exp(*args)
-        raise YoungError(f"unknown envelope {record!r}")
+        return _parse_text(record, _TEXT_ENVELOPES, "envelope")
     kind = record.get("kind")
     if kind == "one":
         return Envelope.one()
@@ -590,12 +585,6 @@ def _poincare_constants(rows: Sequence[tuple], conj: SobolevConjugate) -> np.nda
     with np.errstate(divide="ignore"):
         out[live] = np.where(lo < 1e-18, INF, 1.0 / lo)
     return out
-
-
-def _poincare_constant(u: TestFunction, box: BoxDomain, conj: SobolevConjugate,
-                       nodes: int) -> float:
-    """``_poincare_constants`` for one field on one rule."""
-    return float(_poincare_constants([(u, box, nodes)], conj)[0])
 
 
 def poincare_probe(corpus: Sequence[tuple], a: YoungFunction, n: int,

@@ -13,6 +13,7 @@ fall back to geometric-grid probes.
 
 from __future__ import annotations
 
+import inspect
 import math
 import sys
 from dataclasses import dataclass, field
@@ -885,17 +886,15 @@ class FromInverse(YoungFunction):
     normal float range, inf when inv_fn stays below t up to the largest
     float.
 
-    ``inv_many``, when given, is ``inv_fn`` on a 1-D array: it must return
-    the array of ``inv_fn`` at each entry (agreeing to rounding), and may
-    assume the entries positive.  ``values`` then runs every root at once
-    through ``_log_root_many``, every row on ``inv_many`` at its own level;
-    without it, ``values`` loops over rows."""
+    ``inv_many`` is ``inv_fn`` on a 1-D array: it must return the array of
+    ``inv_fn`` at each entry (agreeing to rounding), and may assume the
+    entries positive.  ``values`` runs every root at once through
+    ``_log_root_many``, every row on ``inv_many`` at its own level."""
 
     inv_fn: Callable[[float], float]
+    inv_many: Callable[[np.ndarray], np.ndarray]
     zero: Optional[GrowthOrder] = None
     inf_: Optional[GrowthOrder] = None
-    label: str = "from_inverse"
-    inv_many: Optional[Callable[[np.ndarray], np.ndarray]] = None
     kind = "from_inverse"
 
     def __call__(self, t: float) -> float:
@@ -905,8 +904,6 @@ class FromInverse(YoungFunction):
         return 0.5 * (lo + hi)
 
     def values(self, ts: np.ndarray) -> np.ndarray:
-        if self.inv_many is None:
-            return super().values(ts)
         t = np.asarray(ts, dtype=float).ravel()
         out = np.zeros(t.shape)
         live = (t > 0.0) & (t > self.inv_fn(0.0))
@@ -936,10 +933,35 @@ class FromInverse(YoungFunction):
 # Config round-trip
 # ---------------------------------------------------------------------------
 
+def _parse_text(text: str, makers: dict, what: str):
+    """``makers[kind](*params)`` for "kind:a,b" text; a YoungError names the
+    text when the kind is unknown or the parameters do not fit it."""
+    name, _, rest = text.partition(":")
+    args = [float(x) for x in rest.split(",") if x]
+    make = makers.get(name.strip().lower())
+    if make is None:
+        raise YoungError(f"unknown {what} {text!r}")
+    try:
+        inspect.signature(make).bind(*args)
+    except TypeError:
+        raise YoungError(f"wrong number of parameters in {what} {text!r}") from None
+    return make(*args)
+
+
+_TEXT_FAMILIES = {
+    "power": Power, "linear": linear, "powerlog": PowerLog, "power_log": PowerLog,
+    "powerloglog": PowerLogLog, "power_loglog": PowerLogLog, "powerexp": PowerExp,
+    "power_exp": PowerExp, "exp": Exp, "expneginv": ExpNegInv, "exp_neg_inv": ExpNegInv,
+    "gate": gate,
+}
+
+
 def from_config(record) -> YoungFunction:
     """Parse a family record, either a dict {kind, ...} or "kind:a,b" text."""
     if isinstance(record, str):
-        return _from_text(record)
+        return _parse_text(record, _TEXT_FAMILIES, "family text")
+    if not isinstance(record, dict):
+        raise YoungError(f"family must be a dict or 'kind:a,b' text, not {record!r}")
     kind = record.get("kind")
     if kind == "power":
         return Power(record["p"], record.get("scale", 1.0))
@@ -965,29 +987,6 @@ def from_config(record) -> YoungFunction:
             record.get("hi_scale", 1.0),
         )
     raise YoungError(f"unknown family kind {kind!r}")
-
-
-def _from_text(text: str) -> YoungFunction:
-    name, _, rest = text.partition(":")
-    args = [float(x) for x in rest.split(",") if x] if rest else []
-    name = name.strip().lower()
-    if name == "power":
-        return Power(*args)
-    if name == "linear":
-        return linear()
-    if name in ("powerlog", "power_log"):
-        return PowerLog(*args)
-    if name in ("powerloglog", "power_loglog"):
-        return PowerLogLog(*args)
-    if name in ("powerexp", "power_exp"):
-        return PowerExp(*args) if args else PowerExp()
-    if name == "exp":
-        return Exp(*args)
-    if name in ("expneginv", "exp_neg_inv"):
-        return ExpNegInv(*args)
-    if name == "gate":
-        return gate(*args)
-    raise YoungError(f"unknown family text {text!r}")
 
 
 # ---------------------------------------------------------------------------

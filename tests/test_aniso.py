@@ -116,12 +116,6 @@ class TestVolume:
         vol, err = oz.sublevel_volume(phi, 1.0)
         assert vol == pytest.approx(pball_volume(p, 2, 1.0), rel=1.5e-3)
 
-    def test_monte_carlo(self):
-        phi = oz.Orthotropic((oz.Power(2), oz.Power(2)))
-        vol, se = oz.sublevel_volume(phi, 1.0, method="mc", mc_samples=200_000,
-                                     seed=3)
-        assert abs(vol - math.pi) <= 5 * se
-
     def test_three_dimensional(self):
         phi = oz.Isotropic(oz.Power(2), 3)
         vol, err = oz.sublevel_volume(phi, 1.0, max_depth=6)
@@ -132,12 +126,6 @@ class TestVolume:
         flat = oz.BlackBox(lambda xi: xi[0] ** 2, 2)  # no growth along x2
         with pytest.raises(oz.YoungError):
             oz.sublevel_volume(flat, 1.0)
-
-    def test_unknown_method_rejected(self):
-        disc = oz.Isotropic(oz.Power(2), 2)
-        with pytest.raises(oz.YoungError, match="definitely-not-a-method"):
-            oz.sublevel_volume(disc, 1.0, method="definitely-not-a-method")
-        assert oz.sublevel_volume(disc, 1.0, method="polar") == oz.sublevel_volume(disc, 1.0)
 
     @settings(max_examples=40, deadline=None)
     @given(ps=st.lists(st.floats(1.0, 6.0), min_size=2, max_size=2),
@@ -287,8 +275,6 @@ class TestBatchedVolumes:
 
         (vol, err), (ref, ref_err) = (oz.sublevel_volume(f, 2.0) for f in (Plain(), phi))
         assert abs(vol - ref) <= 2e-12 * ref and abs(err - ref_err) <= 4e-12 * ref
-        vol, se = oz.sublevel_volume(Plain(), 2.0, method="mc", mc_samples=20_000)
-        assert abs(vol - ref) <= 5 * se
 
     def test_rule_is_cached_and_read_only(self):
         dirs, w = _half_sphere_rule(3, 8)

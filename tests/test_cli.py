@@ -85,6 +85,23 @@ class TestCheck:
         assert "integral dimension" in capsys.readouterr().err
 
 
+class TestInputErrors:
+    @pytest.mark.parametrize("argv", [
+        "norm --field x1 --A power --dim 1",
+        "norm --field x1 --A power:2,3,4 --dim 1",
+        "check --cond inq-ass2 --A power:2 --B power:1.5 --E power --n 3",
+        "check --cond inq-assD --A power:2 --B power:1.5 --E power:1",
+        "experiment --config {list_config}",
+        "table --n 1",
+    ])
+    def test_bad_input_is_an_error_line(self, argv, tmp_path, capsys):
+        config = tmp_path / "list.json"
+        config.write_text("[1, 2]\n")
+        code = run(shlex.split(argv.format(list_config=config)))
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+
 class TestTableGolden:
     @pytest.mark.parametrize("variant,n", [("log", 2), ("log", 3),
                                            ("loglog", 2), ("loglog", 3)])

@@ -216,7 +216,7 @@ class TestLuxemburgSearch:
         (constant_function(1e-13, 1), UNIT_1D, 0.0),
     ])
     def test_range_contract(self, u, box, expected):
-        # a norm above lam_cap = 1e12 reads inf, one below 1e-12 reads 0
+        # a norm above 1e12 reads inf, one below 1e-12 reads 0
         got = oz.luxemburg_norm(u, oz.Power(2), box)
         assert got == expected or math.isclose(got, expected, rel_tol=1e-10)
 

@@ -17,7 +17,6 @@ from orlicz.modular import constant_function, sup_norm
 from orlicz.nemytskii import (
     LemmaGridVerdict,
     _lemma_grid,
-    _poincare_constant,
     _poincare_constants,
     abs_shift_spec,
     counterexample_run,
@@ -559,7 +558,7 @@ class TestPoincareSearch:
         u, box = corpus.bump_corpus(POINCARE_BASES[j][1])[k]
         u = u.scaled(c)
         ref = ref_poincare_constant(u, box, conj, nodes)
-        got = _poincare_constant(u, box, conj, nodes)
+        got = _poincare_constants([(u, box, nodes)], conj)[0]
         assert got == ref or math.isclose(got, ref, rel_tol=2e-6)
 
 
@@ -662,7 +661,7 @@ class TestBatchedPoincare:
             lambda X: np.where(X[:, 0] < 0.5, u.values(X), math.nan), u.gradients)
         for v in (bad_gradient(u, math.nan), bad_gradient(u, INF), nan_value):
             with pytest.raises(oz.IndeterminateError):
-                _poincare_constant(v, box, conj, 16)
+                _poincare_constants([(v, box, 16)], conj)
         with pytest.raises(oz.IndeterminateError):
             oz.poincare_probe([(bad_gradient(u, math.nan), box)], oz.Power(2), 2, nodes=16)
 

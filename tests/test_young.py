@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 import orlicz as oz
 from orlicz import young
 from orlicz.aniso import _phi_circ_young
-from orlicz.young import INF, _log_root, _log_root_many, _numeric_inverse, _pow, _sandwich_ok
+from orlicz.young import (INF, FromInverse, _log_root, _log_root_many, _numeric_inverse, _pow,
+                          _sandwich_ok)
 
 
 def builtin_corpus():
@@ -252,7 +253,7 @@ class TestLogRoot:
             calls[0] += 1
             return bar.inv_fn(s)
 
-        forward = oz.FromInverse(inv_fn=counted)
+        forward = FromInverse(inv_fn=counted, inv_many=bar.inv_many)
         counts = []
         for t in np.geomspace(1e-10, 1e40, 2001):
             calls[0] = 0
@@ -263,7 +264,7 @@ class TestLogRoot:
 
     def test_root_below_float_range_is_zero(self):
         # A(t) = t^100 underflows: A(1e-5) = 1e-500
-        assert oz.FromInverse(inv_fn=lambda s: s ** 0.01)(1e-5) == 0.0
+        assert FromInverse(inv_fn=lambda s: s ** 0.01, inv_many=lambda s: s ** 0.01)(1e-5) == 0.0
         assert _numeric_inverse(oz.linear(), 0.0) == 0.0
 
     def test_step_function_brackets_the_step(self):
@@ -348,7 +349,6 @@ VALUE_FAMILIES = [
         (oz.Glued(oz.Power(2), oz.PowerLog(2, 1, math.e), 1.0, 1.0), (1.0,)),
         (oz.Glued(oz.Power(2), oz.Exp(1.0), 2.0, 1e300), (2.0,)),
         (ORTHO_BAR, ()),
-        (oz.FromInverse(inv_fn=ORTHO_BAR.inv_fn), ()),
     )
 ]
 
@@ -575,11 +575,6 @@ class TestArrayForms:
             _log_root_many(rows_of(lambda s: np.where(s < 2.0, 0.0, s)), [1.0, 1e-3], False,
                            max_iter=8)
 
-    def test_from_inverse_values_without_inv_many_loops_rows(self):
-        y = oz.FromInverse(inv_fn=counted(ORTHO_BAR.inv_fn))
-        ts = np.geomspace(1e-3, 1e3, 7)
-        assert y.values(ts).tolist() == [y(t) for t in ts.tolist()]
-
 
 class TestDelta2:
     def test_power_exact_constant(self):
@@ -803,3 +798,6 @@ class TestConfig:
         assert isinstance(oz.from_config("expneginv:1"), oz.ExpNegInv)
         with pytest.raises(oz.YoungError):
             oz.from_config("nope:1")
+        for bad in ("power", "power:2,3,4", "linear:1", None, [2.0]):
+            with pytest.raises(oz.YoungError):
+                oz.from_config(bad)
