@@ -34,12 +34,21 @@ from .young import (
 
 
 class NDimYoung:
-    """Base class for Young functions of a vector argument."""
+    """Base class for Young functions of a vector argument: ``__call__`` takes
+    a vector of length ``n``, ``values`` an (m, n) array; other shapes raise."""
 
     n: int
 
     def __call__(self, xi) -> float:  # pragma: no cover - abstract
         raise NotImplementedError
+
+    def _checked(self, x, rows: bool = False) -> np.ndarray:
+        """``x`` as a float array: a vector of length ``n``, or (m, n) ``rows``."""
+        x = np.asarray(x, dtype=float)
+        if x.shape[rows:] != (self.n,):
+            raise YoungError(f"{type(self).__name__} takes vectors of length {self.n}, "
+                             f"not an array of shape {x.shape}")
+        return x
 
     def values(self, points) -> np.ndarray:
         """One value per row of an (m, n) array of points."""
@@ -66,6 +75,8 @@ class Isotropic(NDimYoung):
 
     def __call__(self, xi) -> float:
         xi = np.asarray(xi, dtype=float).ravel(order="K")
+        if xi.size != self.n:
+            self._checked(xi)  # raises
         # np.linalg.norm(xi) squared, bit for bit: vdot runs dot's kernel but
         # does not check the overflow flag, so a huge row reads inf quietly
         r2 = float(np.vdot(xi, xi))
@@ -74,7 +85,7 @@ class Isotropic(NDimYoung):
         return self.a(math.sqrt(r2))
 
     def values(self, points) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
+        points = self._checked(points, rows=True)
         with np.errstate(over="ignore"):  # huge rows read inf
             r = np.linalg.norm(points, axis=1)
         out = self.a.values(r)
@@ -96,7 +107,7 @@ class Orthotropic(NDimYoung):
         return len(self.components)
 
     def __call__(self, xi) -> float:
-        xi = np.asarray(xi, dtype=float)
+        xi = self._checked(xi)
         total = 0.0
         for a, x in zip(self.components, xi):
             if math.isinf(x):
@@ -108,7 +119,7 @@ class Orthotropic(NDimYoung):
         return total
 
     def values(self, points) -> np.ndarray:
-        pts = np.abs(np.asarray(points, dtype=float))
+        pts = np.abs(self._checked(points, rows=True))
         gone = np.isinf(pts).any(axis=1)
         pts[gone] = 0.0
         out = np.zeros(len(pts))
@@ -140,7 +151,7 @@ class LinearImage(NDimYoung):
         object.__setattr__(self, "_mats", mats)  # read on every call
 
     def __call__(self, xi) -> float:
-        xi = np.asarray(xi, dtype=float)
+        xi = self._checked(xi)
         if np.any(np.isinf(xi)):
             return INF
         total = 0.0
@@ -154,7 +165,7 @@ class LinearImage(NDimYoung):
         return total
 
     def values(self, points) -> np.ndarray:
-        pts = np.array(points, dtype=float)
+        pts = self._checked(points, rows=True).copy()
         gone = np.isinf(pts).any(axis=1)
         pts[gone] = 0.0
         out = np.zeros(len(pts))
@@ -174,7 +185,7 @@ class BlackBox(NDimYoung):
     n: int
 
     def __call__(self, xi) -> float:
-        xi = np.asarray(xi, dtype=float)
+        xi = self._checked(xi)
         if np.any(np.isinf(xi)):
             return INF
         return float(self.fn(xi))

@@ -26,7 +26,7 @@ from .conjugate import sobolev_conjugate, sobolev_conjugate_sigma
 from .modular import BoxDomain, QuadratureError, modular_convergence
 from .modular import luxemburg_norm as _lux
 from .nemytskii import counterexample_run, parse_envelope
-from .young import INF, IndeterminateError, YoungError, from_config
+from .young import INF, IndeterminateError, YoungError, _check, from_config
 
 SCHEMA = 1
 
@@ -87,8 +87,25 @@ def _parse_phi(text: str, dim: int):
         return Isotropic(from_config(rest), dim)
     if head == "ortho":
         comps = tuple(from_config(part) for part in rest.split("|"))
+        if len(comps) != dim:
+            raise YoungError(f"ortho phi has {len(comps)} components for dimension {dim}")
         return Orthotropic(comps)
     raise YoungError("phi must be 'iso:<family>' or 'ortho:<f1>|<f2>|...'")
+
+
+def _typed(cfg: dict, key: str, default, kind, what: str):
+    """``cfg[key]``, or ``default`` when absent; a YoungError unless a ``kind`` and no bool."""
+    value = cfg.get(key, default)
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise YoungError(f"config field {key!r} must be {what}, not {value!r}")
+    return value
+
+
+def _grid(args) -> np.ndarray:
+    """The geometric grid of --points levels from --t-lo to --t-hi."""
+    if not 0.0 < args.t_lo <= args.t_hi < INF:
+        raise YoungError("the levels need 0 < --t-lo <= --t-hi < inf")
+    return np.geomspace(args.t_lo, args.t_hi, args.points)
 
 
 def _floats(text: str):
@@ -105,7 +122,7 @@ def _cmd_conjugate(args) -> int:
         conj = sobolev_conjugate_sigma(y, args.sigma, args.n)
     else:
         conj = sobolev_conjugate(y, args.n)
-    ts = np.geomspace(args.t_lo, args.t_hi, args.points)
+    ts = _grid(args)
     rows = [(t, y(float(t)), conj.hn(float(t)), conj.an_value(float(t)))
             for t in ts]
     _write_csv(args.out, ["t", "A", "H", "A_conj"], rows)
@@ -123,17 +140,19 @@ def _cmd_aniso(args) -> int:
     phi = _parse_phi(args.phi, args.dim)
     conj = phi_n(phi, phi.n)
     rows = []
-    ts = np.geomspace(args.t_lo, args.t_hi, args.points)
+    ts = _grid(args)
     for t in ts:
         rows.append(("circ_inverse", t, phi_circ(phi, float(t)), ""))
     for t in ts:
         rows.append(("conjugate", t, conj.an_value(float(t)), ""))
     status = 0
     if args.xi:
+        env = parse_envelope(args.E)
+        xis = np.array([_floats(chunk) for chunk in args.xi.split(";")])
+        if xis.shape[1:] != (phi.n,):
+            raise YoungError(f"each --xi point needs {phi.n} coordinates")
         try:
-            env = parse_envelope(args.E)
             solver = ThetaSolver(phi, env, phi.n, conj=conj)
-            xis = np.array([_floats(chunk) for chunk in args.xi.split(";")])
             for xi, theta in zip(xis, solver.solve_many(xis).tolist()):
                 rows.append(("theta", "", theta, "|".join(_fmt(v) for v in xi)))
         except YoungError as exc:
@@ -245,8 +264,7 @@ def zygmund_sweep(variant: str, n: float):
     """Canonical parameter sweep of the admissibility tables."""
     from .nemytskii import Envelope
 
-    if n < 2:
-        raise YoungError("dimension must satisfy n >= 2")
+    _check("table", "dimension n", n, 2.0, strict=False)
     nprime = n / (n - 1.0)
     rows = []
     pa_pairs = [(1.0, 0.0), (1.5, -1.0), (1.5, 0.0), (2.0, 0.0), (2.0, 1.0)]
@@ -334,22 +352,23 @@ def _cmd_experiment(args) -> int:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise YoungError("experiment config must be a JSON object")
-    dim = int(cfg.get("dim", 2))
-    a = from_config(cfg["A"])
-    b = from_config(cfg["B"])
-    spec = corpus.get_spec(cfg.get("f", "identity"))
+    dim = _typed(cfg, "dim", 2, int, "an integer")
+    a, b = (from_config(_typed(cfg, key, None, (str, dict), "a record")) for key in "AB")
+    spec = corpus.get_spec(_typed(cfg, "f", "identity", str, "a name"))
     if "E" in cfg:
-        spec = dataclasses.replace(spec, envelope=parse_envelope(cfg["E"]))
-    box = _parse_box(cfg.get("box", ""), dim)
-    base = corpus.get_field(cfg.get("field", "x1"), dim)
-    seq_cfg = cfg.get("sequence", {"name": "shift_inv"})
-    offset = corpus.SEQUENCES[seq_cfg.get("name", "shift_inv")]
-    ks = seq_cfg.get("indices", [2 ** j for j in range(1, 9)])
-    seq = corpus.shifted_sequence(base, ks, offset)
-    lams = cfg.get("lambdas")
+        spec = dataclasses.replace(
+            spec, envelope=parse_envelope(_typed(cfg, "E", None, (str, dict), "a record")))
+    box = _parse_box(_typed(cfg, "box", "", str, "'lo,hi' text"), dim)
+    base = corpus.get_field(_typed(cfg, "field", "x1", str, "a name"), dim)
+    seq_cfg = _typed(cfg, "sequence", {"name": "shift_inv"}, dict, "an object")
+    name = _typed(seq_cfg, "name", "shift_inv", str, "a name")
+    ks = _typed(seq_cfg, "indices", [2 ** j for j in range(1, 9)], list, "a list")
+    for k in ks:
+        _check("experiment", "sequence index", k, 1.0, strict=False)
+    seq = corpus.shifted_sequence(base, ks, corpus.SEQUENCES[name])
+    lams = _typed(cfg, "lambdas", None, (list, type(None)), "a list")
     report = nemytskii.continuity_experiment(
-        spec, seq, base, a, b, box, cfg.get("n", dim), lambda_grid=lams,
-        indices=ks)
+        spec, seq, base, a, b, box, cfg.get("n", dim), lambda_grid=lams, indices=ks)
     rows = []
     for i, k in enumerate(report.image.indices):
         rows.append((k, report.predicted_constant,

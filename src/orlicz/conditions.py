@@ -29,7 +29,7 @@ from .conjugate import (
     sobolev_conjugate,
 )
 from .nemytskii import Envelope, parse_envelope
-from .young import INF, IndeterminateError, YoungError, YoungFunction, _least_constant
+from .young import INF, IndeterminateError, YoungError, YoungFunction, _check, _least_constant
 
 _TOL = 1e-9
 
@@ -337,8 +337,7 @@ def check_inq_ass2(a: YoungFunction, b: YoungFunction, envelope, n: float,
                    t0: float = 0.0) -> ConditionVerdict:
     """Target-growth condition B(t E(H(t))) <= A(t) near infinity, up to the
     equivalence constant in the argument of A."""
-    if n < 2:
-        raise YoungError("dimension must satisfy n >= 2")
+    _check("condition", "dimension n", n, 2.0, strict=False)
     env = parse_envelope(envelope)
     ci = classify_integral_inf(a, n)
     if ci is IntegralClass.INDETERMINATE:
@@ -690,7 +689,9 @@ class ZygmundRow:
 
 
 def _validate_zygmund_params(p: float, alpha: float):
-    if p < 1 or (p == 1 and alpha < 0):
+    _check("zygmund_table", "p", p, 1.0, strict=False)
+    _check("zygmund_table", "alpha", alpha)
+    if p == 1 and alpha < 0:
         raise YoungError("need p > 1 with any alpha, or p = 1 with alpha >= 0")
 
 
@@ -700,8 +701,7 @@ def zygmund_table(p: float, alpha: float, n: float, envelope,
     logarithmic scale, one row per (p, alpha, envelope) input."""
     if variant not in ("log", "loglog"):
         raise YoungError("variant must be log or loglog")
-    if n < 2:
-        raise YoungError("dimension must satisfy n >= 2")
+    _check("condition", "dimension n", n, 2.0, strict=False)
     _validate_zygmund_params(p, alpha)
     env = parse_envelope(envelope)
     r = env.params.get("r", 0.0)

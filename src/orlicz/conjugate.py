@@ -45,6 +45,7 @@ from .young import (
     IndeterminateError,
     YoungError,
     YoungFunction,
+    _check,
     modify_near_zero,
 )
 
@@ -108,8 +109,7 @@ def _fit_slope(g, ts) -> Optional[float]:
 
 def classify_integral_zero(y: YoungFunction, n: float) -> IntegralClass:
     """Convergence of the conjugate-defining integral at the origin."""
-    if n < 2:
-        raise YoungError("exponent must satisfy n >= 2")
+    _check("conjugate", "exponent n", n, 2.0, strict=False)
     o = y.zero_order
     if o is not None:
         if o.family == "flat":
@@ -140,8 +140,7 @@ def classify_integral_zero(y: YoungFunction, n: float) -> IntegralClass:
 
 def classify_integral_inf(y: YoungFunction, n: float) -> IntegralClass:
     """Convergence of the conjugate-defining integral at infinity."""
-    if n < 2:
-        raise YoungError("exponent must satisfy n >= 2")
+    _check("conjugate", "exponent n", n, 2.0, strict=False)
     if y.finite_jump is not None:
         return IntegralClass.CONVERGES
     o = y.inf_order
@@ -542,8 +541,7 @@ def _an_orders(y: YoungFunction, nexp: float, was_modified: bool):
 def sobolev_conjugate(y: YoungFunction, n: float) -> SobolevConjugate:
     """Build the conjugate with exponent n, applying the near-zero linear
     replacement first whenever the defining integral diverges at the origin."""
-    if n < 2:
-        raise YoungError("exponent must satisfy n >= 2")
+    _check("conjugate", "exponent n", n, 2.0, strict=False)
     cz = classify_integral_zero(y, n)
     ci = classify_integral_inf(y, n)
     if cz is IntegralClass.INDETERMINATE or ci is IntegralClass.INDETERMINATE:
@@ -560,8 +558,7 @@ def sobolev_conjugate(y: YoungFunction, n: float) -> SobolevConjugate:
 
 def sobolev_conjugate_sigma(y: YoungFunction, sigma: float, n: float = 2.0) -> SobolevConjugate:
     """Conjugate with the dimension exponent replaced by sigma >= n >= 2."""
-    if n < 2:
-        raise YoungError("dimension must satisfy n >= 2")
+    _check("conjugate", "dimension n", n, 2.0, strict=False)
     if sigma < n:
         raise YoungError("the relative isoperimetric exponent needs sigma >= n")
     return sobolev_conjugate(y, sigma)

@@ -27,7 +27,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ._quad import quad_rows
-from .young import INF, YoungError, YoungFunction, _log_root
+from .young import INF, IndeterminateError, YoungError, YoungFunction, _check, _log_root
 
 
 class QuadratureError(RuntimeError):
@@ -337,8 +337,7 @@ def modular_integral(u: TestFunction, y: YoungFunction, lam: float,
                      box: BoxDomain, rel_tol: float = 1e-8,
                      truncation_radius: Optional[float] = None) -> float:
     """int_box A(|u(x)| / lambda) dx, +inf allowed."""
-    if lam <= 0:
-        raise YoungError("modular scale lambda must be positive")
+    _check("modular", "scale lambda", lam, 0.0)
     f = _integrand(u, y, False)
     return integrate_box(lambda X: f(X, lam), box, rel_tol,
                          truncation_radius=truncation_radius)
@@ -348,8 +347,7 @@ def modular_integral_gradient(u: TestFunction, y, lam: float,
                               box: BoxDomain, rel_tol: float = 1e-8) -> float:
     """Gradient modular; isotropic A acts on |grad u|, an n-dimensional
     Young function acts on the full gradient vector."""
-    if lam <= 0:
-        raise YoungError("modular scale lambda must be positive")
+    _check("modular", "scale lambda", lam, 0.0)
     f = _integrand(u, y, True)
     return integrate_box(lambda X: f(X, lam), box, rel_tol)
 
@@ -376,7 +374,11 @@ def luxemburg_norm(u: TestFunction, y: YoungFunction, box: BoxDomain,
     search.  The search is held to lambda in [1e-12, 1e12], and the modular
     at an end, computed once, decides every point past it: a norm above
     1e12 reads inf, one below 1e-12 reads 0.
+    A Young function with a ``finite_jump`` b raises IndeterminateError: the
+    nodes can miss {|u| > b lambda}, where the modular is +inf.
     """
+    if getattr(y, "finite_jump", None) is not None:
+        raise IndeterminateError(f"the norm under {y!r} needs a certified sup |u|")
     s_lo, s_hi = 1.0 / _LAM_CAP, 1.0 / _LAM_FLOOR
 
     @functools.cache
@@ -472,8 +474,10 @@ def modular_convergence(seq: Sequence[TestFunction], limit: TestFunction,
     """Evaluate difference modulars along a sequence and decide per lambda
     whether the trajectory vanishes; norm convergence means every lambda in
     the grid converges."""
+    for lam in lambda_grid:
+        _check("modular_convergence", "lambda", lam, 0.0)
     lams = tuple(float(l) for l in lambda_grid)
-    if not lams or any(l <= 0 for l in lams) or list(lams) != sorted(lams):
+    if not lams or list(lams) != sorted(lams):
         raise YoungError("lambda grid must be positive and increasing")
     idx = tuple(indices) if indices is not None else tuple(range(1, len(seq) + 1))
     if len(idx) != len(seq):

@@ -28,7 +28,7 @@ from .modular import (
     w1a_quantities,
 )
 from .young import (INF, IndeterminateError, PowerExp, YoungError, YoungFunction,
-                    _log_root_many, _parse_text)
+                    _check, _log_root_many, _make)
 
 
 class PreconditionError(YoungError):
@@ -61,8 +61,8 @@ class Envelope:
     @classmethod
     def power(cls, r: float, gamma: float = 0.0, second: str = "log") -> "Envelope":
         """t^r, optionally corrected by log^gamma(1+t) or (loglog(e+t))^gamma."""
-        if r < 0:
-            raise YoungError("envelope exponent r must be nonnegative")
+        _check("power envelope", "r", r, 0.0, strict=False)
+        _check("power envelope", "gamma", gamma)
         if second not in ("log", "loglog"):
             raise YoungError("second-order correction must be log or loglog")
         if gamma == 0.0:
@@ -76,15 +76,14 @@ class Envelope:
 
     @classmethod
     def log_power(cls, r: float) -> "Envelope":
-        if r < 0:
-            raise YoungError("envelope exponent r must be nonnegative")
+        _check("log_power envelope", "r", r, 0.0, strict=False)
         return cls("log_power", {"r": r}, lambda t: math.log1p(t) ** r)
 
     @classmethod
     def exp_power(cls, a: float, log_exp: float = 0.0) -> "Envelope":
         """exp(t^a log^log_exp(1+t))."""
-        if a <= 0:
-            raise YoungError("exponential envelope needs a > 0")
+        _check("exp_power envelope", "a", a, 0.0)
+        _check("exp_power envelope", "log_exp", log_exp)
 
         def fn(t: float) -> float:
             if t <= 0.0:
@@ -96,8 +95,7 @@ class Envelope:
 
     @classmethod
     def exp_exp(cls, a: float) -> "Envelope":
-        if a <= 0:
-            raise YoungError("exponential envelope needs a > 0")
+        _check("exp_exp envelope", "a", a, 0.0)
 
         def fn(t: float) -> float:
             if t <= 0.0:
@@ -154,33 +152,21 @@ class Envelope:
         return bool(np.all(vals[1:] >= vals[:-1] * (1 - 1e-12)))
 
 
-_TEXT_ENVELOPES = {
-    "one": Envelope.one, "power": Envelope.power, "logpower": Envelope.log_power,
-    "log_power": Envelope.log_power, "exppower": Envelope.exp_power,
-    "exp_power": Envelope.exp_power, "exp": Envelope.exp_power,
-    "expexp": Envelope.exp_exp, "exp_exp": Envelope.exp_exp,
-}
+# each constructor is named after the kind it builds
+_ENVELOPES = {make.__name__: make for make in (Envelope.one, Envelope.power, Envelope.log_power,
+                                               Envelope.exp_power, Envelope.exp_exp)}
+_ENVELOPES.update(logpower=Envelope.log_power, exppower=Envelope.exp_power,
+                  exp=Envelope.exp_power, expexp=Envelope.exp_exp)
 
 
 def parse_envelope(record) -> Envelope:
-    """Envelope from a config record or "kind:a,b" text."""
+    """An Envelope as is, else the envelope of a dict record {"kind": kind,
+    key: value, ...} or of "kind:a,b" text: the kind names a constructor of
+    Envelope (or ``logpower``, ``exppower``, ``exp``, ``expexp``), whose
+    parameters are the keys.  A YoungError names the record or key at fault."""
     if isinstance(record, Envelope):
         return record
-    if isinstance(record, str):
-        return _parse_text(record, _TEXT_ENVELOPES, "envelope")
-    kind = record.get("kind")
-    if kind == "one":
-        return Envelope.one()
-    if kind == "power":
-        return Envelope.power(record["r"], record.get("gamma", 0.0),
-                              record.get("second", "log"))
-    if kind == "log_power":
-        return Envelope.log_power(record["r"])
-    if kind == "exp_power":
-        return Envelope.exp_power(record["a"], record.get("log_exp", 0.0))
-    if kind == "exp_exp":
-        return Envelope.exp_exp(record["a"])
-    raise YoungError(f"unknown envelope kind {kind!r}")
+    return _make(record, _ENVELOPES, "envelope")
 
 
 @dataclass(frozen=True)
@@ -197,8 +183,7 @@ class LipschitzSpec:
     label: str = "f"
 
     def __post_init__(self):
-        if self.kappa <= 0:
-            raise YoungError("kappa must be positive")
+        _check("LipschitzSpec", "kappa", self.kappa, 0.0)
 
     @property
     def f_at_zero(self) -> float:
@@ -233,8 +218,7 @@ def compose(spec: LipschitzSpec, u: TestFunction) -> TestFunction:
 
 def truncate(u: TestFunction, s: float) -> TestFunction:
     """Soft thresholding: shift |u| down by s, gradient kept where |u| >= s."""
-    if s <= 0:
-        raise YoungError("threshold must be positive")
+    _check("truncate", "threshold s", s, 0.0)
 
     def values(X):
         v = u.values(X)
@@ -474,6 +458,8 @@ def counterexample_run(k_list: Sequence[int] = (8, 64, 512),
     box = BoxDomain.unit(dim, singular=((0, "lower"),))
     u = singular_log_field(dim)
     ks = tuple(int(k) for k in k_list)
+    for delta in delta_list:
+        _check("counterexample", "strip cutoff delta", delta, 0.0)
     seq = [u.shifted((math.log(k) + 1.0) / k, label=f"shifted[{k}]") for k in ks]
     w_report = modular_convergence(seq, u, a, box, lambda_grid, indices=ks,
                                    rel_tol=rel_tol)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -55,6 +56,17 @@ def _pow(t: float, p: float, scale: float = 1.0) -> float:
     return v
 
 
+def _check(kind: str, name: str, value, low: Optional[float] = None, strict: bool = True):
+    """Raise a YoungError naming ``kind`` and ``name`` unless ``value`` is a
+    finite real number above ``low`` (at least ``low`` when not ``strict``;
+    any finite number when ``low`` is None)."""
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and -INF < value < INF  # False for nan; exact for an int of any size
+            and (low is None or (value > low if strict else value >= low))):
+        bound = "" if low is None else f" {'>' if strict else '>='} {low:g}"
+        raise YoungError(f"{kind} needs a finite {name}{bound}, not {value!r}")
+
+
 def log_grid(lo: float, hi: float, per_decade: int = 64) -> np.ndarray:
     """Geometric grid on [lo, hi] with roughly per_decade points per decade."""
     if not (0.0 < lo < hi):
@@ -82,8 +94,7 @@ class Regime:
     def __post_init__(self):
         if self.kind not in ("global", "near_zero", "near_infinity"):
             raise YoungError(f"unknown regime kind {self.kind!r}")
-        if self.cutoff <= 0:
-            raise YoungError("regime cutoff must be positive")
+        _check("regime", "cutoff", self.cutoff, 0.0)
 
     @classmethod
     def everywhere(cls) -> "Regime":
@@ -304,9 +315,16 @@ def _numeric_inverse(fn: Callable[[float], float], v: float,
 # ---------------------------------------------------------------------------
 
 class YoungFunction:
-    """Base class; subclasses implement ``__call__`` on [0, inf)."""
+    """Base class; subclasses implement ``__call__`` on [0, inf).
+
+    A kind with a config form lists its record keys, its constructor's
+    parameters in order, in ``keys``; ``aliases`` are its other record names,
+    and ``omit`` maps a key to the value at which the record leaves it out."""
 
     kind = "abstract"
+    aliases: tuple = ()
+    keys: tuple = ()
+    omit: dict = {}
 
     def __call__(self, t: float) -> float:  # pragma: no cover - abstract
         raise NotImplementedError
@@ -344,7 +362,15 @@ class YoungFunction:
         return np.array([self.inverse(float(v)) for v in np.asarray(vs).ravel()], dtype=float)
 
     def to_config(self) -> dict:
-        raise NotImplementedError(f"{self.kind} has no config form")
+        """The record that ``from_config`` reads back; a family in it nests."""
+        if not self.keys:
+            raise NotImplementedError(f"{self.kind} has no config form")
+        cfg = {"kind": self.kind}
+        for key in self.keys:
+            v = getattr(self, key)
+            if key not in self.omit or v != self.omit[key]:
+                cfg[key] = v.to_config() if isinstance(v, YoungFunction) else v
+        return cfg
 
     def __repr__(self) -> str:
         try:
@@ -360,11 +386,11 @@ class Power(YoungFunction):
 
     p: float
     scale: float = 1.0
-    kind = "power"
+    kind, keys, omit = "power", ("p", "scale"), {"scale": 1.0}
 
     def __post_init__(self):
-        if self.p <= 0 or self.scale <= 0:
-            raise YoungError("power kind needs p > 0 and scale > 0")
+        _check("power", "p", self.p, 0.0)
+        _check("power", "scale", self.scale, 0.0)
 
     def __call__(self, t: float) -> float:
         return _pow(t, self.p, self.scale)
@@ -394,12 +420,6 @@ class Power(YoungFunction):
     def inf_order(self):
         return GrowthOrder(self.p)
 
-    def to_config(self):
-        cfg = {"kind": "power", "p": self.p}
-        if self.scale != 1.0:
-            cfg["scale"] = self.scale
-        return cfg
-
 
 def linear() -> Power:
     """The identity Young function A(t) = t."""
@@ -418,17 +438,14 @@ class PowerLog(YoungFunction):
     p: float
     alpha: float
     c: Optional[float] = None
-    kind = "power_log"
+    kind, aliases, keys = "power_log", ("powerlog",), ("p", "alpha", "c")
 
     def __post_init__(self):
-        if self.p <= 0:
-            raise YoungError("power_log needs p > 0")
+        _check("power_log", "p", self.p, 0.0)
+        _check("power_log", "alpha", self.alpha)
         if self.c is None:
             object.__setattr__(self, "c", 1.0 if self.alpha >= 0 else math.e)
-        if self.c < 1.0:
-            raise YoungError("power_log base must satisfy c >= 1")
-        if self.alpha < 0 and self.c <= 1.0:
-            raise YoungError("power_log with alpha < 0 needs c > 1")
+        _check("power_log", "base c", self.c, 1.0, strict=self.alpha < 0)
 
     def __call__(self, t: float) -> float:
         if t <= 0.0:
@@ -465,9 +482,6 @@ class PowerLog(YoungFunction):
     def inf_order(self):
         return GrowthOrder(self.p, log_exp=self.alpha)
 
-    def to_config(self):
-        return {"kind": "power_log", "p": self.p, "alpha": self.alpha, "c": self.c}
-
 
 @dataclass(frozen=True, repr=False)
 class PowerLogLog(YoungFunction):
@@ -476,15 +490,14 @@ class PowerLogLog(YoungFunction):
     p: float
     alpha: float
     c: Optional[float] = None
-    kind = "power_loglog"
+    kind, aliases, keys = "power_loglog", ("powerloglog",), ("p", "alpha", "c")
 
     def __post_init__(self):
-        if self.p <= 0:
-            raise YoungError("power_loglog needs p > 0")
+        _check("power_loglog", "p", self.p, 0.0)
+        _check("power_loglog", "alpha", self.alpha)
         if self.c is None:
             object.__setattr__(self, "c", math.e if self.alpha >= 0 else math.exp(math.e))
-        if self.c < math.e:
-            raise YoungError("power_loglog base must satisfy c >= e")
+        _check("power_loglog", "base c", self.c, math.e, strict=False)
 
     def __call__(self, t: float) -> float:
         if t <= 0.0:
@@ -495,8 +508,6 @@ class PowerLogLog(YoungFunction):
         ll = math.log(math.log(self.c + t))
         if ll == 0.0:
             return 0.0 if self.alpha > 0 else INF
-        if ll < 0.0:  # cannot happen for c >= e
-            raise YoungError("power_loglog base too small")
         return body * _pow(ll, self.alpha, 1.0)
 
     def values(self, ts: np.ndarray) -> np.ndarray:
@@ -507,10 +518,7 @@ class PowerLogLog(YoungFunction):
             out = body * np.power(ll, self.alpha)
         out[ll == 0.0] = 0.0 if self.alpha > 0 else INF
         out[body == INF] = INF
-        live = t > 0.0
-        out[~live] = 0.0
-        if (live & (body < INF) & (ll < 0.0)).any():  # cannot happen for c >= e
-            raise YoungError("power_loglog base too small")
+        out[~(t > 0.0)] = 0.0
         return out
 
     @property
@@ -523,20 +531,16 @@ class PowerLogLog(YoungFunction):
     def inf_order(self):
         return GrowthOrder(self.p, loglog_exp=self.alpha)
 
-    def to_config(self):
-        return {"kind": "power_loglog", "p": self.p, "alpha": self.alpha, "c": self.c}
-
 
 @dataclass(frozen=True, repr=False)
 class PowerExp(YoungFunction):
     """t^p * e^t; the p = 1 case drives the norm-topology counterexample."""
 
     p: float = 1.0
-    kind = "power_exp"
+    kind, aliases, keys = "power_exp", ("powerexp",), ("p",)
 
     def __post_init__(self):
-        if self.p < 1:
-            raise YoungError("power_exp needs p >= 1 for convexity")
+        _check("power_exp", "p", self.p, 1.0, strict=False)  # convexity
 
     def __call__(self, t: float) -> float:
         if t <= 0.0:
@@ -562,9 +566,6 @@ class PowerExp(YoungFunction):
     def inf_order(self):
         return GrowthOrder(1.0, family="exp")
 
-    def to_config(self):
-        return {"kind": "power_exp", "p": self.p}
-
 
 def _expm1_pow(t: float, alpha: float) -> float:
     if t <= 0.0:
@@ -575,7 +576,7 @@ def _expm1_pow(t: float, alpha: float) -> float:
 
 @dataclass(frozen=True, repr=False)
 class Exp(YoungFunction):
-    """exp(t^alpha) - shift, linearized near zero when alpha < 1.
+    """exp(t^alpha) - 1, linearized near zero when alpha < 1.
 
     For alpha < 1 the raw map is concave near the origin; the constructor
     glues a linear segment below the first dyadic point where the chord from
@@ -583,17 +584,12 @@ class Exp(YoungFunction):
     """
 
     alpha: float
-    shift: float = 1.0
-    tstar: float = field(default=0.0)
-    kind = "exp"
+    tstar: float = field(default=0.0, init=False)
+    kind, keys = "exp", ("alpha",)
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise YoungError("exp kind needs alpha > 0")
-        if self.shift != 1.0:
-            raise YoungError("only shift = 1 keeps A(0) = 0")
+        _check("exp", "alpha", self.alpha, 0.0)
         if self.alpha >= 1.0:
-            object.__setattr__(self, "tstar", 0.0)
             return
         raw = lambda t: _expm1_pow(t, self.alpha)
         t = ((1.0 - self.alpha) / self.alpha) ** (1.0 / self.alpha)
@@ -648,9 +644,6 @@ class Exp(YoungFunction):
     def inf_order(self):
         return GrowthOrder(self.alpha, family="exp")
 
-    def to_config(self):
-        return {"kind": "exp", "alpha": self.alpha}
-
 
 @dataclass(frozen=True, repr=False)
 class ExpNegInv(YoungFunction):
@@ -661,11 +654,10 @@ class ExpNegInv(YoungFunction):
     """
 
     alpha: float
-    kind = "exp_neg_inv"
+    kind, aliases, keys = "exp_neg_inv", ("expneginv",), ("alpha",)
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise YoungError("exp_neg_inv needs alpha > 0")
+        _check("exp_neg_inv", "alpha", self.alpha, 0.0)
         tc = (self.alpha / (self.alpha + 1.0)) ** (1.0 / self.alpha)
         v = math.exp(-tc ** (-self.alpha))
         m = self.alpha * tc ** (-self.alpha - 1.0) * v
@@ -705,9 +697,6 @@ class ExpNegInv(YoungFunction):
     @property
     def inf_order(self):
         return GrowthOrder(1.0)
-
-    def to_config(self):
-        return {"kind": "exp_neg_inv", "alpha": self.alpha}
 
 
 @dataclass(frozen=True, repr=False)
@@ -762,18 +751,31 @@ class Piecewise(YoungFunction):
         return self.inf_
 
 
-def gate(threshold: float) -> Piecewise:
+def _zero(t: float) -> float:
+    return 0.0
+
+
+def _infinite(t: float) -> float:
+    return INF
+
+
+class Gate(Piecewise):
     """The L-infinity gauge: 0 on [0, threshold], +inf beyond.
 
     Extended-real convex and left-continuous; its generalized inverse is the
-    constant ``threshold`` on [0, inf)."""
-    return Piecewise(
-        breaks=(threshold,),
-        branches=(lambda t: 0.0, lambda t: INF),
-        jump=threshold,
-        zero=GrowthOrder(0.0, family="flat"),
-        inf_=GrowthOrder(0.0, family="jump"),
-    )
+    constant ``threshold`` on [0, inf).  Every gate shares its two branches,
+    so gates of one threshold compare equal."""
+
+    kind, keys = "gate", ("threshold",)
+
+    def __init__(self, threshold: float):
+        _check("gate", "threshold", threshold, 0.0)
+        super().__init__((threshold,), (_zero, _infinite), threshold,
+                         GrowthOrder(0.0, family="flat"), GrowthOrder(0.0, family="jump"))
+        object.__setattr__(self, "threshold", threshold)
+
+
+gate = Gate  # gates are built as gate(threshold)
 
 
 @dataclass(frozen=True, repr=False)
@@ -784,62 +786,56 @@ class Glued(YoungFunction):
     scaling one side preserves equivalence on that side.
     """
 
-    near_zero_fn: YoungFunction
-    near_infinity_fn: YoungFunction
+    near_zero: YoungFunction
+    near_infinity: YoungFunction
     tstar: float
     hi_scale: float = 1.0
-    kind = "glued"
+    kind, keys = "glued", ("near_zero", "near_infinity", "tstar", "hi_scale")
 
     def __post_init__(self):
-        if self.tstar <= 0 or self.hi_scale <= 0:
-            raise YoungError("glued needs tstar > 0 and hi_scale > 0")
+        for key in ("near_zero", "near_infinity"):  # a family record reads as its family
+            if not isinstance(getattr(self, key), YoungFunction):
+                object.__setattr__(self, key, from_config(getattr(self, key)))
+        _check("glued", "tstar", self.tstar, 0.0)
+        _check("glued", "hi_scale", self.hi_scale, 0.0)
 
     def __call__(self, t: float) -> float:
         if t <= 0.0:
             return 0.0
         if t <= self.tstar:
-            return self.near_zero_fn(t)
-        v = self.near_infinity_fn(t)
+            return self.near_zero(t)
+        v = self.near_infinity(t)
         return INF if v == INF else self.hi_scale * v
 
     def values(self, ts: np.ndarray) -> np.ndarray:
         t = np.asarray(ts, dtype=float).ravel()
         out = np.zeros(t.shape)
         near = (t > 0.0) & (t <= self.tstar)
-        out[near] = self.near_zero_fn.values(t[near])
+        out[near] = self.near_zero.values(t[near])
         far = t > self.tstar
         with np.errstate(over="ignore"):
-            out[far] = self.hi_scale * self.near_infinity_fn.values(t[far])
+            out[far] = self.hi_scale * self.near_infinity.values(t[far])
         return out
 
     def inverse(self, v: float) -> float:
         if 0.0 <= v < self(self.tstar):
-            return self.near_zero_fn.inverse(v)
+            return self.near_zero.inverse(v)
         return _numeric_inverse(self.__call__, v)
 
     @property
     def zero_order(self):
-        return self.near_zero_fn.zero_order
+        return self.near_zero.zero_order
 
     @property
     def inf_order(self):
-        return self.near_infinity_fn.inf_order
+        return self.near_infinity.inf_order
 
     @property
     def finite_jump(self):
-        j = self.near_infinity_fn.finite_jump
+        j = self.near_infinity.finite_jump
         if j is not None:
             return max(j, self.tstar)
         return None
-
-    def to_config(self):
-        return {
-            "kind": "glued",
-            "near_zero": self.near_zero_fn.to_config(),
-            "near_infinity": self.near_infinity_fn.to_config(),
-            "tstar": self.tstar,
-            "hi_scale": self.hi_scale,
-        }
 
 
 @dataclass(frozen=True, repr=False)
@@ -933,60 +929,46 @@ class FromInverse(YoungFunction):
 # Config round-trip
 # ---------------------------------------------------------------------------
 
-def _parse_text(text: str, makers: dict, what: str):
-    """``makers[kind](*params)`` for "kind:a,b" text; a YoungError names the
-    text when the kind is unknown or the parameters do not fit it."""
-    name, _, rest = text.partition(":")
-    args = [float(x) for x in rest.split(",") if x]
-    make = makers.get(name.strip().lower())
-    if make is None:
-        raise YoungError(f"unknown {what} {text!r}")
-    try:
-        inspect.signature(make).bind(*args)
-    except TypeError:
-        raise YoungError(f"wrong number of parameters in {what} {text!r}") from None
-    return make(*args)
+def _make(record, makers: dict, what: str):
+    """``makers[name](*numbers)`` for "name:a,b" text, and
+    ``makers[name](**params)`` for a dict record {"kind": name, **params}: the
+    parameters of each maker are the keys of its records.  A YoungError names
+    the record and the key at fault; the maker checks the values."""
+    args, params = [], {}
+    if isinstance(record, str):
+        name, _, rest = record.partition(":")
+        name = name.strip().lower()
+        try:
+            args = [float(x) for x in rest.split(",") if x]
+        except ValueError:
+            raise YoungError(f"non-numeric parameter in {what} {record!r}") from None
+    elif isinstance(record, dict):
+        params = dict(record)
+        name = params.pop("kind", None)
+    else:
+        raise YoungError(f"{what} must be a dict or 'kind:a,b' text, not {record!r}")
+    maker = makers.get(name) if isinstance(name, str) else None
+    if maker is None:
+        raise YoungError(f"unknown {what} {record!r}")
+    try:  # an unknown or missing key, or too many numbers
+        inspect.signature(maker).bind(*args, **params)
+    except TypeError as exc:
+        raise YoungError(f"{what} {record!r}: {exc}") from None
+    return maker(*args, **params)
 
 
-_TEXT_FAMILIES = {
-    "power": Power, "linear": linear, "powerlog": PowerLog, "power_log": PowerLog,
-    "powerloglog": PowerLogLog, "power_loglog": PowerLogLog, "powerexp": PowerExp,
-    "power_exp": PowerExp, "exp": Exp, "expneginv": ExpNegInv, "exp_neg_inv": ExpNegInv,
-    "gate": gate,
-}
+_FAMILIES = {name: cls
+             for cls in (Power, PowerLog, PowerLogLog, PowerExp, Exp, ExpNegInv, Gate, Glued)
+             for name in (cls.kind, *cls.aliases)}
+_FAMILIES["linear"] = linear
 
 
 def from_config(record) -> YoungFunction:
-    """Parse a family record, either a dict {kind, ...} or "kind:a,b" text."""
-    if isinstance(record, str):
-        return _parse_text(record, _TEXT_FAMILIES, "family text")
-    if not isinstance(record, dict):
-        raise YoungError(f"family must be a dict or 'kind:a,b' text, not {record!r}")
-    kind = record.get("kind")
-    if kind == "power":
-        return Power(record["p"], record.get("scale", 1.0))
-    if kind == "linear":
-        return linear()
-    if kind == "power_log":
-        return PowerLog(record["p"], record["alpha"], record.get("c"))
-    if kind == "power_loglog":
-        return PowerLogLog(record["p"], record["alpha"], record.get("c"))
-    if kind == "power_exp":
-        return PowerExp(record.get("p", 1.0))
-    if kind == "exp":
-        return Exp(record["alpha"])
-    if kind == "exp_neg_inv":
-        return ExpNegInv(record["alpha"])
-    if kind == "gate":
-        return gate(record["threshold"])
-    if kind == "glued":
-        return Glued(
-            from_config(record["near_zero"]),
-            from_config(record["near_infinity"]),
-            record["tstar"],
-            record.get("hi_scale", 1.0),
-        )
-    raise YoungError(f"unknown family kind {kind!r}")
+    """The family of a dict record {"kind": kind, key: value, ...} or of
+    "kind:a,b" text, whose numbers fill the ``keys`` in order; the kind is the
+    ``kind`` or an alias of a class in ``_FAMILIES``, or "linear".  Inverse of
+    ``to_config``; a YoungError names the record, key or parameter at fault."""
+    return _make(record, _FAMILIES, "family")
 
 
 # ---------------------------------------------------------------------------
@@ -1153,8 +1135,7 @@ def modify_near_zero(y: YoungFunction, n: int) -> Glued:
     """Replace A near zero with a linear segment so the conjugate-defining
     integral converges at the origin; the result equals A beyond the glue
     point, hence is equivalent to A near infinity with constant 1."""
-    if n < 2:
-        raise YoungError("dimension must satisfy n >= 2")
+    _check("modify_near_zero", "dimension n", n, 2.0, strict=False)
     # prefer the unit scale; descend only when the function jumps or
     # vanishes there (the choice only moves equivalence constants)
     for j in list(range(0, 60)) + list(range(-1, -25, -1)):

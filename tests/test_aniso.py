@@ -394,6 +394,17 @@ class TestVectorYoungShape:
                 mid = phi(0.5 * (a + b))
                 assert mid <= 0.5 * (phi(a) + phi(b)) + 1e-9 * (1 + phi(b))
 
+    def test_wrong_length_is_an_error(self):
+        box = oz.BlackBox(lambda xi: float(xi @ xi), n=2)
+        for phi in self.vector_corpus() + [box]:
+            for xi in (np.ones(1), np.ones(3), (1.0, 2.0, 3.0)):
+                with pytest.raises(oz.YoungError, match="length 2"):
+                    phi(xi)
+            for points in (np.ones((4, 1)), np.ones((4, 3)), np.ones(4)):
+                with pytest.raises(oz.YoungError, match="length 2"):
+                    phi.values(points)
+            assert phi.values(np.ones((4, 2))).shape == (4,)
+
     def test_nondegeneracy_probe(self):
         for phi in self.vector_corpus():
             assert phi.nondegenerate()

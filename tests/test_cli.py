@@ -1,12 +1,18 @@
 """Command-line front end: verdicts, tables, determinism, golden files."""
 
+import contextlib
 import gc
+import io
 import json
+import math
 import pathlib
 import shlex
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from orlicz import cli
 from orlicz.cli import main
@@ -93,13 +99,39 @@ class TestInputErrors:
         "check --cond inq-assD --A power:2 --B power:1.5 --E power:1",
         "experiment --config {list_config}",
         "table --n 1",
+        "check --cond inq-ass2 --A power:2 --B power:1.5 --E power:nan --n 3",
+        "norm --field x1 --A power:nan --dim 1",
+        "norm --field x1 --A power:inf --dim 1",
+        "norm --field x1 --A exp:nan --dim 1",
+        "aniso --phi ortho:power:1.5|power:1.8 --dim 2 --xi 1,2,3",
+        "aniso --phi iso:power:2 --dim 2 --E power:1 --xi 1,1,1",
+        "aniso --phi ortho:power:1.5|power:1.8 --dim 3",
+        "experiment --config {sequence_text}",
+        "experiment --config {lambdas_number}",
+        "experiment --config {envelope_number}",
+        "experiment --config {power_without_p}",
+        "experiment --config {power_p_text}",
     ])
     def test_bad_input_is_an_error_line(self, argv, tmp_path, capsys):
-        config = tmp_path / "list.json"
-        config.write_text("[1, 2]\n")
-        code = run(shlex.split(argv.format(list_config=config)))
+        configs = {"list_config": [1, 2],
+                   "sequence_text": {"A": "power:2", "B": "power:1", "sequence": "shift_inv"},
+                   "lambdas_number": {"A": "power:2", "B": "power:1", "lambdas": 3},
+                   "envelope_number": {"A": "power:2", "B": "power:1", "E": 3},
+                   "power_without_p": {"A": {"kind": "power"}, "B": "power:1"},
+                   "power_p_text": {"A": {"kind": "power", "p": "x"}, "B": "power:1"}}
+        paths = {}
+        for name, cfg in configs.items():
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(cfg) + "\n")
+        code = run(shlex.split(argv.format(**paths)))
         assert code == 1
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_gate_norm_is_indeterminate(self, capsys):
+        # the modular is +inf on {|u| > 0.5 lambda}, a set the nodes can miss
+        assert run(["norm", "--field", "x1", "--A", "gate:0.5", "--dim", "1"]) == 2
+        assert capsys.readouterr().err.startswith("indeterminate:")
 
 
 class TestTableGolden:
@@ -267,3 +299,88 @@ class TestExperimentCommand:
         assert code == 0
         payload = json.loads(out.read_text())
         assert payload["image_converged"] is True
+
+
+# ---------------------------------------------------------------------------
+# Contract: any argument list or config exits 0, 1 or 2, without a traceback
+# ---------------------------------------------------------------------------
+
+CONTRACT_ARGV = [shlex.split(line) for line in (
+    "norm --field x1 --A power:2 --dim 1 --box 0,1",
+    "check --cond inq-ass2 --A power:2 --B power:1.5 --E power:1 --n 3 --t0 0",
+    "check --cond inq-assD --A power:2 --B power:1.5 --E power:1,1 --F power_log:2,1 --t1 1",
+    "check --cond ortho --A power:2|power:2 --B power:1.5|power:1.5 --E power:1 --n 2",
+    "check --cond aniso --A iso:power:2 --B iso:power:1.2 --E power:1 --n 3",
+    "conjugate --A power:2 --n 2 --sigma 4 --points 3 --t-lo 0.1 --t-hi 10",
+    "aniso --phi ortho:power:1.5|power:1.8 --dim 2 --E power:1 --xi 1,1 --points 3",
+    "table --variant log --n 3",
+    "converge --field x1 --A power:2 --dim 1 --kmax 64 --lambdas 4",
+    "counterexample --dim 1 --ks 8 --deltas 1e-3 --lambdas 1",
+)]
+CONTRACT_CONFIG = {"A": {"kind": "power", "p": 2}, "B": "power:1", "E": "one", "dim": 1,
+                   "f": "identity", "field": "x1", "box": "0,1", "n": 2,
+                   "sequence": {"name": "shift_inv", "indices": [4, 64, 1024]}, "lambdas": [4.0]}
+# one field of a valid input at a time: a wrong type, nan, inf, a negative
+# number, an empty string, or a vector of the wrong length
+MUTANTS = ["x", "nan", "inf", "-1", "", "1,2,3"]
+CONFIG_MUTANTS = ["x", math.nan, math.inf, -1, "", [1, 2, 3], {}, None]
+CONFIG_PATHS = [(key,) for key in CONTRACT_CONFIG] + [
+    ("A", "p"), ("sequence", "name"), ("sequence", "indices")]
+
+
+@st.composite
+def mutated_argv(draw):
+    argv = list(draw(st.sampled_from(CONTRACT_ARGV)))
+    i = draw(st.sampled_from([i for i, a in enumerate(argv) if i and not a.startswith("--")]))
+    m = draw(st.sampled_from(MUTANTS))
+    # a family, envelope or phi text keeps its kind and gets the mutant parameter
+    argv[i] = argv[i].rpartition(":")[0] + ":" + m if draw(st.booleans()) and ":" in argv[i] else m
+    return ("argv", argv)
+
+
+@st.composite
+def mutated_config(draw):
+    cfg = json.loads(json.dumps(CONTRACT_CONFIG))
+    *path, key = draw(st.sampled_from(CONFIG_PATHS))
+    owner = cfg
+    for p in path:
+        owner = owner[p]
+    owner[key] = draw(st.sampled_from(CONFIG_MUTANTS))
+    return ("config", cfg)
+
+
+class TestContract:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(case=st.one_of(mutated_argv(), mutated_config()))
+    @example(case=("argv", shlex.split(
+        "check --cond inq-ass2 --A power:2 --B power:1.5 --E power:nan --n 3")))
+    @example(case=("argv", shlex.split("norm --field x1 --A power:nan --dim 1")))
+    @example(case=("argv", shlex.split("norm --field x1 --A power:inf --dim 1")))
+    @example(case=("argv", shlex.split("norm --field x1 --A exp:nan --dim 1")))
+    @example(case=("argv", shlex.split("norm --field x1 --A gate:0.5 --dim 1")))
+    @example(case=("argv", shlex.split(
+        'aniso --phi "ortho:power:1.5|power:1.8" --dim 2 --xi "1,2,3"')))
+    @example(case=("argv", shlex.split('aniso --phi iso:power:2 --dim 2 --E power:1 --xi "1,1,1"')))
+    @example(case=("argv", shlex.split('aniso --phi "ortho:power:1.5|power:1.8" --dim 3')))
+    @example(case=("config", {"A": "power:2", "B": "power:1", "sequence": "shift_inv"}))
+    @example(case=("config", {"A": "power:2", "B": "power:1", "lambdas": 3}))
+    @example(case=("config", {"A": "power:2", "B": "power:1", "E": 3}))
+    @example(case=("config", {"A": {"kind": "power"}, "B": "power:1"}))
+    @example(case=("config", {"A": {"kind": "power", "p": "x"}, "B": "power:1"}))
+    def test_exit_code_and_output(self, case):
+        form, value = case
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = value
+            if form == "config":
+                path = pathlib.Path(tmp) / "exp.json"
+                path.write_text(json.dumps(value))
+                argv = ["experiment", "--config", str(path)]
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        err = err.getvalue()
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        assert "NaN" not in err
+        if err.startswith("{"):  # the JSON summary goes to stderr without --json-out
+            json.loads(err)

@@ -184,6 +184,11 @@ class TestLuxemburgSearch:
     def test_matches_bisection(self, k, j, c, gradient):
         u, box = LUX_FIELDS_1D[k]
         u, y = u.scaled(c), LUX_YOUNG[j]
+        if y.finite_jump is not None:
+            # the nodes can miss {|u| > b lambda}, and no certified sup |u| is at hand
+            with pytest.raises(oz.IndeterminateError):
+                oz.luxemburg_norm(u, y, box, gradient=gradient)
+            return
         ref = ref_luxemburg_norm(u, y, box, gradient=gradient)
         got = oz.luxemburg_norm(u, y, box, gradient=gradient)
         assert got == ref or math.isclose(got, ref, rel_tol=1e-10)

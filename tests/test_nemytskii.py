@@ -85,6 +85,43 @@ class TestEnvelope:
         assert oz.parse_envelope({"kind": "exp_power", "a": 2.0})(1.0) == math.e
         with pytest.raises(oz.YoungError):
             oz.parse_envelope("mystery:1")
+        for bad in ("power", "power:1,2,3,4", "power:1,0,2", "power:x", 3, None,
+                    {"kind": "power"}, {"kind": "power", "r": 1, "x": 2},
+                    {"kind": "power", "r": 1, "second": "cubic"}, {"kind": "power", "r": "1"}):
+            with pytest.raises(oz.YoungError):
+                oz.parse_envelope(bad)
+
+    @pytest.mark.parametrize("record,kind,params", [
+        ("one", "one", {}),
+        ("power:1", "power", {"r": 1.0, "gamma": 0.0, "second": "log"}),
+        ("power:1,0.5", "power", {"r": 1.0, "gamma": 0.5, "second": "log"}),
+        ({"kind": "power", "r": 1, "second": "loglog"}, "power",
+         {"r": 1, "gamma": 0.0, "second": "loglog"}),
+        ("logpower:2", "log_power", {"r": 2.0}),
+        ("log_power:2", "log_power", {"r": 2.0}),
+        ("exppower:1", "exp_power", {"a": 1.0, "log_exp": 0.0}),
+        ("exp_power:1,0.5", "exp_power", {"a": 1.0, "log_exp": 0.5}),
+        ("exp:1", "exp_power", {"a": 1.0, "log_exp": 0.0}),
+        ("expexp:1", "exp_exp", {"a": 1.0}),
+        ("exp_exp:1", "exp_exp", {"a": 1.0}),
+    ])
+    def test_every_alias_parses(self, record, kind, params):
+        env = oz.parse_envelope(record)
+        assert (env.kind, env.params) == (kind, params)
+
+    RECORDS = [{"kind": "power", "r": 1.0, "gamma": 0.5}, {"kind": "log_power", "r": 1.0},
+               {"kind": "exp_power", "a": 1.0, "log_exp": 0.5}, {"kind": "exp_exp", "a": 1.0}]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameter_is_an_error(self, bad):
+        kinds = {make.__name__ for make in nemytskii._ENVELOPES.values()}
+        assert kinds == {"one"} | {r["kind"] for r in self.RECORDS}  # every kind with a parameter
+        for record in self.RECORDS:
+            oz.parse_envelope(record)
+            for key, value in record.items():
+                if isinstance(value, float):
+                    with pytest.raises(oz.YoungError, match=key):
+                        oz.parse_envelope({**record, key: bad})
 
 
 class TestLipschitzSpec:

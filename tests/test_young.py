@@ -2,6 +2,8 @@
 
 import contextlib
 import functools
+import inspect
+import json
 import math
 import sys
 
@@ -37,6 +39,33 @@ def builtin_corpus():
         oz.modify_near_zero(oz.Power(4), 3),
         oz.linear(),
     ]
+
+
+FAMILIES = {  # one strategy per registered kind
+    "power": st.builds(oz.Power, st.floats(0.1, 8.0), st.floats(0.1, 10.0) | st.just(1.0)),
+    "power_log": st.builds(oz.PowerLog, st.floats(0.5, 6.0), st.floats(-2.0, 2.0)),
+    "power_loglog": st.builds(oz.PowerLogLog, st.floats(0.5, 6.0), st.floats(-2.0, 2.0)),
+    "power_exp": st.builds(oz.PowerExp, st.floats(1.0, 5.0)),
+    "exp": st.builds(oz.Exp, st.floats(0.2, 4.0)),
+    "exp_neg_inv": st.builds(oz.ExpNegInv, st.floats(0.2, 4.0)),
+    "gate": st.builds(oz.gate, st.floats(1e-3, 1e3)),
+}
+FAMILIES["glued"] = st.builds(oz.Glued, st.one_of(*FAMILIES.values()),
+                              st.one_of(*FAMILIES.values()), st.floats(0.1, 10.0),
+                              st.floats(0.1, 10.0))
+REGISTERED = {cls for cls in young._FAMILIES.values() if isinstance(cls, type)}
+REGISTERED_KINDS = {cls.kind for cls in REGISTERED}
+VALID_RECORDS = [
+    {"kind": "power", "p": 2.0, "scale": 1.5},
+    {"kind": "power_log", "p": 2.0, "alpha": 1.0, "c": 2.0},
+    {"kind": "power_loglog", "p": 2.0, "alpha": 1.0, "c": 3.0},
+    {"kind": "power_exp", "p": 1.5},
+    {"kind": "exp", "alpha": 2.0},
+    {"kind": "exp_neg_inv", "alpha": 1.0},
+    {"kind": "gate", "threshold": 0.5},
+    {"kind": "glued", "near_zero": "power:1", "near_infinity": "power:2", "tstar": 1.0,
+     "hi_scale": 2.0},
+]
 
 
 def strictly_increasing_corpus():
@@ -798,6 +827,80 @@ class TestConfig:
         assert isinstance(oz.from_config("expneginv:1"), oz.ExpNegInv)
         with pytest.raises(oz.YoungError):
             oz.from_config("nope:1")
-        for bad in ("power", "power:2,3,4", "linear:1", None, [2.0]):
+        for bad in ("power", "power:2,3,4", "linear:1", None, [2.0], "power:x", "power:nan",
+                    "power:inf", "power_exp:nan", "exp:nan", "gate:0", "glued:1,2,3",
+                    {"kind": "power"}, {"kind": "power", "p": "x"}, {"kind": "power", "p": True},
+                    {"kind": "power", "p": 2, "q": 1}, {"kind": ["power"], "p": 2},
+                    {"kind": "exp", "alpha": 2, "tstar": 1}):
             with pytest.raises(oz.YoungError):
                 oz.from_config(bad)
+
+    # the records of these kinds, key order included: schema: 1 JSON embeds them
+    FROZEN = [
+        (oz.Power(2.5), '{"kind": "power", "p": 2.5}'),
+        (oz.Power(2, 3.0), '{"kind": "power", "p": 2, "scale": 3.0}'),
+        (oz.linear(), '{"kind": "power", "p": 1.0}'),
+        (oz.PowerLog(2, 1), '{"kind": "power_log", "p": 2, "alpha": 1, "c": 1.0}'),
+        (oz.PowerLog(1.5, -1),
+         '{"kind": "power_log", "p": 1.5, "alpha": -1, "c": 2.718281828459045}'),
+        (oz.PowerLogLog(3, -1),
+         '{"kind": "power_loglog", "p": 3, "alpha": -1, "c": 15.154262241479262}'),
+        (oz.PowerLogLog(2, 0.5),
+         '{"kind": "power_loglog", "p": 2, "alpha": 0.5, "c": 2.718281828459045}'),
+        (oz.PowerExp(1.0), '{"kind": "power_exp", "p": 1.0}'),
+        (oz.PowerExp(2), '{"kind": "power_exp", "p": 2}'),
+        (oz.Exp(0.5), '{"kind": "exp", "alpha": 0.5}'),
+        (oz.ExpNegInv(1.0), '{"kind": "exp_neg_inv", "alpha": 1.0}'),
+        (oz.gate(0.5), '{"kind": "gate", "threshold": 0.5}'),
+        (oz.modify_near_zero(oz.Power(4), 3),
+         '{"kind": "glued", "near_zero": {"kind": "power", "p": 1.0}, "near_infinity": '
+         '{"kind": "power", "p": 4}, "tstar": 1.0, "hi_scale": 1.0}'),
+        (oz.modify_near_zero(oz.PowerLog(2, 1), 3),
+         '{"kind": "glued", "near_zero": {"kind": "power", "p": 1.0, "scale": '
+         '0.6931471805599453}, "near_infinity": {"kind": "power_log", "p": 2, "alpha": 1, '
+         '"c": 1.0}, "tstar": 1.0, "hi_scale": 1.0}'),
+        (oz.Glued(oz.Power(1.0, 2.0), oz.Exp(2.0), 0.5, 3.0),
+         '{"kind": "glued", "near_zero": {"kind": "power", "p": 1.0, "scale": 2.0}, '
+         '"near_infinity": {"kind": "exp", "alpha": 2.0}, "tstar": 0.5, "hi_scale": 3.0}'),
+    ]
+
+    @pytest.mark.parametrize("y,text", FROZEN, ids=lambda v: getattr(v, "kind", None))
+    def test_records_are_frozen(self, y, text):
+        assert json.dumps(y.to_config()) == text
+        assert oz.from_config(json.loads(text)) == y
+
+    def test_every_kind_is_frozen(self):
+        assert {y.kind for y, _ in self.FROZEN} == REGISTERED_KINDS
+
+    @settings(max_examples=120, deadline=None)
+    @given(y=st.one_of(*FAMILIES.values()))
+    def test_round_trip_is_identity(self, y):
+        assert oz.from_config(json.loads(json.dumps(y.to_config()))) == y
+
+    def test_every_kind_round_trips(self):
+        assert set(FAMILIES) == REGISTERED_KINDS
+
+    @pytest.mark.parametrize("cls", sorted(REGISTERED, key=lambda c: c.kind))
+    def test_keys_are_the_constructor_parameters(self, cls):
+        assert tuple(inspect.signature(cls).parameters) == cls.keys
+
+    @pytest.mark.parametrize("text,want", [
+        ("linear", oz.linear()), ("power:2", oz.Power(2.0)), ("POWER:2,3", oz.Power(2.0, 3.0)),
+        ("powerlog:2,1", oz.PowerLog(2.0, 1.0)), ("power_log:2,-1,3", oz.PowerLog(2.0, -1.0, 3.0)),
+        ("powerloglog:2,1", oz.PowerLogLog(2.0, 1.0)),
+        ("power_loglog:2,1", oz.PowerLogLog(2.0, 1.0)),
+        ("powerexp:2", oz.PowerExp(2.0)), ("power_exp", oz.PowerExp()), ("exp:2", oz.Exp(2.0)),
+        ("expneginv:1", oz.ExpNegInv(1.0)), ("exp_neg_inv:0.5", oz.ExpNegInv(0.5)),
+        ("gate:0.5", oz.gate(0.5)),
+    ])
+    def test_every_alias_parses(self, text, want):
+        assert oz.from_config(text) == want
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("record", VALID_RECORDS, ids=lambda r: r["kind"])
+    def test_non_finite_parameter_is_an_error(self, record, bad):
+        oz.from_config(record)
+        for key, value in record.items():
+            if isinstance(value, float):
+                with pytest.raises(oz.YoungError, match=key):
+                    oz.from_config({**record, key: bad})
