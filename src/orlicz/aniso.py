@@ -38,6 +38,7 @@ class NDimYoung:
     a vector of length ``n``, ``values`` an (m, n) array; other shapes raise."""
 
     n: int
+    finite_jump: Optional[float] = None  # the least jump to +inf of a scalar part
 
     def __call__(self, xi) -> float:  # pragma: no cover - abstract
         raise NotImplementedError
@@ -57,10 +58,10 @@ class NDimYoung:
     def scalar_profile(self) -> YoungFunction:
         raise YoungError(f"{type(self).__name__} has no scalar reduction")
 
-    def nondegenerate(self, probe_radius: float = 1e-3) -> bool:
+    def nondegenerate(self) -> bool:
         for i in range(self.n):
             e = np.zeros(self.n)
-            e[i] = probe_radius
+            e[i] = 1e-3
             if self(e) <= 0.0:
                 return False
         return True
@@ -94,6 +95,10 @@ class Isotropic(NDimYoung):
 
     def scalar_profile(self) -> YoungFunction:
         return self.a
+
+    @property
+    def finite_jump(self) -> Optional[float]:
+        return self.a.finite_jump
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,6 +135,11 @@ class Orthotropic(NDimYoung):
 
     def scalar_profile(self) -> YoungFunction:
         return self._bar
+
+    @property
+    def finite_jump(self) -> Optional[float]:
+        return min((a.finite_jump for a in self.components if a.finite_jump is not None),
+                   default=None)
 
     @cached_property
     def _bar(self) -> YoungFunction:  # built once, on first use
@@ -175,6 +185,11 @@ class LinearImage(NDimYoung):
             out += a.values(r)
         out[gone] = INF
         return out
+
+    @property
+    def finite_jump(self) -> Optional[float]:
+        return min((a.finite_jump for _, a in self.terms if a.finite_jump is not None),
+                   default=None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,10 +245,8 @@ def orthotropic_bar(components: Sequence[YoungFunction]) -> YoungFunction:
         return out
 
     def mean_order(orders) -> Optional[GrowthOrder]:
-        if all(o is not None and o.family == "poly" and o.log_exp == 0 and o.loglog_exp == 0
-               for o in orders):
-            return GrowthOrder(bar_p([o.power for o in orders]))
-        return None
+        ps = [GrowthOrder.pure_power(o) for o in orders]
+        return None if None in ps else GrowthOrder(bar_p(ps))
 
     return FromInverse(inv_fn=inv, zero=mean_order([a.zero_order for a in comps]),
                        inf_=mean_order([a.inf_order for a in comps]), inv_many=inv_many)

@@ -29,7 +29,8 @@ from .conjugate import (
     sobolev_conjugate,
 )
 from .nemytskii import Envelope, parse_envelope
-from .young import INF, IndeterminateError, YoungError, YoungFunction, _check, _least_constant
+from .young import (INF, GrowthOrder, IndeterminateError, YoungError, YoungFunction, _check,
+                    _least_constant)
 
 _TOL = 1e-9
 
@@ -536,13 +537,9 @@ def check_ortho(a_list: Sequence[YoungFunction], b_list: Sequence[YoungFunction]
         return ConditionVerdict(True, INF, None, grid="not needed", analytic=True,
                                 note="vacuous: bounded-function embedding regime")
 
-    ps = [getattr(a, "inf_order", None) for a in a_list]
-    qs = [getattr(b, "inf_order", None) for b in b_list]
-    pure = all(o is not None and o.family == "poly" and o.log_exp == 0
-               and o.loglog_exp == 0 for o in ps + qs)
-    if pure and env.kind in ("one", "power", "exp_power"):
-        p_i = [o.power for o in ps]
-        q_i = [o.power for o in qs]
+    p_i = [GrowthOrder.pure_power(getattr(a, "inf_order", None)) for a in a_list]
+    q_i = [GrowthOrder.pure_power(getattr(b, "inf_order", None)) for b in b_list]
+    if None not in p_i + q_i and env.kind in ("one", "power", "exp_power"):
         pbar = bar_p(p_i)
         if env.kind in ("one", "power"):
             r = env.params.get("r", 0.0) if env.kind == "power" else 0.0

@@ -107,66 +107,38 @@ def _fit_slope(g, ts) -> Optional[float]:
     return None
 
 
+def _classify(y: YoungFunction, n: float, at_zero: bool) -> IntegralClass:
+    """Both ends by one rule (the origin when ``at_zero``): a known order
+    t^q log^a converges at 0 for q < n, at infinity for q > n, and at both
+    for q = n and a > n - 1.  Otherwise the integrand's fitted log-log slope
+    m converges at 0 for m > -1 and at infinity for m < -1."""
+    _check("conjugate", "exponent n", n, 2.0, strict=False)
+    if not at_zero and y.finite_jump is not None:
+        return IntegralClass.CONVERGES
+    o = y.zero_order if at_zero else y.inf_order
+    if o is not None and o.family in (("flat", "exp_neg_inv") if at_zero else ("exp", "jump")):
+        return IntegralClass.DIVERGES if at_zero else IntegralClass.CONVERGES
+    if o is not None:
+        q = o.power
+        converges = (q < n) == at_zero if q < n or q > n else o.log_exp > n - 1.0
+    else:
+        ks = range(2, 9) if at_zero else range(2, 10)
+        m = _fit_slope(_integrand(y, n), [10.0 ** (-k if at_zero else k) for k in ks])
+        if m is None or not (m > -1.0 + 1e-3 or m < -1.0 - 1e-3):
+            return IntegralClass.INDETERMINATE
+        # an infinite integrand (m = inf) diverges, a vanishing one converges
+        converges = m < 0.0 if math.isinf(m) else (m > -1.0) == at_zero
+    return IntegralClass.CONVERGES if converges else IntegralClass.DIVERGES
+
+
 def classify_integral_zero(y: YoungFunction, n: float) -> IntegralClass:
     """Convergence of the conjugate-defining integral at the origin."""
-    _check("conjugate", "exponent n", n, 2.0, strict=False)
-    o = y.zero_order
-    if o is not None:
-        if o.family == "flat":
-            return IntegralClass.DIVERGES
-        if o.family == "exp_neg_inv":
-            return IntegralClass.DIVERGES
-        q = o.power
-        if q < n:
-            return IntegralClass.CONVERGES
-        if q > n:
-            return IntegralClass.DIVERGES
-        return (IntegralClass.CONVERGES
-                if o.log_exp > n - 1.0 else IntegralClass.DIVERGES)
-    g = _integrand(y, n)
-    m = _fit_slope(g, [10.0 ** (-k) for k in range(2, 9)])
-    if m == INF:
-        return IntegralClass.DIVERGES
-    if m == -INF:
-        return IntegralClass.CONVERGES
-    if m is None:
-        return IntegralClass.INDETERMINATE
-    if m > -1.0 + 1e-3:
-        return IntegralClass.CONVERGES
-    if m < -1.0 - 1e-3:
-        return IntegralClass.DIVERGES
-    return IntegralClass.INDETERMINATE
+    return _classify(y, n, True)
 
 
 def classify_integral_inf(y: YoungFunction, n: float) -> IntegralClass:
     """Convergence of the conjugate-defining integral at infinity."""
-    _check("conjugate", "exponent n", n, 2.0, strict=False)
-    if y.finite_jump is not None:
-        return IntegralClass.CONVERGES
-    o = y.inf_order
-    if o is not None:
-        if o.family in ("exp", "jump"):
-            return IntegralClass.CONVERGES
-        q = o.power
-        if q > n:
-            return IntegralClass.CONVERGES
-        if q < n:
-            return IntegralClass.DIVERGES
-        return (IntegralClass.CONVERGES
-                if o.log_exp > n - 1.0 else IntegralClass.DIVERGES)
-    g = _integrand(y, n)
-    m = _fit_slope(g, [10.0 ** k for k in range(2, 10)])
-    if m == -INF:
-        return IntegralClass.CONVERGES
-    if m == INF:
-        return IntegralClass.DIVERGES
-    if m is None:
-        return IntegralClass.INDETERMINATE
-    if m > -1.0 + 1e-3:
-        return IntegralClass.DIVERGES
-    if m < -1.0 - 1e-3:
-        return IntegralClass.CONVERGES
-    return IntegralClass.INDETERMINATE
+    return _classify(y, n, False)
 
 
 # ---------------------------------------------------------------------------
@@ -396,9 +368,10 @@ class HnTable:
         return (xs[j + 1] - xs[j]) / (lnH[j + 1] - lnH[j]) * (lt - lnH[j]) + xs[j]
 
     def inverse(self, t: float) -> float:
-        """H^{-1}(t): closed forms beyond the table ends, Newton from ``_chord`` inside."""
-        if t <= 0.0:
-            return 0.0
+        """H^{-1}(t): closed forms beyond the table ends, Newton from ``_chord``
+        inside; nan for nan."""
+        if not t > 0.0:
+            return 0.0 if t <= 0.0 else t
         if self.limit != INF and t >= self.limit:
             return INF
         lt = math.log(t)
@@ -431,7 +404,7 @@ class HnTable:
         log through libm, this method through numpy."""
         ts = np.asarray(ts, dtype=float)
         t = ts.ravel()
-        out = np.zeros(t.shape)
+        out = np.where(np.isnan(t), t, 0.0)
         live = t > 0.0
         if self.limit != INF:
             out[t >= self.limit] = INF
@@ -490,8 +463,9 @@ class SobolevConjugate:
                       label=f"conjugate[{self.nexp:g}]")
 
     def an_value(self, t: float) -> float:
-        if t <= 0.0:
-            return 0.0
+        """A_n(t) = A(H^{-1}(t)); nan for nan."""
+        if not t > 0.0:
+            return 0.0 if t <= 0.0 else t
         if self.h_limit != INF and t > self.h_limit:
             return INF
         s = self.hn.inverse(t)
@@ -507,7 +481,7 @@ class SobolevConjugate:
         agrees with ``an_value`` to 1e-12 relative, as the inverses do."""
         ts = np.asarray(ts, dtype=float)
         s = self.hn.inverse_many(ts.ravel())
-        out = np.where(s == INF, INF, 0.0)
+        out = np.where((s == INF) | np.isnan(s), s, 0.0)
         ok = (ts.ravel() > 0.0) & (s != INF)
         out[ok] = self.modified.values(s[ok])
         return out.reshape(ts.shape)
@@ -518,8 +492,8 @@ def _an_orders(y: YoungFunction, nexp: float, was_modified: bool):
     zero = None
     inf_ = None
     o = y.inf_order
-    if o is not None and o.family == "poly" and o.log_exp == 0 and o.loglog_exp == 0:
-        q = o.power
+    q = GrowthOrder.pure_power(o)
+    if q is not None:
         if q < nexp:
             inf_ = GrowthOrder(nexp * q / (nexp - q))
         elif q == nexp:
@@ -528,13 +502,11 @@ def _an_orders(y: YoungFunction, nexp: float, was_modified: bool):
             inf_ = GrowthOrder(0.0, family="jump")
     elif o is not None and o.family in ("exp", "jump"):
         inf_ = GrowthOrder(0.0, family="jump")
-    zo = y.zero_order
+    q0 = GrowthOrder.pure_power(y.zero_order)
     if was_modified:
         zero = GrowthOrder(nexp / (nexp - 1.0))
-    elif zo is not None and zo.family == "poly" and zo.log_exp == 0 and zo.loglog_exp == 0:
-        q0 = zo.power
-        if q0 < nexp:
-            zero = GrowthOrder(nexp * q0 / (nexp - q0))
+    elif q0 is not None and q0 < nexp:
+        zero = GrowthOrder(nexp * q0 / (nexp - q0))
     return zero, inf_
 
 

@@ -171,9 +171,9 @@ def constant_function(c: float, n: int) -> TestFunction:
                                    lambda X: np.zeros((len(X), n)), f"const{c:g}")
 
 
-def sup_norm(u: TestFunction, box: BoxDomain, samples_per_axis: int = 2049) -> float:
+def sup_norm(u: TestFunction, box: BoxDomain) -> float:
     """Grid supremum of |u|; adequate for the analytic corpus functions."""
-    axes = [np.linspace(lo, hi, samples_per_axis if box.n == 1 else 129)
+    axes = [np.linspace(lo, hi, 2049 if box.n == 1 else 129)
             for lo, hi in zip(box.lower, box.upper)]
     # trim exact face hits to dodge declared singularities
     mesh = np.meshgrid(*[ax[1:-1] for ax in axes], indexing="ij")
@@ -480,6 +480,8 @@ def modular_convergence(seq: Sequence[TestFunction], limit: TestFunction,
     if not lams or list(lams) != sorted(lams):
         raise YoungError("lambda grid must be positive and increasing")
     idx = tuple(indices) if indices is not None else tuple(range(1, len(seq) + 1))
+    if not seq:
+        raise YoungError("modular convergence needs at least one index")
     if len(idx) != len(seq):
         raise YoungError("indices must align with the sequence")
 

@@ -318,20 +318,6 @@ def lemma_product_bound(a: YoungFunction, b: YoungFunction, envelope: Envelope,
                        2.0, c, lo, hi, count)
 
 
-def lemma_inequality_tests(a: YoungFunction, b: YoungFunction, envelope: Envelope,
-                           n: Optional[int] = None,
-                           f_young: Optional[YoungFunction] = None,
-                           t0: float = 0.0, t1: float = 1.0,
-                           **kwargs) -> LemmaGridVerdict:
-    """Dispatch to the conjugate-based product bound (no splitter given) or
-    the finite-valued split bound (splitter supplied)."""
-    if f_young is None:
-        if n is None:
-            raise YoungError("the product bound needs the dimension")
-        return lemma_product_bound(a, b, envelope, n, t0=t0, **kwargs)
-    return lemma_split_bound(a, b, envelope, f_young, t1=t1, **kwargs)
-
-
 def lemma_split_bound(a: YoungFunction, b: YoungFunction, envelope: Envelope,
                       f_young: YoungFunction, t1: float = 1.0,
                       lo: float = 1e-3, hi: float = 1e3,

@@ -67,12 +67,12 @@ def _check(kind: str, name: str, value, low: Optional[float] = None, strict: boo
         raise YoungError(f"{kind} needs a finite {name}{bound}, not {value!r}")
 
 
-def log_grid(lo: float, hi: float, per_decade: int = 64) -> np.ndarray:
-    """Geometric grid on [lo, hi] with roughly per_decade points per decade."""
+def log_grid(lo: float, hi: float) -> np.ndarray:
+    """Geometric grid on [lo, hi] with roughly 64 points per decade."""
     if not (0.0 < lo < hi):
         raise YoungError(f"invalid grid bounds ({lo}, {hi})")
     decades = math.log10(hi / lo)
-    count = max(2, int(round(decades * per_decade)) + 1)
+    count = max(2, int(round(decades * 64)) + 1)
     return np.geomspace(lo, hi, count)
 
 
@@ -108,12 +108,12 @@ class Regime:
     def near_infinity(cls, cutoff: float = 1.0) -> "Regime":
         return cls("near_infinity", cutoff)
 
-    def grid(self, per_decade: int = 256, span_decades: float = 9.0) -> np.ndarray:
+    def grid(self) -> np.ndarray:
         if self.kind == "near_zero":
-            return log_grid(self.cutoff * 10.0 ** (-span_decades), self.cutoff, per_decade)
+            return log_grid(self.cutoff * 1e-9, self.cutoff)
         if self.kind == "near_infinity":
-            return log_grid(self.cutoff, self.cutoff * 10.0 ** span_decades, per_decade)
-        return log_grid(10.0 ** (-span_decades), 10.0 ** span_decades, per_decade)
+            return log_grid(self.cutoff, self.cutoff * 1e9)
+        return log_grid(1e-9, 1e9)
 
 
 @dataclass(frozen=True)
@@ -143,6 +143,13 @@ class GrowthOrder:
             and abs(self.log_exp - other.log_exp) <= tol
             and abs(self.loglog_exp - other.loglog_exp) <= tol
         )
+
+    @staticmethod
+    def pure_power(order: Optional["GrowthOrder"]) -> Optional[float]:
+        """p for a plain t^p order; None for any other order and for None."""
+        if order is None or order.family != "poly" or order.log_exp or order.loglog_exp:
+            return None
+        return order.power
 
 
 # ---------------------------------------------------------------------------
@@ -347,12 +354,12 @@ class YoungFunction:
         """Generalized right-continuous inverse, inf{s : A(s) > v}."""
         return _numeric_inverse(self.__call__, v)
 
-    def right_slope(self, t: float, h: float = 1e-6) -> float:
+    def right_slope(self, t: float) -> float:
         a0 = self(t)
-        a1 = self(t * (1.0 + h))
+        a1 = self(t * (1.0 + 1e-6))
         if a0 == INF or a1 == INF:
             return INF
-        return (a1 - a0) / (t * h)
+        return (a1 - a0) / (t * 1e-6)
 
     def values(self, ts: np.ndarray) -> np.ndarray:
         return np.array([self(float(t)) for t in np.asarray(ts).ravel()], dtype=float)
@@ -426,8 +433,48 @@ def linear() -> Power:
     return Power(1.0)
 
 
+class _LogCorrected(YoungFunction):
+    """t^p * L(c + t)^alpha with a slow factor L: log for ``PowerLog``, log
+    log for ``PowerLogLog``.  Each subclass holds the fields p, alpha and c,
+    and sets ``_loglog`` on the instance, where a call reads it faster than
+    on the class.  At the base c = 1 (c = e for log log) the factor vanishes
+    at 0 like t, so the correction shifts the power there."""
+
+    def __call__(self, t: float) -> float:
+        if t <= 0.0:
+            return 0.0
+        body = _pow(t, self.p)
+        if body == INF:
+            return INF
+        lg = math.log(self.c + t)
+        if self._loglog:
+            lg = math.log(lg)
+        if lg == 0.0:
+            return 0.0 if self.alpha > 0 else INF
+        return body * _pow(lg, self.alpha, 1.0)
+
+    def values(self, ts: np.ndarray) -> np.ndarray:
+        t = np.asarray(ts, dtype=float).ravel()
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            body = np.power(t, self.p)
+            lg = np.log(self.c + t)
+            if self._loglog:
+                lg = np.log(lg)
+            out = body * np.power(lg, self.alpha)
+        out[lg == 0.0] = 0.0 if self.alpha > 0 else INF
+        out[body == INF] = INF
+        out[t <= 0.0] = 0.0
+        return out
+
+    @property
+    def zero_order(self):
+        if self.c == (math.e if self._loglog else 1.0):
+            return GrowthOrder(self.p + self.alpha)
+        return GrowthOrder(self.p)
+
+
 @dataclass(frozen=True, repr=False)
-class PowerLog(YoungFunction):
+class PowerLog(_LogCorrected):
     """t^p * log^alpha(c + t).
 
     With c = 1 and alpha >= 0 this is the usual Zygmund representative; log
@@ -446,37 +493,7 @@ class PowerLog(YoungFunction):
         if self.c is None:
             object.__setattr__(self, "c", 1.0 if self.alpha >= 0 else math.e)
         _check("power_log", "base c", self.c, 1.0, strict=self.alpha < 0)
-
-    def __call__(self, t: float) -> float:
-        if t <= 0.0:
-            return 0.0
-        body = _pow(t, self.p)
-        if body == INF:
-            return INF
-        lg = math.log(self.c + t)
-        if lg == 0.0:
-            return 0.0 if self.alpha > 0 else INF
-        return body * _pow(lg, self.alpha, 1.0) if lg != 1.0 else body
-
-    def values(self, ts: np.ndarray) -> np.ndarray:
-        t = np.asarray(ts, dtype=float).ravel()
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            body = np.power(t, self.p)
-            lg = np.log(self.c + t)
-            out = body * np.power(lg, self.alpha)
-        one = lg == 1.0
-        out[one] = body[one]
-        out[lg == 0.0] = 0.0 if self.alpha > 0 else INF
-        out[body == INF] = INF
-        out[t <= 0.0] = 0.0
-        return out
-
-    @property
-    def zero_order(self):
-        if self.c == 1.0:
-            # log(1+t) ~ t near zero, so the correction shifts the power
-            return GrowthOrder(self.p + self.alpha)
-        return GrowthOrder(self.p)
+        object.__setattr__(self, "_loglog", False)
 
     @property
     def inf_order(self):
@@ -484,7 +501,7 @@ class PowerLog(YoungFunction):
 
 
 @dataclass(frozen=True, repr=False)
-class PowerLogLog(YoungFunction):
+class PowerLogLog(_LogCorrected):
     """t^p * (log log(c + t))^alpha, the double-log Zygmund representative."""
 
     p: float
@@ -498,34 +515,7 @@ class PowerLogLog(YoungFunction):
         if self.c is None:
             object.__setattr__(self, "c", math.e if self.alpha >= 0 else math.exp(math.e))
         _check("power_loglog", "base c", self.c, math.e, strict=False)
-
-    def __call__(self, t: float) -> float:
-        if t <= 0.0:
-            return 0.0
-        body = _pow(t, self.p)
-        if body == INF:
-            return INF
-        ll = math.log(math.log(self.c + t))
-        if ll == 0.0:
-            return 0.0 if self.alpha > 0 else INF
-        return body * _pow(ll, self.alpha, 1.0)
-
-    def values(self, ts: np.ndarray) -> np.ndarray:
-        t = np.asarray(ts, dtype=float).ravel()
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            body = np.power(t, self.p)
-            ll = np.log(np.log(self.c + t))
-            out = body * np.power(ll, self.alpha)
-        out[ll == 0.0] = 0.0 if self.alpha > 0 else INF
-        out[body == INF] = INF
-        out[~(t > 0.0)] = 0.0
-        return out
-
-    @property
-    def zero_order(self):
-        if self.c == math.e:
-            return GrowthOrder(self.p + self.alpha)
-        return GrowthOrder(self.p)
+        object.__setattr__(self, "_loglog", True)
 
     @property
     def inf_order(self):
@@ -1000,7 +990,7 @@ class Delta2Verdict:
 
 def _delta2_grid_constant(y: YoungFunction, regime: Regime) -> tuple:
     """(sup ratio or inf, witness, saw_positive) over the regime grid."""
-    ts = regime.grid(per_decade=64)
+    ts = regime.grid()
     sup = 0.0
     witness = None
     saw = False
@@ -1106,13 +1096,13 @@ def equivalent(y1: YoungFunction, y2: YoungFunction, regime: Regime,
             analytic = False
             continue
         if not o1.matches(o2):
-            ts = regime.grid(per_decade=64)
+            ts = regime.grid()
             ok, wit = _sandwich_ok(y1, y2, c_max, ts)
             return EquivalenceVerdict("not_equivalent", None,
                                       wit if wit is not None else float(ts[-1]),
                                       analytic=True)
 
-    ts = regime.grid(per_decade=64)
+    ts = regime.grid()
     ok, wit = _sandwich_ok(y1, y2, c_max, ts)
     if not ok:
         status = "not_equivalent" if analytic else "indeterminate"

@@ -111,6 +111,10 @@ class TestInputErrors:
         "experiment --config {envelope_number}",
         "experiment --config {power_without_p}",
         "experiment --config {power_p_text}",
+        "converge --field x1 --A power:2 --dim 1 --kmax 1",
+        "converge --field x1 --A power:2 --dim 1 --kmax -1",
+        "counterexample --dim 1 --kmax 4",
+        "experiment --config {no_indices}",
     ])
     def test_bad_input_is_an_error_line(self, argv, tmp_path, capsys):
         configs = {"list_config": [1, 2],
@@ -118,7 +122,9 @@ class TestInputErrors:
                    "lambdas_number": {"A": "power:2", "B": "power:1", "lambdas": 3},
                    "envelope_number": {"A": "power:2", "B": "power:1", "E": 3},
                    "power_without_p": {"A": {"kind": "power"}, "B": "power:1"},
-                   "power_p_text": {"A": {"kind": "power", "p": "x"}, "B": "power:1"}}
+                   "power_p_text": {"A": {"kind": "power", "p": "x"}, "B": "power:1"},
+                   "no_indices": {"A": "power:2", "B": "power:1",
+                                  "sequence": {"name": "shift_inv", "indices": []}}}
         paths = {}
         for name, cfg in configs.items():
             paths[name] = tmp_path / f"{name}.json"

@@ -44,7 +44,59 @@ class TestHMap:
             oz.h_n(oz.Power(4), 3, 1.0)
 
 
+# (zero, inf) class at n = 2, 3, 4 (C converges, D diverges, I indeterminate),
+# frozen from the two one-ended classifiers that ``_classify`` replaced
+FROZEN_CLASSES = {
+    "power:1": (oz.Power(1.0), "CD CD CD"), "power:1.5": (oz.Power(1.5), "CD CD CD"),
+    "power:2": (oz.Power(2.0), "DD CD CD"), "power:3": (oz.Power(3.0), "DC DD CD"),
+    "power:4": (oz.Power(4.0), "DC DC DD"), "power:6": (oz.Power(6.0), "DC DC DC"),
+    "power_log:2,1": (oz.PowerLog(2, 1), "DD DD CD"),
+    "power_log:2,0.5": (oz.PowerLog(2, 0.5), "DD CD CD"),
+    "power_log:3,2": (oz.PowerLog(3, 2), "DC DD DD"),
+    "power_log:3,2.5": (oz.PowerLog(3, 2.5), "DC DC DD"),
+    "power_log:4,-1": (oz.PowerLog(4, -1), "DC DC DD"),
+    "power_log:4,3.5": (oz.PowerLog(4, 3.5), "DC DC DC"),
+    "power_log:1,1,3": (oz.PowerLog(1, 1, 3.0), "CD CD CD"),
+    "power_loglog:2,1": (oz.PowerLogLog(2, 1), "DD DD CD"),
+    "power_loglog:3,-1": (oz.PowerLogLog(3, -1), "DC DD CD"),
+    "power_loglog:4,2,5": (oz.PowerLogLog(4, 2, 5.0), "DC DC DD"),
+    "power_exp:1": (oz.PowerExp(1.0), "CC CC CC"), "power_exp:3": (oz.PowerExp(3.0), "DC DC CC"),
+    "exp:1": (oz.Exp(1.0), "CC CC CC"), "exp:2": (oz.Exp(2.0), "DC CC CC"),
+    "exp_neg_inv:1": (oz.ExpNegInv(1.0), "DD DD DD"), "gate:0.5": (oz.gate(0.5), "DC DC DC"),
+    "linear": (oz.linear(), "CD CD CD"),
+    "glued": (oz.Glued(oz.Power(1.5), oz.Power(3.0), 1.0), "CC CD CD"),
+    "glued_gate": (oz.Glued(oz.Power(2.0), oz.gate(2.0), 1.0), "DC CC CC"),
+    "ortho_bar": (oz.orthotropic_bar([oz.Power(1.5), oz.Power(3.0)]), "DD CD CD"),
+    # black boxes: fitted slopes, the +-inf markers, the band around -1
+    "custom:t^2": (oz.Custom(lambda t: t * t), "II CD CD"),
+    "custom:t^3": (oz.Custom(lambda t: t ** 3), "DC II CD"),
+    "custom:t^3.001": (oz.Custom(lambda t: t ** 3.001), "DC II CD"),
+    "custom:t^6": (oz.Custom(lambda t: t ** 6), "DC DC DC"),
+    "custom:flat_below_1": (oz.Custom(lambda t: 0.0 if t < 1.0 else t * t), "DI DD DD"),
+    "custom:inf_above_10": (oz.Custom(lambda t: INF if t > 10.0 else t * t), "IC CC CC"),
+    "custom:jump": (oz.Custom(lambda t: t * t, jump=10.0), "IC CC CC"),
+    "custom:wobble": (oz.Custom(lambda t: t ** (2.0 + 0.8 * math.sin(math.log(t)))),
+                      "II II II"),
+    "custom:nan_probes": (oz.Custom(lambda t: math.nan if t in (1e-4, 1e4) else t * t),
+                          "II II II"),
+    # orders given by hand, with families and exponents the kinds never produce
+    "custom:exp_at_zero": (oz.Custom(lambda t: t, zero=GrowthOrder(1.0, family="exp"),
+                                     inf_=GrowthOrder(2.0, family="flat")), "CD CD CD"),
+    "custom:nan_power": (oz.Custom(lambda t: t, zero=GrowthOrder(math.nan, 3.0),
+                                   inf_=GrowthOrder(math.nan, 0.5)), "CD CD DD"),
+    "custom:critical_logs": (oz.Custom(lambda t: t, zero=GrowthOrder(3.0, 2.0, 5.0),
+                                       inf_=GrowthOrder(3.0, 2.0001, -1.0)), "DC DC CD"),
+}
+
+
 class TestClassification:
+    @pytest.mark.parametrize("name", sorted(FROZEN_CLASSES))
+    def test_matches_frozen_table(self, name):
+        y, frozen = FROZEN_CLASSES[name]
+        got = [oz.classify_integral_zero(y, n).value[0].upper()
+               + oz.classify_integral_inf(y, n).value[0].upper() for n in (2, 3, 4)]
+        assert " ".join(got) == frozen
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_truth_table(self, n):
         for p in (1.0, 1.5, n - 0.1, float(n), n + 0.1, 2.0 * n):
@@ -310,6 +362,15 @@ class TestArrayPaths:
         ts = np.array([branch_point(conj.hn, b, u) for b, u in points])
         for t, v in zip(ts.tolist(), conj.an_values(ts).tolist()):
             assert v == pytest.approx(conj.an_value(t), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_nan_passes_through(self, name):
+        conj = conjugate_of(name)
+        ts = np.array([math.nan, 0.0, 1.0])
+        for got in (conj.hn.inverse_many(ts), conj.an_values(ts),
+                    [conj.hn.inverse(t) for t in ts.tolist()],
+                    [conj.an_value(t) for t in ts.tolist()], [conj.an(t) for t in ts.tolist()]):
+            assert math.isnan(got[0]) and got[1] == 0.0 and got[2] > 0.0
 
     def test_shape_is_kept(self):
         conj = conjugate_of("power")

@@ -83,6 +83,19 @@ class TestModularIntegral:
 
 
 class TestLuxemburg:
+    @pytest.mark.parametrize("y", [
+        oz.Isotropic(oz.gate(0.5), 2), oz.Orthotropic((oz.gate(0.5), oz.Power(2))),
+        oz.LinearImage(((np.eye(2), oz.Power(2)), (2.0 * np.eye(2), oz.gate(0.5))), 2)],
+        ids=["isotropic", "orthotropic", "linear_image"])
+    def test_jumping_vector_function_is_indeterminate(self, y):
+        # u = x1^2/2 has gradient (x1, 0): the norm is 2 where the nodes read 1.99399...
+        u = oz.TestFunction.from_batch(lambda X: 0.5 * X[:, 0] ** 2,
+                                       lambda X: X * np.array([1.0, 0.0]), "half_square")
+        assert y.finite_jump == 0.5
+        assert oz.BlackBox(lambda x: 0.0, 2).finite_jump is None
+        with pytest.raises(oz.IndeterminateError):
+            oz.luxemburg_norm(u, y, oz.BoxDomain.unit(2), gradient=True)
+
     def test_constant_linear(self):
         u = constant_function(7.0, 1)
         assert oz.luxemburg_norm(u, oz.linear(), UNIT_1D) == pytest.approx(7.0, rel=1e-9)

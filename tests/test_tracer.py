@@ -29,3 +29,20 @@ def test_traced_volume_matches_and_uninstall_restores(monkeypatch):
     volume = spans["name"] == t.names.index("aniso.sublevel_volume")
     assert volume.sum() == 1 and spans["arg"][volume][0] > 0
     assert patched and all(vars(owner)[attr] is original for owner, attr, original in patched)
+
+
+def test_traced_log_families_record_their_scalar_calls(monkeypatch):
+    # both classes inherit one __call__; the tracer wraps it where it is defined
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+
+    t = tracer.Tracer()
+    t.install()
+    try:
+        calls = {cls: cls(2, 1)(3.0) for cls in (oz.PowerLog, oz.PowerLogLog)}
+    finally:
+        t.uninstall()
+    spans = t.arrays()
+    evals = spans["name"] == t.names.index("young.eval")
+    assert evals.sum() == 2
+    assert calls == {cls: cls(2, 1)(3.0) for cls in calls}

@@ -5,6 +5,7 @@ import functools
 import inspect
 import json
 import math
+import pathlib
 import sys
 
 import numpy as np
@@ -87,6 +88,34 @@ class TestEval:
     def test_negative_argument_rejected(self):
         with pytest.raises(oz.YoungError):
             oz.evaluate(oz.Power(2), -1.0)
+
+
+# outputs of the two log families, frozen in tests/golden/log_families.json
+# from the separate class bodies that their shared base replaced
+LOG_FAMILIES = [oz.PowerLog(2, 1), oz.PowerLog(3, -0.5), oz.PowerLog(1.5, 2, 3.0),
+                oz.PowerLog(2, 0), oz.PowerLog(1, 1), oz.PowerLogLog(2, 1), oz.PowerLogLog(3, -1),
+                oz.PowerLogLog(2.5, 0.5, 5.0), oz.PowerLogLog(1, 2), oz.PowerLogLog(2, 0)]
+LOG_GRID = [-1.0, -1e-300, 0.0, 5e-324, 1e-300, 1e-17, 1e-8, 0.5, math.e - 1.0, 1.0, 2.0,
+            math.e, 10.0, 1e10, 1e150, 1e300, INF]
+LOG_LEVELS = [-1.0, 0.0, 1e-300, 1e-10, 0.5, 1.0, 2.0, 1e10, 1e300, INF]
+
+
+class TestLogFamilies:
+    @pytest.mark.parametrize("y", LOG_FAMILIES, ids=repr)
+    def test_frozen_outputs(self, y):
+        golden = json.loads((pathlib.Path(__file__).parent / "golden"
+                             / "log_families.json").read_text())
+        assert golden[json.dumps(y.to_config())] == {
+            "values": [v.hex() for v in y.values(np.array(LOG_GRID)).tolist()],
+            "calls": [float(y(t)).hex() for t in LOG_GRID],
+            "inverse": [float(y.inverse(v)).hex() for v in LOG_LEVELS],
+            "orders": [repr(y.zero_order), repr(y.inf_order)],
+            "config": json.dumps(y.to_config())}
+
+    @pytest.mark.parametrize("y", LOG_FAMILIES, ids=repr)
+    def test_nan_in_values_as_in_call(self, y):
+        assert math.isnan(y(math.nan))
+        assert math.isnan(y.values(np.array([math.nan]))[0])
 
 
 class TestInverse:
@@ -717,7 +746,7 @@ class TestEquivalenceSearch:
         # a black box: no growth orders, so only the grid decides
         other = oz.Custom(lambda t: k * y(stretch * t), label="scaled")
         regime = REGIMES[r]
-        ref = ref_equivalence_constant(y, other, regime.grid(per_decade=64))
+        ref = ref_equivalence_constant(y, other, regime.grid())
         v = oz.equivalent(y, other, regime)
         if ref is None or ref == 1.0:
             assert v.constant == ref
