@@ -25,6 +25,7 @@ from .young import (
     ConstructionError,
     FromInverse,
     GrowthOrder,
+    Power,
     YoungError,
     YoungFunction,
     _U_MAX,
@@ -134,6 +135,7 @@ class Orthotropic(NDimYoung):
         return out
 
     def scalar_profile(self) -> YoungFunction:
+        """``orthotropic_bar`` of the components: a closed-form ``Power`` for powers."""
         return self._bar
 
     @property
@@ -211,9 +213,17 @@ class BlackBox(NDimYoung):
 # ---------------------------------------------------------------------------
 
 def orthotropic_bar(components: Sequence[YoungFunction]) -> YoungFunction:
-    """The Young function whose inverse is the geometric mean of the
-    component inverses."""
+    """The Young function whose inverse is the geometric mean of the component
+    inverses: for powers s_i t^p_i the closed form S t^pbar, pbar = bar_p(p_i) and
+    S = prod_i s_i^(pbar / (n p_i)); else a ``FromInverse`` that root-searches."""
     comps = tuple(components)
+    if comps and all(isinstance(a, Power) for a in comps):
+        pbar = bar_p([a.p for a in comps])
+        return Power(pbar, math.prod(a.scale ** (pbar / len(comps) / a.p) for a in comps))
+    return _geometric_mean_bar(comps)
+
+
+def _geometric_mean_bar(comps: tuple) -> FromInverse:
     if not comps:
         raise YoungError("need at least one component")
     n = len(comps)
@@ -253,11 +263,11 @@ def orthotropic_bar(components: Sequence[YoungFunction]) -> YoungFunction:
 
 
 def bar_p(ps: Sequence[float]) -> float:
-    """Exponent mean: 1/pbar = (1/n) sum 1/p_i."""
+    """Exponent mean: 1/pbar = (1/n) sum 1/p_i, exactly p for equal p_i = p."""
     ps = list(ps)
-    if not ps or any(p < 1 for p in ps):
+    if not ps or not all(p >= 1 for p in ps):  # nan fails p >= 1
         raise YoungError("exponents must satisfy p_i >= 1")
-    return len(ps) / sum(1.0 / p for p in ps)
+    return float(ps[0]) if len(set(ps)) == 1 else len(ps) / sum(1.0 / p for p in ps)
 
 
 # ---------------------------------------------------------------------------
@@ -492,8 +502,8 @@ def phi_n(phi: NDimYoung, n: Optional[int] = None, method: str = "auto",
           **vol_kwargs) -> SobolevConjugate:
     """One-dimensional Sobolev conjugate driven by the radial rearrangement.
 
-    Orthotropic inputs reduce through the geometric-mean function; the volume
-    route serves black-box or cross-validation use.
+    Orthotropic inputs reduce through ``orthotropic_bar`` (closed form for powers,
+    root search else); the volume route serves black-box or cross-validation use.
     """
     n = phi.n if n is None else n
     if n != phi.n:

@@ -15,6 +15,10 @@ from orlicz.aniso import _OMEGA, _half_sphere_rule, _phi_circ_young, _polar_volu
 from orlicz.young import INF, GrowthOrder, Piecewise, _numeric_inverse
 
 
+def log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
+
+
 def dirichlet_volume(ps, level: float) -> float:
     # Dirichlet: |{sum |x_i|^p_i <= t}| = 2^n prod Gamma(1+1/p_i) t^e / Gamma(1+e),
     # e = sum 1/p_i
@@ -107,6 +111,64 @@ class TestBar:
         lazy = oz.Orthotropic((oz.Power(2), oz.Custom(lambda t: 0.0, label="dead")))
         with pytest.raises(oz.YoungError):
             lazy.scalar_profile()
+
+    @settings(max_examples=60, deadline=None)
+    @given(comps=st.lists(st.tuples(st.floats(1.0, 6.0), log_uniform(1e-3, 1e3)),
+                          min_size=1, max_size=3),
+           ts=st.lists(log_uniform(1e-30, 1e30), min_size=1, max_size=12))
+    def test_powers_match_generic_reduction(self, comps, ts):
+        # the closed-form Power against the root-searching FromInverse it replaces
+        powers = [oz.Power(p, scale) for p, scale in comps]
+        bar, ref = oz.orthotropic_bar(powers), aniso._geometric_mean_bar(tuple(powers))
+        assert isinstance(bar, oz.Power) and isinstance(ref, young.FromInverse)
+        ts = np.array(ts + [0.0, INF])
+        for got, want in ((bar.values(ts), ref.values(ts)),
+                          ([bar(t) for t in ts.tolist()], [ref(t) for t in ts.tolist()]),
+                          ([bar.inverse(t) for t in ts.tolist()],
+                           [ref.inverse(t) for t in ts.tolist()]),
+                          (bar.inverse_values(ts), ref.inverse_values(ts))):
+            got, want = np.asarray(got), np.asarray(want)
+            ends = (want == 0.0) | (want == INF)
+            np.testing.assert_array_equal(got[ends], want[ends])
+            np.testing.assert_allclose(got[~ends], want[~ends], rtol=1e-12, atol=0.0)
+        assert bar.zero_order == ref.zero_order and bar.inf_order == ref.inf_order
+
+    @pytest.mark.parametrize("p", [1.0, 1.37, 1.9, 2.0, 5.3, 6.0])
+    def test_equal_unscaled_powers_give_that_power(self, p):
+        # n / sum(1 / p) rounds away from p = 1.9 (n = 1, 2) and 5.3 (n = 3)
+        for n in (1, 2, 3):
+            bar = oz.orthotropic_bar([oz.Power(p)] * n)
+            assert (bar.p, bar.scale) == (p, 1.0)
+
+    def test_mixed_components_keep_generic_reduction(self):
+        for comps in ((oz.PowerLog(1.5, 1), oz.Power(3.0)), (oz.Exp(1.0), oz.Power(1.2))):
+            assert isinstance(oz.orthotropic_bar(comps), young.FromInverse)
+
+    def test_bar_p_refuses_nan_and_small_exponents(self):
+        for ps in ([math.nan, 2.0], [2.0, math.nan], [0.5, 2.0], []):
+            with pytest.raises(oz.YoungError):
+                oz.bar_p(ps)
+        with pytest.raises(oz.YoungError):
+            oz.orthotropic_bar([oz.Power(0.5), oz.Power(2.0)])
+
+    def test_powers_need_no_root_search(self, monkeypatch):
+        calls = {"_log_root": 0, "_log_root_many": 0}
+
+        def counted(name, real, *args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        for name in calls:
+            wrapped = functools.partial(counted, name, getattr(young, name))
+            for mod in (young, aniso):
+                monkeypatch.setattr(mod, name, wrapped)
+        oz.phi_n(oz.Orthotropic((oz.Power(1.3), oz.Power(1.8))))
+        assert calls == {"_log_root": 0, "_log_root_many": 0}
+        v = oz.check_ortho([oz.Power(1.5), oz.Power(2.0)], [oz.Power(1.2), oz.Power(1.0)],
+                           "log_power:1", 2)
+        assert v.grid == "log grid per component"
+        # one least-constant search per component, none on the reduction
+        assert calls == {"_log_root": 2, "_log_root_many": 0}
 
 
 class TestVolume:

@@ -67,6 +67,8 @@ FROZEN_CLASSES = {
     "glued": (oz.Glued(oz.Power(1.5), oz.Power(3.0), 1.0), "CC CD CD"),
     "glued_gate": (oz.Glued(oz.Power(2.0), oz.gate(2.0), 1.0), "DC CC CC"),
     "ortho_bar": (oz.orthotropic_bar([oz.Power(1.5), oz.Power(3.0)]), "DD CD CD"),
+    "ortho_bar:power_log": (oz.orthotropic_bar([oz.PowerLog(1.5, 1), oz.Power(3.0)]),
+                            "DC CD CD"),  # a FromInverse, not a closed-form power
     # black boxes: fitted slopes, the +-inf markers, the band around -1
     "custom:t^2": (oz.Custom(lambda t: t * t), "II CD CD"),
     "custom:t^3": (oz.Custom(lambda t: t ** 3), "DC II CD"),
