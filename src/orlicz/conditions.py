@@ -29,8 +29,7 @@ from .conjugate import (
     sobolev_conjugate,
 )
 from .nemytskii import Envelope, parse_envelope
-from .young import (INF, GrowthOrder, IndeterminateError, YoungError, YoungFunction, _check,
-                    _least_constant)
+from .young import INF, GrowthOrder, IndeterminateError, YoungError, YoungFunction, _check
 
 _TOL = 1e-9
 
@@ -256,30 +255,33 @@ def _ass2_analytic(a: YoungFunction, b: YoungFunction, env: Envelope,
 
 def _min_constant(lhs: np.ndarray, ts: np.ndarray, a: YoungFunction,
                   c_max: float = 1e8) -> Optional[float]:
-    """Smallest c in [1, c_max] with lhs <= A(c t) on the grid, to 1e-6
-    relative, or None when c_max fails.  Each trial c stops at the first
-    point that fails, so A is called point by point."""
-
-    def ok(c: float) -> bool:
-        for t, l in zip(ts, lhs):
-            if l == INF:
-                return False
-            if l > a(c * float(t)) * (1 + _TOL) + 1e-300:
-                return False
-        return True
-
-    return _least_constant(ok, c_max, 1e-6) if ok(c_max) else None
+    """Smallest c in [1, c_max] with lhs <= A(c t) on the grid, or None when
+    c_max fails: ``_window_constants`` with the whole grid for its window."""
+    return _window_constants(lhs, ts, a, [np.ones(ts.shape, dtype=bool)], c_max)[0][0]
 
 
 def _window_constants(lhs: np.ndarray, ts: np.ndarray, a: YoungFunction,
-                      windows: Sequence[np.ndarray]) -> tuple:
-    """(cs, growing): the least constants of ``_min_constant`` on nested
-    windows (boolean masks over the grid, widest last), ending with None at
-    the first window that admits none; and whether they grow by 5 % per
-    window and 10 % overall, the sign of an asymptotic failure."""
+                      windows: Sequence[np.ndarray], c_max: float = 1e8) -> tuple:
+    """(cs, growing): the least constants in [1, c_max] with lhs <= A(c t) on
+    nested windows (boolean masks over the grid, widest last), ending with
+    None at the first window that admits none; and whether they grow by 5 %
+    per window and 10 % overall, the sign of an asymptotic failure.  A
+    window's constant is 1.0 when none of its per-point constants exceeds 1,
+    else their maximum raised by 5e-7 relative, so that A(c t) clears every
+    left side; None when that exceeds c_max.  A nan lhs raises."""
+    if np.isnan(lhs).any():
+        raise IndeterminateError(f"the left side is nan at t = {float(ts[np.isnan(lhs)][0])!r}")
+    # the least c with lhs <= A(c t)(1 + _TOL) + 1e-300 at each point: A is
+    # non-decreasing and left-continuous, so it is A^{-1}(level) / t for the
+    # generalized inverse (0 for a negative level); an inf lhs admits none
+    point = np.full(lhs.shape, INF)
+    live = lhs != INF
+    point[live] = a.inverse_values((lhs[live] - 1e-300) / (1 + _TOL)) / ts[live]
     cs = []
     for w in windows:
-        cs.append(_min_constant(lhs[w], ts[w], a))
+        c = float(np.max(point[w], initial=0.0))
+        c = 1.0 if c <= 1.0 else c * (1 + 5e-7)
+        cs.append(c if c <= c_max else None)
         if cs[-1] is None:
             return cs, False
     return cs, len(cs) >= 2 and cs[-1] > cs[0] * 1.1 \
@@ -289,7 +291,7 @@ def _window_constants(lhs: np.ndarray, ts: np.ndarray, a: YoungFunction,
 def _margin(lhs: np.ndarray, ts: np.ndarray, a: YoungFunction, c: float) -> tuple:
     """(min of A(c t) - lhs over the grid, the first t attaining it), points
     where A(c t) is inf skipped; (inf, None) when every point is.  ``lhs``
-    holds no inf, since ``_min_constant`` has accepted c on the whole grid."""
+    holds no inf or nan, since c was read off a finite constant at each point."""
     m = a.values(c * ts) - lhs
     i = int(np.argmin(m))
     return (float(m[i]), float(ts[i])) if m[i] < INF else (INF, None)

@@ -298,18 +298,6 @@ def _log_root_many(fn_many: Callable[[np.ndarray, np.ndarray], np.ndarray], leve
                      f"still open after {max_iter} steps")
 
 
-def _least_constant(ok: Callable[[float], bool], c_max: float,
-                    rel_tol: float) -> float:
-    """Smallest c in [1, c_max] with ok(c), to ``rel_tol``, for ok monotone
-    in c and true at c_max.  The root finder meets the step function
-    ``INF if ok(c) else 0.0`` with c < 1 read as failing and c > c_max as
-    passing; its first evaluation is at exactly c = 1, so a passing c = 1
-    returns 1.0."""
-    def step(c: float) -> float:
-        return 0.0 if c < 1.0 else INF if c > c_max or ok(c) else 0.0
-    return min(_log_root(step, 1.0, False, rel_tol)[1], c_max)
-
-
 def _numeric_inverse(fn: Callable[[float], float], v: float,
                      rel_tol: float = 1e-12, max_iter: int = 400) -> float:
     """Generalized right-continuous inverse inf{s >= 0 : fn(s) > v}: plateaus
@@ -444,8 +432,8 @@ class _LogCorrected(YoungFunction):
         if t <= 0.0:
             return 0.0
         body = _pow(t, self.p)
-        if body == INF:
-            return INF
+        if body == INF or self.alpha == 0:  # L^0 = 1, also where L rounds to 0
+            return body
         lg = math.log(self.c + t)
         if self._loglog:
             lg = math.log(lg)
@@ -461,7 +449,8 @@ class _LogCorrected(YoungFunction):
             if self._loglog:
                 lg = np.log(lg)
             out = body * np.power(lg, self.alpha)
-        out[lg == 0.0] = 0.0 if self.alpha > 0 else INF
+        if self.alpha != 0:
+            out[lg == 0.0] = 0.0 if self.alpha > 0 else INF
         out[body == INF] = INF
         out[t <= 0.0] = 0.0
         return out
@@ -1082,32 +1071,34 @@ def _sandwich_ok(y1, y2, c: float, ts: np.ndarray, tol: float = 1e-9):
 
 def equivalent(y1: YoungFunction, y2: YoungFunction, regime: Regime,
                c_max: float = 1e6) -> EquivalenceVerdict:
-    """Decide A(t/c) <= B(t) <= A(ct) on the regime, with the smallest grid
-    constant in [1, c_max] found by ``_least_constant`` to 1e-9 relative;
-    parametric growth orders short-circuit the mismatch direction."""
+    """Decide A(t/c) <= B(t) <= A(ct) on the regime, A = y1 and B = y2, with
+    the smallest grid constant in [1, c_max] read off the inverse of A, to
+    5e-10 relative: the largest t / A^{-1}(B(t)) and A^{-1}(B(t)) / t, each
+    within the sandwich's tolerance; parametric growth orders short-circuit
+    the mismatch direction."""
     sides = {"global": ("zero", "inf"), "near_zero": ("zero",),
              "near_infinity": ("inf",)}[regime.kind]
-    pairs = {"zero": (y1.zero_order, y2.zero_order),
-             "inf": (y1.inf_order, y2.inf_order)}
-    analytic = True
-    for s in sides:
-        o1, o2 = pairs[s]
-        if o1 is None or o2 is None:
-            analytic = False
-            continue
-        if not o1.matches(o2):
-            ts = regime.grid()
-            ok, wit = _sandwich_ok(y1, y2, c_max, ts)
-            return EquivalenceVerdict("not_equivalent", None,
-                                      wit if wit is not None else float(ts[-1]),
-                                      analytic=True)
-
+    pairs = [(y1.zero_order, y2.zero_order) if s == "zero" else (y1.inf_order, y2.inf_order)
+             for s in sides]
+    known = [(o1, o2) for o1, o2 in pairs if o1 is not None and o2 is not None]
+    analytic = len(known) == len(pairs)
     ts = regime.grid()
     ok, wit = _sandwich_ok(y1, y2, c_max, ts)
+    if not all(o1.matches(o2) for o1, o2 in known):
+        return EquivalenceVerdict("not_equivalent", None, float(ts[-1]) if ok else wit,
+                                  analytic=True)
     if not ok:
         status = "not_equivalent" if analytic else "indeterminate"
         return EquivalenceVerdict(status, None, wit, analytic=analytic)
-    c = _least_constant(lambda c: _sandwich_ok(y1, y2, c, ts)[0], c_max, 1e-9)
+    b = y2.values(ts)
+    with np.errstate(divide="ignore", over="ignore"):
+        # A(t/c) <= B(t)(1 + 1e-9) + 1e-300 once t/c <= A^{-1} of that bound, and
+        # B(t) <= A(ct)(1 + 1e-9) + 1e-300 once ct passes A^{-1} of the level;
+        # the largest float stands in for inf, so where B is inf, A^{-1} finds A's jump
+        lower = ts / y1.inverse_values(b * (1 + 1e-9) + 1e-300)
+        level = np.minimum((b - 1e-300) / (1 + 1e-9), sys.float_info.max)
+        c = max(float(lower.max()), float((y1.inverse_values(level) / ts).max()))
+    c = 1.0 if c <= 1.0 else min(c * (1 + 5e-10), c_max)
     return EquivalenceVerdict("equivalent", c, None, analytic=analytic)
 
 

@@ -85,6 +85,12 @@ class TestInqAss2:
         v2 = oz.check_inq_ass2(a, oz.Power(1.9), oz.Envelope.power(1.0), 3)
         assert not v2.analytic and not v2.holds
 
+    def test_nan_left_side_is_indeterminate(self):
+        a = oz.Custom(lambda t: t * t * math.log1p(t), zero=oz.GrowthOrder(3.0), label="a")
+        b = oz.Custom(lambda t: math.nan if 5.0 < t < 6.0 else t ** 1.2, label="nan on (5, 6)")
+        with pytest.raises(oz.IndeterminateError, match=r"nan at t = 2\.7192"):
+            oz.check_inq_ass2(a, b, oz.Envelope.power(1.0), 3)
+
     @pytest.mark.parametrize("t0", [1e6, 2e6])
     def test_cutoff_at_or_past_the_grid_end(self, t0):
         a = oz.Custom(lambda t: t * t, zero=oz.GrowthOrder(2.0), label="sq")
@@ -114,6 +120,13 @@ class TestInqAssD:
         v = oz.check_inq_assD(oz.Power(2), oz.Power(2), oz.Envelope.one(),
                               conj.an)
         assert v.limsup.holds and v.limsup.analytic
+
+    def test_zero_left_side_needs_no_constant(self):
+        # lhs = 0 below 1e-3 passes at any c, though A is flat below 1e-4
+        a = oz.Custom(lambda t: max(0.0, t - 1e-4), label="flat below 1e-4")
+        b = oz.Custom(lambda t: max(0.0, t - 1e-3) ** 2, label="flat below 1e-3")
+        v = oz.check_inq_assD(a, b, oz.Envelope.one(), oz.Power(2)).inequality
+        assert (v.holds, v.constant) == (True, 1.0)
 
     def test_infinite_valued_splitter_rejected(self):
         with pytest.raises(oz.YoungError):
@@ -161,6 +174,15 @@ class TestOrtho:
         env = oz.Envelope.exp_power(2.0)
         assert oz.check_ortho(ps, [oz.Power(1.9)] * 2, env, 2).holds
         assert not oz.check_ortho(ps, [oz.Power(2.0)] * 2, env, 2).holds
+
+    def test_log_component_grid(self):
+        # orlicz check --cond ortho --A "power_log:2,0.5|power:1.5"
+        #   --B "power:1.2|power:1" --E log_power:1 --n 2
+        v = oz.check_ortho([oz.PowerLog(2, 0.5), oz.Power(1.5)], [oz.Power(1.2), oz.Power(1)],
+                           oz.Envelope.log_power(1.0), 2)
+        assert (v.holds, v.witness, v.grid) == (True, (1, 1e-06), "log grid per component")
+        assert v.constant == pytest.approx(1129.5465333032948, rel=1e-6)
+        assert v.worst_margin > 0.0
 
     @pytest.mark.parametrize("t0", [1e6, 2e6])
     def test_grid_cutoff_at_or_past_the_grid_end(self, t0):
@@ -284,17 +306,19 @@ class TestZygmundTable:
                 assert not past_beta.holds
 
 
+def former_ok(lhs, ts, a, c):
+    """The acceptance predicate of the former ``_min_constant`` search."""
+    for t, l in zip(ts, lhs):
+        if l == INF:
+            return False
+        if l > a(c * float(t)) * (1 + _TOL) + 1e-300:
+            return False
+    return True
+
+
 def ref_min_constant(lhs, ts, a, c_max=1e8):
     """The former bisection of ``_min_constant``."""
-
-    def ok(c):
-        for t, l in zip(ts, lhs):
-            if l == INF:
-                return False
-            if l > a(c * float(t)) * (1 + _TOL) + 1e-300:
-                return False
-        return True
-
+    ok = functools.partial(former_ok, lhs, ts, a)
     if not ok(c_max):
         return None
     if ok(1.0):
@@ -316,7 +340,7 @@ MIN_CONSTANT_BASES = [oz.Power(2), oz.Power(1.2), oz.PowerLog(2, 1), oz.PowerExp
 
 
 class TestMinConstant:
-    """The root-finder search against the bisection it replaced."""
+    """The constant read off the inverse against the bisection it replaced."""
 
     @settings(max_examples=100, deadline=None)
     @given(j=st.integers(0, len(MIN_CONSTANT_BASES) - 1),
@@ -337,6 +361,20 @@ class TestMinConstant:
             assert got == ref
         else:
             assert math.isclose(got, ref, rel_tol=2e-6)
+
+    @settings(max_examples=100, deadline=None)
+    @given(j=st.integers(0, len(MIN_CONSTANT_BASES) - 1),
+           c0=st.floats(-1.0, 9.0).map(lambda e: 10.0 ** e),
+           seed=st.integers(0, 2 ** 32 - 1), inf_at=st.integers(0, 159))
+    def test_constant_passes_former_predicate(self, j, c0, seed, inf_at):
+        a = MIN_CONSTANT_BASES[j]
+        rng = np.random.default_rng(seed)
+        ts = np.geomspace(1e-3, 1.0, 40)
+        lhs = np.array([a(c0 * float(t)) for t in ts]) * rng.uniform(0.2, 1.0, len(ts))
+        if inf_at < len(ts):
+            lhs[inf_at] = INF
+        c = _min_constant(lhs, ts, a)
+        assert c is None or former_ok(lhs, ts, a, c)
 
 
 # ---------------------------------------------------------------------------

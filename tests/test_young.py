@@ -112,6 +112,15 @@ class TestLogFamilies:
             "orders": [repr(y.zero_order), repr(y.inf_order)],
             "config": json.dumps(y.to_config())}
 
+    @pytest.mark.parametrize("y", [oz.PowerLog(2, 0), oz.PowerLogLog(2, 0),
+                                   oz.PowerLog(1.5, 0, 3.0), oz.PowerLogLog(3, 0, 5.0)], ids=repr)
+    def test_zero_alpha_is_the_power(self, y):
+        # the slow factor reads 1 even where c + t rounds to the base
+        power = oz.Power(y.p)
+        assert y.values(np.array(LOG_GRID)).tobytes() == \
+            power.values(np.array(LOG_GRID)).tobytes()
+        assert [float(y(t)).hex() for t in LOG_GRID] == [power(t).hex() for t in LOG_GRID]
+
     @pytest.mark.parametrize("y", LOG_FAMILIES, ids=repr)
     def test_nan_in_values_as_in_call(self, y):
         assert math.isnan(y(math.nan))
@@ -674,7 +683,7 @@ class TestDelta2:
 
 class TestEquivalence:
     def test_black_box_overflow_stops_the_sandwich(self):
-        # each trial constant stops at its first failing point, before
+        # the sandwich at c_max stops at its first failing point, before
         # t e^t overflows the float range further up the grid
         v = oz.equivalent(oz.Power(2), oz.Custom(lambda t: t * math.exp(t), label="texp"),
                           oz.Regime.near_infinity())
@@ -737,7 +746,7 @@ REGIMES = [oz.Regime.everywhere(), oz.Regime.near_zero(), oz.Regime.near_infinit
 
 
 class TestEquivalenceSearch:
-    """The root-finder search against the bisection it replaced."""
+    """The constant read off the inverse against the bisection it replaced."""
 
     @settings(max_examples=25, deadline=None)
     @given(j=st.integers(0, len(EQUIVALENCE_BASES) - 1), r=st.integers(0, len(REGIMES) - 1),
@@ -753,6 +762,28 @@ class TestEquivalenceSearch:
             assert v.constant == ref
         else:
             assert math.isclose(v.constant, ref, rel_tol=2e-9)
+
+    @settings(max_examples=25, deadline=None)
+    @given(j=st.integers(0, len(EQUIVALENCE_BASES) - 1), r=st.integers(0, len(REGIMES) - 1),
+           k=log_uniform(1e-3, 1e3), stretch=log_uniform(0.5, 2.0))
+    def test_constant_passes_sandwich(self, j, r, k, stretch):
+        y = EQUIVALENCE_BASES[j]
+        other = oz.Custom(lambda t: k * y(stretch * t), label="scaled")
+        regime = REGIMES[r]
+        v = oz.equivalent(y, other, regime)
+        assert v.constant is None or _sandwich_ok(y, other, v.constant, regime.grid())[0]
+
+    @pytest.mark.parametrize("regime", [oz.Regime.everywhere(), oz.Regime.near_zero(),
+                                        oz.Regime.near_infinity()], ids=lambda r: r.kind)
+    def test_gate_is_its_own_equivalent(self, regime):
+        v = oz.equivalent(oz.gate(1.0), oz.gate(1.0), regime)
+        assert v.equivalent and v.constant == 1.0
+
+    def test_inverse_brackets_a_black_box_beyond_the_grid(self):
+        v = oz.equivalent(oz.Custom(lambda t: t ** 20, label="t^20"), oz.Power(20, scale=2.0),
+                          oz.Regime.near_infinity())
+        assert v.equivalent
+        assert math.isclose(v.constant, 1.0352649239399685, rel_tol=1e-9)
 
 
 class TestNondegeneracy:
