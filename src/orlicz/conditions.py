@@ -32,6 +32,7 @@ from .nemytskii import Envelope, parse_envelope
 from .young import INF, GrowthOrder, IndeterminateError, YoungError, YoungFunction, _check
 
 _TOL = 1e-9
+_C_MAX = 1e8  # the largest constant inside the argument a grid verdict admits
 
 
 @dataclass(frozen=True)
@@ -253,35 +254,35 @@ def _ass2_analytic(a: YoungFunction, b: YoungFunction, env: Envelope,
 # Grid path with constant-trend detection
 # ---------------------------------------------------------------------------
 
-def _min_constant(lhs: np.ndarray, ts: np.ndarray, a: YoungFunction,
-                  c_max: float = 1e8) -> Optional[float]:
-    """Smallest c in [1, c_max] with lhs <= A(c t) on the grid, or None when
-    c_max fails: ``_window_constants`` with the whole grid for its window."""
-    return _window_constants(lhs, ts, a, [np.ones(ts.shape, dtype=bool)], c_max)[0][0]
+def _min_constant(lhs: np.ndarray, ts: np.ndarray, a: YoungFunction) -> Optional[float]:
+    """Smallest c in [1, _C_MAX] with lhs <= A(c t) on the grid, or None when
+    _C_MAX fails: ``_window_constants`` with the whole grid for its window."""
+    return _window_constants(lhs, ts, a, [np.ones(ts.shape, dtype=bool)])[0][0]
 
 
 def _window_constants(lhs: np.ndarray, ts: np.ndarray, a: YoungFunction,
-                      windows: Sequence[np.ndarray], c_max: float = 1e8) -> tuple:
-    """(cs, growing): the least constants in [1, c_max] with lhs <= A(c t) on
+                      windows: Sequence[np.ndarray]) -> tuple:
+    """(cs, growing): the least constants in [1, _C_MAX] with lhs <= A(c t) on
     nested windows (boolean masks over the grid, widest last), ending with
     None at the first window that admits none; and whether they grow by 5 %
     per window and 10 % overall, the sign of an asymptotic failure.  A
-    window's constant is 1.0 when none of its per-point constants exceeds 1,
-    else their maximum raised by 5e-7 relative, so that A(c t) clears every
-    left side; None when that exceeds c_max.  A nan lhs raises."""
+    window's constant is 1.0 when c = 1 passes on it, else its largest
+    per-point constant raised by 5e-7 relative, so that A(c t) clears every
+    left side; None when that exceeds _C_MAX.  A nan lhs raises."""
     if np.isnan(lhs).any():
         raise IndeterminateError(f"the left side is nan at t = {float(ts[np.isnan(lhs)][0])!r}")
-    # the least c with lhs <= A(c t)(1 + _TOL) + 1e-300 at each point: A is
-    # non-decreasing and left-continuous, so it is A^{-1}(level) / t for the
-    # generalized inverse (0 for a negative level); an inf lhs admits none
-    point = np.full(lhs.shape, INF)
-    live = lhs != INF
-    point[live] = a.inverse_values((lhs[live] - 1e-300) / (1 + _TOL)) / ts[live]
+    # where lhs <= A(t)(1 + _TOL) + 1e-300 fails, the least c that passes is
+    # A^{-1}(level) / t, since A is non-decreasing and left-continuous; A is
+    # inverted only there, once per grid; an inf lhs admits no constant
+    level = (lhs - 1e-300) / (1 + _TOL)
+    fail = (lhs != INF) & (level > a.values(ts))
+    point = np.where(lhs == INF, INF, 0.0)
+    point[fail] = a.inverse_values(level[fail]) / ts[fail]
     cs = []
     for w in windows:
         c = float(np.max(point[w], initial=0.0))
         c = 1.0 if c <= 1.0 else c * (1 + 5e-7)
-        cs.append(c if c <= c_max else None)
+        cs.append(c if c <= _C_MAX else None)
         if cs[-1] is None:
             return cs, False
     return cs, len(cs) >= 2 and cs[-1] > cs[0] * 1.1 \

@@ -1074,8 +1074,8 @@ def equivalent(y1: YoungFunction, y2: YoungFunction, regime: Regime,
     """Decide A(t/c) <= B(t) <= A(ct) on the regime, A = y1 and B = y2, with
     the smallest grid constant in [1, c_max] read off the inverse of A, to
     5e-10 relative: the largest t / A^{-1}(B(t)) and A^{-1}(B(t)) / t, each
-    within the sandwich's tolerance; parametric growth orders short-circuit
-    the mismatch direction."""
+    within the sandwich's tolerance, where c = 1 fails that side; parametric
+    growth orders short-circuit the mismatch direction."""
     sides = {"global": ("zero", "inf"), "near_zero": ("zero",),
              "near_infinity": ("inf",)}[regime.kind]
     pairs = [(y1.zero_order, y2.zero_order) if s == "zero" else (y1.inf_order, y2.inf_order)
@@ -1090,14 +1090,17 @@ def equivalent(y1: YoungFunction, y2: YoungFunction, regime: Regime,
     if not ok:
         status = "not_equivalent" if analytic else "indeterminate"
         return EquivalenceVerdict(status, None, wit, analytic=analytic)
-    b = y2.values(ts)
+    a, b = y1.values(ts), y2.values(ts)
     with np.errstate(divide="ignore", over="ignore"):
-        # A(t/c) <= B(t)(1 + 1e-9) + 1e-300 once t/c <= A^{-1} of that bound, and
-        # B(t) <= A(ct)(1 + 1e-9) + 1e-300 once ct passes A^{-1} of the level;
-        # the largest float stands in for inf, so where B is inf, A^{-1} finds A's jump
-        lower = ts / y1.inverse_values(b * (1 + 1e-9) + 1e-300)
-        level = np.minimum((b - 1e-300) / (1 + 1e-9), sys.float_info.max)
-        c = max(float(lower.max()), float((y1.inverse_values(level) / ts).max()))
+        # where c = 1 fails A(t/c) <= B(t)(1 + 1e-9) + 1e-300, it passes once
+        # t/c <= A^{-1} of that bound, and where c = 1 fails B(t) <= A(ct)(1 + 1e-9)
+        # + 1e-300, once ct passes A^{-1} of the level; the largest float stands
+        # in for inf, so where B is inf, A^{-1} finds A's jump
+        lo, hi = ~(a <= b * (1 + 1e-9) + 1e-300), ~(b <= a * (1 + 1e-9) + 1e-300)
+        lower = ts[lo] / y1.inverse_values(b[lo] * (1 + 1e-9) + 1e-300)
+        level = np.minimum((b[hi] - 1e-300) / (1 + 1e-9), sys.float_info.max)
+        upper = y1.inverse_values(level) / ts[hi]
+    c = max(float(lower.max(initial=0.0)), float(upper.max(initial=0.0)))
     c = 1.0 if c <= 1.0 else min(c * (1 + 5e-10), c_max)
     return EquivalenceVerdict("equivalent", c, None, analytic=analytic)
 

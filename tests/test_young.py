@@ -120,6 +120,17 @@ class TestLogFamilies:
         assert y.values(np.array(LOG_GRID)).tobytes() == \
             power.values(np.array(LOG_GRID)).tobytes()
         assert [float(y(t)).hex() for t in LOG_GRID] == [power(t).hex() for t in LOG_GRID]
+        # the inverse stays the numeric search: at a positive level it is
+        # within 1e-12 relative of the closed form, and at level 0 it returns
+        # where t^p first reads nonzero in floats, where the closed form gives 0
+        for v in LOG_LEVELS:
+            got, want = y.inverse(v), power.inverse(v)
+            if v == 0.0:
+                assert want == 0.0 and power(got) == 5e-324
+            elif 0.0 < v < INF:
+                assert got == pytest.approx(want, rel=1e-12)
+            else:
+                assert got == want
 
     @pytest.mark.parametrize("y", LOG_FAMILIES, ids=repr)
     def test_nan_in_values_as_in_call(self, y):
