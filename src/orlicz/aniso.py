@@ -231,24 +231,11 @@ def _geometric_mean_bar(comps: tuple) -> FromInverse:
         if a.inverse(1e6) <= 0.0 or a.inverse(1e-6) == INF:
             raise ConstructionError("a component inverse is degenerate")
 
-    def inv(t: float) -> float:
-        if t <= 0.0:
-            return 0.0
-        acc = 0.0
-        for a in comps:
-            v = a.inverse(t)
-            if v == INF:
-                return INF
-            if v <= 0.0:
-                return 0.0
-            acc += math.log(v)
-        return math.exp(acc / n)
-
     def inv_many(ts: np.ndarray) -> np.ndarray:
         vs = np.array([a.inverse_values(ts) for a in comps])
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             out = np.exp(np.log(vs).sum(axis=0) / n)  # log 0 and inf: set below
-        # the first component at 0 or inf decides, as in ``inv``
+        # the first component at 0 or inf decides
         stop = (vs == INF) | (vs <= 0.0)
         cut = np.flatnonzero(stop.any(axis=0))
         out[cut] = np.where(vs[stop.argmax(axis=0)[cut], cut] == INF, INF, 0.0)
@@ -258,8 +245,8 @@ def _geometric_mean_bar(comps: tuple) -> FromInverse:
         ps = [GrowthOrder.pure_power(o) for o in orders]
         return None if None in ps else GrowthOrder(bar_p(ps))
 
-    return FromInverse(inv_fn=inv, zero=mean_order([a.zero_order for a in comps]),
-                       inf_=mean_order([a.inf_order for a in comps]), inv_many=inv_many)
+    return FromInverse(inv_many, mean_order([a.zero_order for a in comps]),
+                       mean_order([a.inf_order for a in comps]))
 
 
 def bar_p(ps: Sequence[float]) -> float:

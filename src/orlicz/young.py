@@ -301,8 +301,11 @@ def _log_root_many(fn_many: Callable[[np.ndarray, np.ndarray], np.ndarray], leve
 def _numeric_inverse(fn: Callable[[float], float], v: float,
                      rel_tol: float = 1e-12, max_iter: int = 400) -> float:
     """Generalized right-continuous inverse inf{s >= 0 : fn(s) > v}: plateaus
-    resolve to their right endpoint, an empty set (v = inf included) to inf."""
-    return 0.0 if v < 0 else _log_root(fn, v, False, rel_tol, max_iter)[1]
+    resolve to their right endpoint, an empty set (v = inf included) to inf;
+    0 below 0, and nan for nan."""
+    if not v >= 0:
+        return 0.0 if v < 0 else v
+    return _log_root(fn, v, False, rel_tol, max_iter)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +356,16 @@ class YoungFunction:
         return np.array([self(float(t)) for t in np.asarray(ts).ravel()], dtype=float)
 
     def inverse_values(self, vs: np.ndarray) -> np.ndarray:
-        """``inverse`` on an array."""
-        return np.array([self.inverse(float(v)) for v in np.asarray(vs).ravel()], dtype=float)
+        """``inverse`` on an array.  A kind with its own scalar ``inverse``
+        maps it over the entries; for the others every entry is a row of one
+        ``_log_root_many`` search on ``values``, as ``_numeric_inverse``."""
+        v = np.asarray(vs, dtype=float).ravel()
+        if type(self).inverse is not YoungFunction.inverse:
+            return np.array([self.inverse(x) for x in v.tolist()], dtype=float)
+        out = np.where(v < 0.0, 0.0, v)  # nan stays nan
+        live = v >= 0.0
+        out[live] = _log_root_many(lambda s, rows: self.values(s), v[live], False)[1]
+        return out
 
     def to_config(self) -> dict:
         """The record that ``from_config`` reads back; a family in it nests."""
@@ -611,7 +622,8 @@ class Exp(YoungFunction):
             vstar = _expm1_pow(self.tstar, self.alpha)
             if v <= vstar:
                 return v * self.tstar / vstar
-        return math.log1p(v) ** (1.0 / self.alpha)
+        # the values jump to inf where t^alpha reaches _LOG_MAX
+        return min(math.log1p(v), _LOG_MAX) ** (1.0 / self.alpha)
 
     @property
     def zero_order(self):
@@ -696,8 +708,8 @@ class Piecewise(YoungFunction):
             raise YoungError("breakpoints must be positive and increasing")
 
     def __call__(self, t: float) -> float:
-        if t <= 0.0:
-            return 0.0
+        if not t > 0.0:
+            return 0.0 if t <= 0.0 else t  # nan in, nan out
         idx = 0
         for b in self.breaks:
             if t <= b:
@@ -707,11 +719,11 @@ class Piecewise(YoungFunction):
 
     def values(self, ts: np.ndarray) -> np.ndarray:
         t = np.asarray(ts, dtype=float).ravel()
-        out = np.zeros(t.shape)
+        out = np.where(np.isnan(t), t, 0.0)
         # branch k serves (b_k, b_{k+1}]: a break belongs to the branch below
         idx = np.searchsorted(np.asarray(self.breaks, dtype=float), t, side="left")
         for k, br in enumerate(self.branches):
-            on = (idx == k) & ~(t <= 0.0)
+            on = (idx == k) & (t > 0.0)
             if on.any():
                 out[on] = (br.values(t[on]) if isinstance(br, YoungFunction)
                            else [br(x) for x in t[on].tolist()])
@@ -788,7 +800,7 @@ class Glued(YoungFunction):
 
     def values(self, ts: np.ndarray) -> np.ndarray:
         t = np.asarray(ts, dtype=float).ravel()
-        out = np.zeros(t.shape)
+        out = np.where(np.isnan(t), t, 0.0)
         near = (t > 0.0) & (t <= self.tstar)
         out[near] = self.near_zero.values(t[near])
         far = t > self.tstar
@@ -835,9 +847,9 @@ class Custom(YoungFunction):
         return self.fn(t)
 
     def inverse(self, v: float) -> float:
-        if self.inverse_fn is not None:
-            return self.inverse_fn(v) if v >= 0 else 0.0
-        return _numeric_inverse(self.__call__, v)
+        if self.inverse_fn is None or not v >= 0:
+            return _numeric_inverse(self.__call__, v)
+        return self.inverse_fn(v)
 
     @property
     def zero_order(self):
@@ -855,33 +867,26 @@ class Custom(YoungFunction):
 @dataclass(frozen=True, repr=False)
 class FromInverse(YoungFunction):
     """A Young function specified through its (continuous, increasing)
-    inverse.  A(t) is the root of inv_fn(s) = t, found to 1e-12 relative by
-    the log-space root finder above (a few inv_fn calls where the inverse is
-    near a power law); 0 when inv_fn(0) >= t or the root underflows the
-    normal float range, inf when inv_fn stays below t up to the largest
-    float.
+    inverse on arrays: ``inv_many`` maps a 1-D array of finite levels >= 0
+    to the inverse at each.  A(t) is the root of inv_many(s) = t, found to
+    1e-12 relative by ``_log_root_many``, every row at its own level (a few
+    steps where the inverse is near a power law); 0 for t <= 0 and where
+    inv_many stays above t down to the smallest normal float, inf where
+    it stays below t up to the largest float.  The scalar forms are the array
+    forms on one element, so both give the same bits; nan stays nan."""
 
-    ``inv_many`` is ``inv_fn`` on a 1-D array: it must return the array of
-    ``inv_fn`` at each entry (agreeing to rounding), and may assume the
-    entries positive.  ``values`` runs every root at once through
-    ``_log_root_many``, every row on ``inv_many`` at its own level."""
-
-    inv_fn: Callable[[float], float]
     inv_many: Callable[[np.ndarray], np.ndarray]
     zero: Optional[GrowthOrder] = None
     inf_: Optional[GrowthOrder] = None
     kind = "from_inverse"
 
     def __call__(self, t: float) -> float:
-        if t <= 0.0 or t <= self.inv_fn(0.0):
-            return 0.0
-        lo, hi = _log_root(self.inv_fn, t, True)
-        return 0.5 * (lo + hi)
+        return float(self.values([t])[0])
 
     def values(self, ts: np.ndarray) -> np.ndarray:
         t = np.asarray(ts, dtype=float).ravel()
-        out = np.zeros(t.shape)
-        live = (t > 0.0) & (t > self.inv_fn(0.0))
+        out = np.where(np.isnan(t), t, 0.0)
+        live = t > 0.0
         if live.any():
             lo, hi = _log_root_many(lambda s, rows: self.inv_many(s), t[live], True)
             with np.errstate(over="ignore"):
@@ -889,11 +894,15 @@ class FromInverse(YoungFunction):
         return out
 
     def inverse(self, v: float) -> float:
-        if v < 0:
-            return 0.0
-        if v == INF:
-            return INF
-        return self.inv_fn(v)
+        return float(self.inverse_values([v])[0])
+
+    def inverse_values(self, vs: np.ndarray) -> np.ndarray:
+        v = np.asarray(vs, dtype=float).ravel()
+        out = np.where(v < 0.0, 0.0, v)  # inf and nan stay
+        live = (v >= 0.0) & (v < INF)
+        if live.any():
+            out[live] = self.inv_many(v[live])
+        return out
 
     @property
     def zero_order(self):

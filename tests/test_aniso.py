@@ -376,6 +376,31 @@ class TestPhiCirc:
         assert all(vals[i] <= vals[i + 1] for i in range(len(vals) - 1))
 
 
+class TestInputErrors:
+    @staticmethod
+    def assert_raises(kind, message, fn, *args, **kwargs):
+        with pytest.raises(kind) as info:
+            fn(*args, **kwargs)
+        assert info.type is kind and str(info.value) == message
+
+    def test_bar_needs_a_component(self):
+        self.assert_raises(oz.YoungError, "need at least one component", oz.orthotropic_bar, ())
+
+    def test_volume_route_stops_at_three_dimensions(self):
+        phi = oz.Isotropic(oz.Power(2), 4)
+        message = "volume computation supports n <= 3"
+        self.assert_raises(oz.YoungError, message, oz.sublevel_volume, phi, 1.0)
+        self.assert_raises(oz.YoungError, message, oz.phi_circ, phi, 1.0, method="volume")
+
+    def test_negative_level(self):
+        self.assert_raises(oz.YoungError, "level must be nonnegative",
+                           oz.phi_circ, oz.Isotropic(oz.Power(2), 2), -1.0)
+
+    def test_black_box_has_no_profile(self):
+        box = oz.BlackBox(lambda xi: float(np.sum(xi * xi)), 2)
+        self.assert_raises(oz.YoungError, "BlackBox has no scalar reduction", box.scalar_profile)
+
+
 class TestPhiN:
     def test_orthotropic_exponent(self):
         # bar exponent oracle: 1/pbar = mean(1/p_i); conjugate exponent

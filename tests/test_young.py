@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import orlicz as oz
@@ -90,6 +90,32 @@ class TestEval:
             oz.evaluate(oz.Power(2), -1.0)
 
 
+def assert_raises(kind, message, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` raises exactly ``kind``, with exactly ``message``."""
+    with pytest.raises(kind) as info:
+        fn(*args, **kwargs)
+    assert info.type is kind and str(info.value) == message
+
+
+class TestInputErrors:
+    def test_grid_bounds(self):
+        assert_raises(oz.YoungError, "invalid grid bounds (1.0, 0.5)", young.log_grid, 1.0, 0.5)
+
+    def test_regime_kind(self):
+        assert_raises(oz.YoungError, "unknown regime kind 'sideways'", oz.Regime, "sideways")
+
+    def test_piecewise_breakpoints(self):
+        assert_raises(oz.YoungError, "piecewise needs one more branch than breakpoints",
+                      oz.Piecewise, (1.0,), (oz.Power(2),))
+        for breaks in ((0.0, 1.0), (2.0, 1.0)):
+            assert_raises(oz.YoungError, "breakpoints must be positive and increasing",
+                          oz.Piecewise, breaks, (oz.Power(2),) * 3)
+
+    def test_custom_has_no_record(self):
+        assert_raises(NotImplementedError, "custom has no config form",
+                      oz.Custom(fn=lambda t: t * t).to_config)
+
+
 # outputs of the two log families, frozen in tests/golden/log_families.json
 # from the separate class bodies that their shared base replaced
 LOG_FAMILIES = [oz.PowerLog(2, 1), oz.PowerLog(3, -0.5), oz.PowerLog(1.5, 2, 3.0),
@@ -158,6 +184,16 @@ class TestInverse:
                 if a == INF or a == 0.0:
                     continue
                 assert y.inverse(a) >= t * (1 - 1e-9)
+
+    def test_exp_inverse_finds_the_overflow_jump(self):
+        # the values read inf from t^alpha = _LOG_MAX on, below the float
+        # overflow, so every higher finite level inverts to that point
+        for y in (oz.Exp(0.5), oz.Exp(1.0), oz.Exp(2.0)):
+            jump = young._LOG_MAX ** (1.0 / y.alpha)
+            below = y(jump * (1 - 1e-9))
+            assert y(jump) == INF and below < 1e308
+            assert y.inverse(below) == pytest.approx(jump * (1 - 1e-9), rel=1e-12)
+            assert y.inverse(1e308) == y.inverse(sys.float_info.max) == jump
 
     def test_plateau_law_equality(self):
         # equality wherever the function is strictly increasing and continuous
@@ -299,7 +335,7 @@ class TestLogRoot:
     @given(t=log_uniform(1e-10, 1e40), q=st.floats(1.05, 3.0))
     def test_orthotropic_forward_matches_bisection(self, t, q):
         bar = _geometric_mean_bar((oz.Power(1.37), oz.Power(q)))
-        assert math.isclose(bar(t), ref_solve_increasing(bar.inv_fn, t), rel_tol=1e-12)
+        assert math.isclose(bar(t), ref_solve_increasing(bar.inverse, t), rel_tol=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(t=log_uniform(1e-12, 1e12))
@@ -324,25 +360,20 @@ class TestLogRoot:
         assert circ_table().inverse(t) == want
 
     def test_orthotropic_work_count(self):
+        # inv_many evaluations per forward value, all values in one call: a
+        # row is evaluated once in each call while it is open, as it would be
+        # alone, so the longest row is open in every call
         bar = _geometric_mean_bar((oz.Power(1.37), oz.Power(1.66)))
-        calls = [0]
-
-        def counted(s):
-            calls[0] += 1
-            return bar.inv_fn(s)
-
-        forward = FromInverse(inv_fn=counted, inv_many=bar.inv_many)
-        counts = []
-        for t in np.geomspace(1e-10, 1e40, 2001):
-            calls[0] = 0
-            forward(float(t))
-            counts.append(calls[0])
-        assert sum(counts) / len(counts) <= 15
-        assert max(counts) <= 60
+        sizes = []
+        forward = FromInverse(inv_many=lambda s: sizes.append(s.size) or bar.inv_many(s))
+        ts = np.geomspace(1e-10, 1e40, 2001)
+        forward.values(ts)
+        assert sum(sizes) / ts.size <= 15
+        assert len(sizes) <= 60
 
     def test_root_below_float_range_is_zero(self):
         # A(t) = t^100 underflows: A(1e-5) = 1e-500
-        assert FromInverse(inv_fn=lambda s: s ** 0.01, inv_many=lambda s: s ** 0.01)(1e-5) == 0.0
+        assert FromInverse(inv_many=lambda s: s ** 0.01)(1e-5) == 0.0
         assert _numeric_inverse(oz.linear(), 0.0) == 0.0
 
     def test_step_function_brackets_the_step(self):
@@ -405,6 +436,7 @@ def edges(y, *breaks):
 
 # the generic reduction: orthotropic_bar gives powers a closed-form Power
 ORTHO_BAR = _geometric_mean_bar((oz.Power(1.5), oz.Power(2.5, scale=0.3)))
+LOG_BAR = oz.orthotropic_bar((oz.PowerLog(2, 1), oz.Power(3.0)))
 SQUARE_THEN_LINE = oz.Piecewise(breaks=(1.0, 3.0),
                                 branches=(oz.Power(2), lambda t: 2.0 * t - 1.0,
                                           oz.Power(2, 5.0 / 9.0)))
@@ -430,6 +462,22 @@ VALUE_FAMILIES = [
         (ORTHO_BAR, ()),
     )
 ]
+
+# one function of every built-in kind, each kind's inverse path at least once:
+# the base search on ``values`` (PowerLog, PowerLogLog, PowerExp, Piecewise,
+# gate), a closed form, a scalar search, and the bar's ``inv_many``; the log
+# log takes a base where log log(c + t) does not cancel near 0 (see
+# ``test_loglog_inverse_values_at_the_default_base``)
+EVERY_KIND = [
+    oz.Power(1.7, 0.3), oz.PowerLog(2, 1), oz.PowerLog(3, -1), oz.PowerLogLog(2, 0.5, 5.0),
+    oz.PowerExp(1.6), EXP_HALF, oz.Exp(2.0), EXP_NEG_INV, SQUARE_THEN_LINE, oz.gate(1.5),
+    MODIFIED, oz.Glued(oz.Power(2), oz.PowerLog(2, 1, math.e), 1.0, 1.0),
+    oz.Custom(fn=lambda t: t * t * t),
+    oz.Custom(fn=lambda t: t * t, inverse_fn=lambda v: v ** 0.5 if v < INF else INF),
+    ORTHO_BAR, LOG_BAR,
+]
+INVERSE_LEVELS = ([-1e300, -1.0, -5e-324, 0.0, 5e-324, INF]
+                  + np.geomspace(1e-300, 1e300, 601).tolist())
 
 
 def family_points(ys_edges):
@@ -539,10 +587,10 @@ class TestArrayForms:
     @given(ts=st.lists(st.one_of(log_uniform(1e-300, 1e300), st.just(INF)),
                        min_size=1, max_size=16))
     def test_orthotropic_inv_many(self, ts):
-        bars = (ORTHO_BAR, oz.orthotropic_bar((oz.PowerLog(2, 1), oz.Power(3.0))),
+        bars = (ORTHO_BAR, LOG_BAR,
                 oz.orthotropic_bar((oz.Exp(1.0), oz.Power(1.2), oz.PowerLog(1.5, 1))))
         for bar in bars:
-            close(bar.inv_many(np.array(ts)), [bar.inv_fn(t) for t in ts], rel=1e-13)
+            close(bar.inv_many(np.array(ts)), [bar.inverse(t) for t in ts], rel=1e-13)
 
     def test_orthotropic_inv_many_first_end_decides(self):
         # on (1, 2) one inverse is 0 and the other inf: the first one decides
@@ -550,7 +598,44 @@ class TestArrayForms:
         inf_ = oz.Custom(fn=lambda t: t, inverse_fn=lambda v: INF if 1.0 < v < 2.0 else v)
         ts = np.array([0.5, 1.5, 3.0, INF])
         for bar in (oz.orthotropic_bar((zero, inf_)), oz.orthotropic_bar((inf_, zero))):
-            np.testing.assert_array_equal(bar.inv_many(ts), [bar.inv_fn(t) for t in ts.tolist()])
+            np.testing.assert_array_equal(bar.inv_many(ts), [bar.inverse(t) for t in ts.tolist()])
+
+    @pytest.mark.parametrize("bar", [ORTHO_BAR, LOG_BAR], ids=["powers", "power_log"])
+    def test_bar_scalar_forms_are_array_bits(self, bar):
+        # one inverse: the scalar forms are the array forms on one element
+        ts = np.array([-1.0, 0.0, 5e-324, 1e-300, 1e-17, 0.3, 1.0, 7.5, 1e20, 1e300, INF, math.nan])
+        scalar = np.array([bar(t) for t in ts.tolist()])
+        assert scalar.tobytes() == bar.values(ts).tobytes()
+        scalar = np.array([bar.inverse(t) for t in ts.tolist()])
+        assert scalar.tobytes() == bar.inverse_values(ts).tobytes()
+
+    def test_every_kind_is_covered(self):
+        kinds = {cls for cls in vars(young).values() if isinstance(cls, type)
+                 and issubclass(cls, oz.YoungFunction) and not cls.__name__.startswith("_")}
+        assert {type(y) for y in EVERY_KIND} == kinds - {oz.YoungFunction}
+
+    @pytest.mark.parametrize("y", EVERY_KIND,
+                             ids=[f"{i}-{y.kind}" for i, y in enumerate(EVERY_KIND)])
+    def test_inverse_values_match_scalar(self, y):
+        # 0 and inf exactly, else within 1e-12 relative: the rows of one
+        # batched search stop inside the scalar search's bracket
+        close(y.inverse_values(np.array(INVERSE_LEVELS)), [y.inverse(v) for v in INVERSE_LEVELS])
+
+    @pytest.mark.xfail(strict=True, reason="log log(e + t) cancels near 0, where values and "
+                       "the scalar call round it apart (ROADMAP item 11)")
+    def test_loglog_inverse_values_at_the_default_base(self):
+        y = oz.PowerLogLog(2, 0.5)
+        levels = np.geomspace(1e-40, 1e-10, 301)
+        close(y.inverse_values(levels), [y.inverse(v) for v in levels.tolist()])
+
+    @pytest.mark.parametrize("y", EVERY_KIND,
+                             ids=[f"{i}-{y.kind}" for i, y in enumerate(EVERY_KIND)])
+    def test_nan_in_nan_out(self, y):
+        assert math.isnan(y(math.nan)) and math.isnan(y.inverse(math.nan))
+        xs = np.array([2.0, math.nan, -1.0])
+        for got, scalar in ((y.values(xs), y), (y.inverse_values(xs), y.inverse)):
+            assert math.isnan(got[1])
+            close(got[[0, 2]], [scalar(2.0), 0.0])
 
     @settings(max_examples=60, deadline=None)
     @given(ts=st.lists(st.one_of(log_uniform(1e-300, 1e300), st.sampled_from(CIRC_TS),
@@ -777,6 +862,7 @@ class TestEquivalenceSearch:
     @settings(max_examples=25, deadline=None)
     @given(j=st.integers(0, len(EQUIVALENCE_BASES) - 1), r=st.integers(0, len(REGIMES) - 1),
            k=log_uniform(1e-3, 1e3), stretch=log_uniform(0.5, 2.0))
+    @example(j=5, r=0, k=10.0 ** 0.25, stretch=0.5316668254369868)  # B finite where A jumps
     def test_constant_passes_sandwich(self, j, r, k, stretch):
         y = EQUIVALENCE_BASES[j]
         other = oz.Custom(lambda t: k * y(stretch * t), label="scaled")
