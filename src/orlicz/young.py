@@ -308,6 +308,16 @@ def _numeric_inverse(fn: Callable[[float], float], v: float,
     return _log_root(fn, v, False, rel_tol, max_iter)[1]
 
 
+def _invert_levels(vs: np.ndarray, invert: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """``invert`` on the finite levels >= 0; 0 below 0, inf and nan kept."""
+    v = np.asarray(vs, dtype=float).ravel()
+    out = np.where(v < 0.0, 0.0, v)
+    live = (v >= 0.0) & (v < INF)
+    if live.any():
+        out[live] = invert(v[live])
+    return out
+
+
 # ---------------------------------------------------------------------------
 # The Young function hierarchy
 # ---------------------------------------------------------------------------
@@ -362,10 +372,7 @@ class YoungFunction:
         v = np.asarray(vs, dtype=float).ravel()
         if type(self).inverse is not YoungFunction.inverse:
             return np.array([self.inverse(x) for x in v.tolist()], dtype=float)
-        out = np.where(v < 0.0, 0.0, v)  # nan stays nan
-        live = v >= 0.0
-        out[live] = _log_root_many(lambda s, rows: self.values(s), v[live], False)[1]
-        return out
+        return _invert_levels(v, lambda u: _log_root_many(lambda s, _: self.values(s), u, False)[1])
 
     def to_config(self) -> dict:
         """The record that ``from_config`` reads back; a family in it nests."""
@@ -897,12 +904,7 @@ class FromInverse(YoungFunction):
         return float(self.inverse_values([v])[0])
 
     def inverse_values(self, vs: np.ndarray) -> np.ndarray:
-        v = np.asarray(vs, dtype=float).ravel()
-        out = np.where(v < 0.0, 0.0, v)  # inf and nan stay
-        live = (v >= 0.0) & (v < INF)
-        if live.any():
-            out[live] = self.inv_many(v[live])
-        return out
+        return _invert_levels(vs, self.inv_many)
 
     @property
     def zero_order(self):

@@ -13,6 +13,7 @@ import orlicz as oz
 from orlicz import aniso, young
 from orlicz.aniso import _OMEGA, _half_sphere_rule, _phi_circ_young, _polar_volumes
 from orlicz.young import INF, GrowthOrder, Piecewise, _numeric_inverse
+from test_young import assert_raises
 
 
 def log_uniform(lo, hi):
@@ -377,28 +378,22 @@ class TestPhiCirc:
 
 
 class TestInputErrors:
-    @staticmethod
-    def assert_raises(kind, message, fn, *args, **kwargs):
-        with pytest.raises(kind) as info:
-            fn(*args, **kwargs)
-        assert info.type is kind and str(info.value) == message
-
     def test_bar_needs_a_component(self):
-        self.assert_raises(oz.YoungError, "need at least one component", oz.orthotropic_bar, ())
+        assert_raises(oz.YoungError, "need at least one component", oz.orthotropic_bar, ())
 
     def test_volume_route_stops_at_three_dimensions(self):
         phi = oz.Isotropic(oz.Power(2), 4)
         message = "volume computation supports n <= 3"
-        self.assert_raises(oz.YoungError, message, oz.sublevel_volume, phi, 1.0)
-        self.assert_raises(oz.YoungError, message, oz.phi_circ, phi, 1.0, method="volume")
+        assert_raises(oz.YoungError, message, oz.sublevel_volume, phi, 1.0)
+        assert_raises(oz.YoungError, message, oz.phi_circ, phi, 1.0, method="volume")
 
     def test_negative_level(self):
-        self.assert_raises(oz.YoungError, "level must be nonnegative",
-                           oz.phi_circ, oz.Isotropic(oz.Power(2), 2), -1.0)
+        assert_raises(oz.YoungError, "level must be nonnegative",
+                      oz.phi_circ, oz.Isotropic(oz.Power(2), 2), -1.0)
 
     def test_black_box_has_no_profile(self):
         box = oz.BlackBox(lambda xi: float(np.sum(xi * xi)), 2)
-        self.assert_raises(oz.YoungError, "BlackBox has no scalar reduction", box.scalar_profile)
+        assert_raises(oz.YoungError, "BlackBox has no scalar reduction", box.scalar_profile)
 
 
 class TestPhiN:

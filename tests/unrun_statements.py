@@ -10,6 +10,8 @@ its first body statement ran.  ``sys.settrace`` and ``threading.settrace``
 record the line events of the package's files only.  The terminal summary
 gives the count per file and the first line of each unrun statement.  The
 hook keeps line numbers only, but it makes the run about twice as slow.
+The statements are read from the files when the run ends, so a file edited
+during the run is counted against lines that did not run.
 """
 
 import ast
