@@ -1,7 +1,10 @@
 """Admissibility checkers and the closed-form exponent tables."""
 
+import dataclasses
 import functools
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -12,8 +15,12 @@ import orlicz as oz
 from orlicz.conditions import (
     _TOL,
     ConditionVerdict,
+    _Triple,
+    _ass2_analytic,
     _ass2_grid,
+    _assd_analytic,
     _assd_grid,
+    _env_on,
     _limsup_probe,
     _min_constant,
 )
@@ -623,3 +630,124 @@ class TestGridProbesMatchPointLoops:
         got = oz.check_ortho(a_list, bs, env, 2)
         assert_matches_reference(got, ref_ortho_grid(a_list, bs, env, 2),
                                  oz.orthotropic_bar(a_list))
+
+
+# ---------------------------------------------------------------------------
+# Frozen analytic verdicts
+# ---------------------------------------------------------------------------
+
+VERDICTS = pathlib.Path(__file__).parent / "golden" / "condition_verdicts.json"
+
+
+def _envelopes(n):
+    """Every envelope shape: the bare kinds, both log corrections, and exp
+    envelopes below, at and above the critical exponents n/(n-1) and
+    n/(n-1-alpha); 2(1 + 9e-13) is within the classifier's 1e-12 of the
+    critical 2 at n = 2 but past the published row's bound."""
+    nprime = n / (n - 1.0)
+    exps = sorted({0.5, 1.0, nprime, n / (n - 1.5), 2.5, 2.0 * (1.0 + 9e-13)})
+    return ([oz.Envelope.one(), oz.Envelope.custom(lambda t: 1.0 + t)]
+            + [oz.Envelope.power(r) for r in (0.0, 0.5, 1.0)]
+            + [oz.Envelope.power(r, g, s) for r, g in ((0.0, 1.0), (1.0, 1.0), (1.0, -1.0))
+               for s in ("log", "loglog")]
+            + [oz.Envelope.log_power(r) for r in (0.0, 0.5)]
+            + [oz.Envelope.exp_power(a) for a in exps]
+            + [oz.Envelope.exp_power(a, le) for a, le in ((1.0, 0.5), (nprime, -1.0), (nprime, 0.5))]
+            + [oz.Envelope.exp_exp(a) for a in sorted({0.3, 0.5, 1.0, 2.0, nprime})])
+
+
+def _key(x):
+    """A short text form of a Young function or an envelope."""
+    if isinstance(x, oz.Custom) or x.kind == "custom":
+        return getattr(x, "label", "custom")
+    record = x.to_config() if isinstance(x, oz.YoungFunction) else x.params
+    return x.kind + ":" + ",".join(str(v) for k, v in record.items() if k != "kind")
+
+
+def _plain(effect):
+    """An ``_env_on`` result with its triple as floats; a zero exponent's sign
+    carries no meaning, so -0.0 reads 0.0."""
+    if effect is None or effect[0] != "triple":
+        return effect and list(effect)
+    t = effect[1]
+    return ["triple", t.power + 0.0, t.log + 0.0, t.loglog + 0.0]
+
+
+def _fields(row):
+    """A verdict or table row as the list of its field values."""
+    return [v if isinstance(v, (bool, str, type(None))) else repr(v)
+            for v in dataclasses.astuple(row)]
+
+
+def verdicts_text(table: dict) -> str:
+    """A verdict table as JSON text, one entry a line in key order."""
+    return "{\n" + ",\n".join(f"{json.dumps(k)}: {json.dumps(v)}"
+                               for k, v in sorted(table.items())) + "\n}\n"
+
+
+def frozen_verdicts() -> dict:
+    """The exponent-algebra verdicts of ``_env_on``, ``_ass2_analytic``,
+    ``_assd_analytic``, the closed-form rows of ``check_ortho`` and
+    ``zygmund_table``, keyed by their inputs; tests/golden/condition_verdicts.json
+    holds ``verdicts_text(frozen_verdicts())``."""
+    out = {}
+    for n in (2, 3):
+        envs = _envelopes(n)
+        sources = [oz.Power(1.5), oz.Power(n), oz.Power(n + 1), oz.PowerLog(1.5, 1),
+                   oz.PowerLog(n, 0.5), oz.PowerLog(n, n - 1), oz.PowerLog(n, n),
+                   oz.PowerLogLog(1.5, 1), oz.PowerLogLog(n, 1), oz.PowerLogLog(n, -1)]
+        targets = [oz.Power(1.2), oz.Power(n - 0.5), oz.Power(n), oz.Power(n + 0.5),
+                   oz.PowerLog(1.2, 1), oz.PowerLog(n, 0.5), oz.PowerLog(n, n - 1),
+                   oz.PowerLogLog(1.2, 1), oz.PowerLogLog(n, 1), oz.PowerLogLog(n, -1)]
+        for env in envs:
+            for a in sources:
+                for b in targets:
+                    got = _ass2_analytic(a, b, env, n)
+                    out[f"ass2 {n} {_key(a)} {_key(b)} {_key(env)}"] = \
+                        got and [got[0], repr(got[1]), got[2]]
+            both = oz.Custom(lambda t: t * t, inf_=oz.GrowthOrder(n, 1.0, 1.0),
+                             label="log and loglog")
+            for a, b in ((oz.Custom(lambda t: t * t, label="no orders"), oz.Power(1.2)),
+                         (both, oz.Power(1.2)), (oz.Power(n), both)):
+                out[f"ass2 {n} {_key(a)} {_key(b)} {_key(env)}"] = _ass2_analytic(a, b, env, n)
+            for h in ((0.5, -0.5, 0.0), (-0.5, 0.0, 0.0), (0.0, 0.5, 0.0), (0.0, -0.5, 0.0),
+                      (0.0, 0.5, -0.5), (0.0, 0.0, 0.5), (0.0, 0.0, -0.5), (0.0, 0.0, 0.0)):
+                out[f"env_on {n} {h} {_key(env)}"] = _plain(_env_on(env, _Triple(*h), n))
+        ortho = [[n] * n, [n + 1] * n, [n - 0.5] * n, [1.5, 3] if n == 2 else [2, 3, 6],
+                 [1.2, 1.8] if n == 2 else [2, 2.5, 2]]
+        qs = [[q] * n for q in (1.2, n - 0.5, n, n + 0.5)] + [[1.0] + [n + 0.5] * (n - 1)]
+        for env in envs:
+            if env.kind not in ("one", "power", "exp_power") or env.params.get("gamma"):
+                continue  # the other envelopes take the grid
+            for ps in ortho:
+                for q in qs:
+                    v = oz.check_ortho([oz.Power(p) for p in ps], [oz.Power(x) for x in q], env, n)
+                    out[f"ortho {n} {ps} {q} {_key(env)}"] = _fields(v)
+        for variant in ("log", "loglog"):
+            for p in (1.0, 1.5, n, n + 1):
+                for alpha in sorted({-1.0, 0.0, 0.5, n - 1, n - 0.5}):
+                    if p == 1 and alpha < 0:
+                        continue
+                    for env in envs:
+                        out[f"zygmund {variant} {n} {p} {alpha} {_key(env)}"] = \
+                            _fields(oz.zygmund_table(p, alpha, n, env, variant))[4:]
+    zero = [oz.Power(2), oz.PowerLog(2, 1), oz.ExpNegInv(1), oz.ExpNegInv(2),
+            oz.Custom(lambda t: t * t, label="no orders"),
+            oz.Custom(lambda t: t * t, zero=oz.GrowthOrder(2.0, 1.0), label="log at zero"),
+            oz.Custom(lambda t: 0.0, zero=oz.GrowthOrder(0.0, family="flat"), label="flat")]
+    for env in (oz.Envelope.one(), oz.Envelope.power(0.5), oz.Envelope.power(1.0, 1.0),
+                oz.Envelope.log_power(0.0), oz.Envelope.exp_power(1.0)):
+        for a in zero:
+            for b in zero:
+                for f in zero:
+                    got = _assd_analytic(a, b, env, f)
+                    out[f"assD {_key(a)} {_key(b)} {_key(env)} {_key(f)}"] = \
+                        got and [got[0], repr(got[1]), got[2]]
+    return out
+
+
+def test_frozen_verdicts():
+    golden = json.loads(VERDICTS.read_text())
+    got = json.loads(json.dumps(frozen_verdicts()))
+    assert sorted(got) == sorted(golden)
+    assert {k: (golden[k], v) for k, v in got.items() if golden[k] != v} == {}
