@@ -554,28 +554,33 @@ class ThetaSolver:
         e = self.envelope.values(ts)
         out = np.full(len(ts), INF)
         pos = e > 0.0
-        out[pos] = self.phi.values(xis[pos] / e[pos, None])
+        with np.errstate(over="ignore"):  # inf, as for floats
+            out[pos] = self.phi.values(xis[pos] / e[pos, None])
         out[out < self._TINY] = 0.0
         return out
 
-    @staticmethod
-    def _check_one(xi: np.ndarray, lhs: float, rhs: float, unbracketed: bool):
-        """Raise if the root is ``unbracketed`` or ``lhs``, ``rhs`` fail the residual check."""
+    def _check_one(self, xi: np.ndarray, lhs: float, rhs: float, unbracketed: bool):
+        """Raise if the root is ``unbracketed``, if a side at it is past the
+        float range (an inf ``lhs``, or an inf ``rhs`` that no finite jump of
+        Phi explains), or if ``lhs``, ``rhs`` fail the residual check."""
         if unbracketed:
             raise YoungError(f"failed to bracket the theta root at xi={xi!r}")
+        if lhs == INF or (rhs == INF and self.phi.finite_jump is None):
+            raise YoungError(f"theta at xi={xi!r} is past the float range: "
+                             f"Phi_n(theta) = {lhs}, Phi(xi / E(theta)) = {rhs}")
         if math.isfinite(lhs) and math.isfinite(rhs) and abs(lhs - rhs) > 1e-6 * (1.0 + lhs):
             raise YoungError(f"theta residual too large at xi={xi!r}: {lhs} vs {rhs}")
 
-    @classmethod
-    def _check(cls, xis: np.ndarray, lhs: np.ndarray, rhs: np.ndarray, unbracketed):
+    def _check(self, xis: np.ndarray, lhs: np.ndarray, rhs: np.ndarray, unbracketed):
         """``_check_one`` on the first failing row of ``xis``; rows ``unbracketed`` fail."""
         with np.errstate(invalid="ignore"):
-            bad = (np.isfinite(lhs) & np.isfinite(rhs)
-                   & (np.abs(lhs - rhs) > 1e-6 * (1.0 + lhs)))
+            bad = ((lhs == INF) | ((rhs == INF) & (self.phi.finite_jump is None))
+                   | (np.isfinite(lhs) & np.isfinite(rhs)
+                      & (np.abs(lhs - rhs) > 1e-6 * (1.0 + lhs))))
         bad[unbracketed] = True
         if bad.any():
             i = int(np.argmax(bad))
-            cls._check_one(xis[i], float(lhs[i]), float(rhs[i]), i in unbracketed)
+            self._check_one(xis[i], float(lhs[i]), float(rhs[i]), i in unbracketed)
 
     def solve(self, xi) -> float:
         xi = np.asarray(xi, dtype=float)
@@ -595,12 +600,13 @@ class ThetaSolver:
             a, r = an(t), rhs(t)
             return a / r if a < r or 0.0 < r < INF else INF
 
-        if lo0 > 0.0 and ratio(lo0) >= 1.0:
-            # root sits inside the zero-envelope plateau edge
-            return lo0
-        lo, hi = _log_root(ratio, 1.0, True, rel_tol=1e-13)
-        theta = 0.5 * (lo + hi)
-        self._check_one(xi, an(theta), rhs(theta), hi > self._cap)
+        with np.errstate(over="ignore"):  # xi / E past the float range reads inf
+            if lo0 > 0.0 and ratio(lo0) >= 1.0:
+                # root sits inside the zero-envelope plateau edge
+                return lo0
+            lo, hi = _log_root(ratio, 1.0, True, rel_tol=1e-13)
+            theta = 0.5 * (lo + hi)
+            self._check_one(xi, an(theta), rhs(theta), hi > self._cap)
         return theta
 
     def solve_many(self, xis) -> np.ndarray:

@@ -143,8 +143,7 @@ def _cmd_aniso(args) -> int:
     ts = _grid(args)
     for t in ts:
         rows.append(("circ_inverse", t, phi_circ(phi, float(t)), ""))
-    for t in ts:
-        rows.append(("conjugate", t, conj.an_value(float(t)), ""))
+    rows += [("conjugate", t, v, "") for t, v in zip(ts, conj.an_values(ts).tolist())]
     status = 0
     if args.xi:
         env = parse_envelope(args.E)

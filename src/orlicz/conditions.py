@@ -105,6 +105,35 @@ def _log_of(triple: _Triple) -> _Triple:
     return _Triple(0.0, 0.0, 0.0)  # slower than any log power: negligible
 
 
+def _classify_exp(x: _Triple):
+    """Effect of exp(X) for an exponent X with the growth triple ``x``."""
+    eps = 1e-12
+    if x.power > eps:
+        return ("superpoly",)
+    if x.power < -eps:
+        return ("triple", _Triple(0.0))
+    if x.log > 1 + eps:
+        return ("superpoly",)
+    if abs(x.log - 1.0) <= eps:
+        if x.loglog > eps:
+            return ("superpoly",)
+        if x.loglog < -eps:
+            return ("subpoly",)
+        return ("critical",)
+    if x.log > eps:
+        return ("subpoly",)
+    if x.log < -eps:
+        return ("triple", _Triple(0.0))
+    # log slot empty: decide on the loglog slot
+    if x.loglog > 1 + eps:
+        return ("subpoly",)
+    if abs(x.loglog - 1.0) <= eps:
+        return ("polylog_c",)
+    if x.loglog > eps:
+        return ("sublog",)
+    return ("triple", _Triple(0.0))
+
+
 def _env_on(env: Envelope, h: _Triple, n: float):
     """Effect of the envelope composed with H.
 
@@ -113,73 +142,21 @@ def _env_on(env: Envelope, h: _Triple, n: float):
     "critical" (a polynomial factor with a constant-dependent exponent),
     "polylog_c" (a log power with constant-dependent exponent), or None.
     """
-    kind = env.kind
-    if kind == "one":
-        return ("triple", _Triple(0.0))
-    if kind in ("power", "log_power"):
-        if kind == "log_power":
-            r, gamma, second = 0.0, env.params["r"], "log"
-        else:
-            r = env.params["r"]
-            gamma = env.params.get("gamma", 0.0)
-            second = env.params.get("second", "log")
-        t = h.scale(r)
-        if gamma != 0.0:
-            lg = _log_of(h)
-            if second == "log":
-                t = t.plus(lg.scale(gamma))
-            else:
-                t = t.plus(_log_of(lg).scale(gamma))
-        return ("triple", t)
-    if kind in ("exp_power", "exp_exp"):
-        a = env.params["a"]
-        x = h.scale(a)
-        if kind == "exp_power":
-            le = env.params.get("log_exp", 0.0)
-            if le != 0.0:
-                x = x.plus(_log_of(h).scale(le))
-        # classify exp(X) by the growth triple of the exponent X
-        def classify_exp(xt: _Triple):
-            eps = 1e-12
-            if xt.power > eps:
-                return ("superpoly",)
-            if xt.power < -eps:
-                return ("triple", _Triple(0.0))
-            if xt.log > 1 + eps:
-                return ("superpoly",)
-            if abs(xt.log - 1.0) <= eps:
-                if xt.loglog > eps:
-                    return ("superpoly",)
-                if xt.loglog < -eps:
-                    return ("subpoly",)
-                return ("critical",)
-            if xt.log > eps:
-                return ("subpoly",)
-            if xt.log < -eps:
-                return ("triple", _Triple(0.0))
-            # log slot empty: decide on the loglog slot
-            if xt.loglog > 1 + eps:
-                return ("subpoly",)
-            if abs(xt.loglog - 1.0) <= eps:
-                return ("polylog_c",)
-            if xt.loglog > eps:
-                return ("sublog",)
-            return ("triple", _Triple(0.0))
-
-        inner = classify_exp(x)
-        if kind == "exp_power":
-            return inner
-        # exp_exp: exponentiate once more
-        if inner[0] == "triple":
-            return ("triple", _Triple(0.0))
-        if inner[0] == "sublog":
-            return ("subpoly",)
-        if inner[0] == "polylog_c":
-            # a log power with a constant-dependent exponent; its exponential
-            # is the published double-exponential borderline
-            return ("critical",)
-        return ("superpoly",)
-    return None
+    if env.shape is None:
+        return None
+    r, gamma, second, levels = env.shape
+    x = h.scale(r)  # the growth triple of t^r L^gamma at H
+    if gamma != 0.0:
+        lg = _log_of(h)
+        x = x.plus((lg if second == "log" else _log_of(lg)).scale(gamma))
+    if levels == 0:
+        return ("triple", x)
+    inner = _classify_exp(x)
+    if levels == 1 or inner[0] == "triple":
+        return inner
+    # exp_exp exponentiates once more; a log power with a constant-dependent
+    # exponent becomes the published double-exponential borderline
+    return {"sublog": ("subpoly",), "polylog_c": ("critical",)}.get(inner[0], ("superpoly",))
 
 
 def _ass2_analytic(a: YoungFunction, b: YoungFunction, env: Envelope,
@@ -231,23 +208,21 @@ def _ass2_analytic(a: YoungFunction, b: YoungFunction, env: Envelope,
             return (True, p - q, "poly-logarithmic envelope factor, strict power gap")
         if q > p + 1e-12:
             return (False, p - q, "power excess")
-        if p == n and abs(ta.log - (n - 1)) <= 1e-12 and env.kind == "exp_power" \
-                and env.params["a"] <= n / (n - 1) + 1e-12:
-            # published row at the critical correction order: strictly smaller
+        if p == n and abs(ta.log - (n - 1)) <= 1e-12 and env.shape.r <= n / (n - 1) + 1e-12:
+            # published row at the critical correction order (a single exp,
+            # since exp_exp reads this effect as critical): strictly smaller
             # target correction is admissible
             holds = tb.log < n - 1 - 1e-12
             return (holds, (n - 1) - tb.log,
                     "published borderline row (strict correction order)")
         return None  # remaining ties depend on integration constants
-    if effect[0] == "critical":
-        # the envelope exactly matches the conjugate growth; the published
-        # rows admit every strictly smaller target power
-        if p == n and q < n - 1e-12:
-            return (True, n - q,
-                    "published borderline row; the verbatim inequality needs a "
-                    "constant inside the argument")
-        return (False, min(p - q, -1e-12), "critical envelope with no admissible row")
-    return None
+    # critical: the envelope exactly matches the conjugate growth; the
+    # published rows admit every strictly smaller target power
+    if p == n and q < n - 1e-12:
+        return (True, n - q,
+                "published borderline row; the verbatim inequality needs a "
+                "constant inside the argument")
+    return (False, min(p - q, -1e-12), "critical envelope with no admissible row")
 
 
 # ---------------------------------------------------------------------------
@@ -387,12 +362,9 @@ def _assd_analytic(a, b, env, f_young) -> Optional[tuple]:
     """Near-zero inequality decided from zero descriptors; the flat scale of
     exp(-t^-alpha) families sits far below float resolution, so grids cannot
     decide them."""
-    if env.kind == "one":
-        r = 0.0
-    elif env.kind == "power" and env.params.get("gamma", 0.0) == 0.0:
-        r = env.params["r"]
-    else:
+    if env.kind not in ("one", "power") or env.shape.gamma != 0.0:
         return None
+    r = env.shape.r
     fams = {y.zero_order.family if y.zero_order is not None else None
             for y in (a, b, f_young)}
     if None in fams or len(fams) != 1:
@@ -400,18 +372,11 @@ def _assd_analytic(a, b, env, f_young) -> Optional[tuple]:
     pa, qb, pf = (_zero_power(y) for y in (a, b, f_young))
     if pa is None or qb is None or pf is None:
         return None
-    fam = fams.pop()
-    if fam == "exp_neg_inv":
-        # A ~ exp(-t^-pa): the composed argument scales like t^{1 + r pa / pf}
-        # and the condition compares flatness orders
-        lhs_order = qb * (1.0 + r * pa / pf)
-        margin = lhs_order - pa
-        return (margin >= -1e-12, margin, "flatness-order algebra")
-    if fam == "poly":
-        lhs_power = qb * (1.0 + r * pa / pf)
-        margin = lhs_power - pa
-        return (margin >= -1e-12, margin, "near-zero exponent algebra")
-    return None
+    # the composed argument scales like t^{1 + r pa / pf}; for A ~
+    # exp(-t^-pa) the condition compares flatness orders, else powers
+    margin = qb * (1.0 + r * pa / pf) - pa
+    return (margin >= -1e-12, margin, "flatness-order algebra" if fams == {"exp_neg_inv"}
+            else "near-zero exponent algebra")
 
 
 def _assd_grid(a, b, env, f_young, t1: float, points: int = 512):
@@ -542,39 +507,27 @@ def check_ortho(a_list: Sequence[YoungFunction], b_list: Sequence[YoungFunction]
 
     p_i = [GrowthOrder.pure_power(getattr(a, "inf_order", None)) for a in a_list]
     q_i = [GrowthOrder.pure_power(getattr(b, "inf_order", None)) for b in b_list]
-    if None not in p_i + q_i and env.kind in ("one", "power", "exp_power"):
-        pbar = bar_p(p_i)
-        if env.kind in ("one", "power"):
-            r = env.params.get("r", 0.0) if env.kind == "power" else 0.0
-            gamma = env.params.get("gamma", 0.0) if env.kind == "power" else 0.0
-            if gamma == 0.0:
-                if pbar < n:
-                    margins = [pbar * n * pi / (n * pbar + pi * r * (n - pbar)) - qi
-                               for pi, qi in zip(p_i, q_i)]
-                    worst = min(margins)
-                    return ConditionVerdict(worst >= -1e-12, worst,
-                                            None if worst >= -1e-12 else
-                                            int(np.argmin(margins)),
-                                            grid="exponent algebra", analytic=True)
-                # pbar == n (the convergent case returned above)
-                if r == 0.0:
-                    worst = min(pi - qi for pi, qi in zip(p_i, q_i))
-                    return ConditionVerdict(worst >= -1e-12, worst, None,
-                                            grid="exponent algebra", analytic=True)
-                worst = min(pi - qi for pi, qi in zip(p_i, q_i))
-                return ConditionVerdict(worst > 1e-12, worst, None,
-                                        grid="exponent algebra", analytic=True,
-                                        note="critical mean power with a power envelope")
-        else:  # exp_power
-            aexp = env.params["a"]
-            if pbar == n and aexp <= n / (n - 1) + 1e-12:
-                worst = min(pi - qi for pi, qi in zip(p_i, q_i))
-                return ConditionVerdict(worst > 1e-12, worst, None,
-                                        grid="exponent algebra", analytic=True,
-                                        note="published borderline row")
-            return ConditionVerdict(False, -INF, None, grid="exponent algebra",
-                                    analytic=True,
-                                    note="envelope too strong for the mean power")
+    shape, algebra = env.shape, dict(grid="exponent algebra", analytic=True)
+    if None not in p_i + q_i and env.kind in ("one", "power", "exp_power") \
+            and (shape.levels or shape.gamma == 0.0):
+        pbar, r = bar_p(p_i), shape.r
+        if shape.levels == 0 and pbar < n:
+            margins = [pbar * n * pi / (n * pbar + pi * r * (n - pbar)) - qi
+                       for pi, qi in zip(p_i, q_i)]
+            worst = min(margins)
+            return ConditionVerdict(worst >= -1e-12, worst, None if worst >= -1e-12 else
+                                    int(np.argmin(margins)), **algebra)
+        worst = min(pi - qi for pi, qi in zip(p_i, q_i))
+        if shape.levels == 0:  # pbar == n (the convergent case returned above)
+            if r == 0.0:
+                return ConditionVerdict(worst >= -1e-12, worst, None, **algebra)
+            return ConditionVerdict(worst > 1e-12, worst, None, **algebra,
+                                    note="critical mean power with a power envelope")
+        if pbar == n and r <= n / (n - 1) + 1e-12:
+            return ConditionVerdict(worst > 1e-12, worst, None, **algebra,
+                                    note="published borderline row")
+        return ConditionVerdict(False, -INF, None, **algebra,
+                                note="envelope too strong for the mean power")
 
     ts = np.geomspace(_grid_start(t0, 1e6), 1e6, 256)
     conj = sobolev_conjugate(bar, n)
@@ -704,13 +657,10 @@ def zygmund_table(p: float, alpha: float, n: float, envelope,
     _check("condition", "dimension n", n, 2.0, strict=False)
     _validate_zygmund_params(p, alpha)
     env = parse_envelope(envelope)
-    r = env.params.get("r", 0.0)
-    gamma = env.params.get("gamma", env.params.get("r", 0.0)
-                           if env.kind == "log_power" else 0.0)
-    if env.kind == "log_power":
-        r = 0.0
-    a = env.params.get("a", 0.0)
-    log_exp = env.params.get("log_exp", 0.0)
+    r, gamma, _, levels = env.shape or (0.0, 0.0, "log", 0)
+    a, log_exp = (r, gamma) if levels else (0.0, 0.0)  # the exp envelopes' exponents
+    if levels:
+        r = gamma = 0.0
     nprime = n / (n - 1.0)
 
     def row(**kw):

@@ -195,10 +195,13 @@ _FACE_BATCH = 6  # panels per call toward a face: the fewest that end a walk
 
 def _face_rules(rel_tol: float):
     """One walk toward a face: sent the panel integrals in order, it returns
-    the integral (see ``_toward_face``)."""
-    total, prev, prev_extrapolated = 0.0, None, math.nan  # nan: no estimate yet
+    the integral (see ``_toward_face``); after two zero panels from the fifth
+    on it answers the total so far, the integral if the rest of the way to
+    the face integrates to 0, and None otherwise."""
+    total, prev, prev_extrapolated, zero = 0.0, None, math.nan, None  # nan: no estimate yet
     for j in itertools.count():
-        I = yield
+        I = yield zero
+        zero = None
         if math.isinf(I):
             return I
         total += I
@@ -212,7 +215,7 @@ def _face_rules(rel_tol: float):
                     return est
                 prev_extrapolated = est
         elif j >= 4 and I == 0.0 and prev == 0.0:
-            return total
+            zero = total
         prev = I
 
 
@@ -225,7 +228,9 @@ def _toward_face(F, idx: np.ndarray, a: float, b: float, rel_tol: float) -> np.n
     and the tail is then summed by ratio extrapolation; a non-decaying trend
     of one sign certifies divergence, +inf or -inf with that sign.  One
     ``quad_rows`` call takes ``_FACE_BATCH`` panels of every open row, each
-    pair mapped onto [0, 1] with the panel width as Jacobian.
+    pair mapped onto [0, 1] with the panel width as Jacobian.  A row whose
+    panels reach two zeros stops only if a second call, on the rest of the
+    way to the face of every such row, also gives exactly 0.
     """
     x = a + (b - a) * 2.0 ** -np.arange(_MAX_PANELS + 1.0)  # the panel ends
     end = int(np.cumprod((x[1:] > a) & (x[:-1] > x[1:])).sum())  # panels before the face
@@ -243,12 +248,24 @@ def _toward_face(F, idx: np.ndarray, a: float, b: float, rel_tol: float) -> np.n
             return F(x0[panel[q], None] + h * ts, idx[open_rows][row[q]]) * h
 
         vals = quad_rows(pairs, 0.0, 1.0, rel_tol * 0.1, rows=len(row))
+        zero = {}  # row -> (width left to the face, total) at its first zero pair
         for r, panel_vals in zip(open_rows, vals.reshape(-1, len(x0)).tolist()):
             try:
-                for I in panel_vals:
-                    walks[r].send(I)
+                for k, I in enumerate(panel_vals):
+                    total = walks[r].send(I)
+                    if total is not None and r not in zero:
+                        zero[r] = (lo[j0 + k] - a, total)
             except StopIteration as done:
                 out[r] = done.value
+                del walks[r]
+                zero.pop(r, None)
+        if zero:
+            rest = [*zero]
+            h = np.array([zero[r][0] for r in rest])[:, None]
+            tails = quad_rows(lambda ts, q: F(a + h[q] * ts, idx[rest][q]) * h[q],
+                              0.0, 1.0, rel_tol * 0.1, rows=len(rest))
+            for r in (r for r, tail in zip(rest, tails.tolist()) if tail == 0.0):
+                out[r] = zero[r][1]
                 del walks[r]
         if not walks:
             return out

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from functools import cached_property
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -39,24 +40,67 @@ class PreconditionError(YoungError):
 # Envelopes and Lipschitz data
 # ---------------------------------------------------------------------------
 
+_Shape = NamedTuple("_Shape", [("r", float), ("gamma", float), ("second", str), ("levels", int)])
+_SHAPES = {"one": lambda p: (0.0, 0.0, "log", 0),
+           "power": lambda p: (p["r"], p["gamma"], p["second"], 0),
+           "log_power": lambda p: (0.0, p["r"], "log", 0),
+           "exp_power": lambda p: (p["a"], p["log_exp"], "log", 1),
+           "exp_exp": lambda p: (p["a"], 0.0, "log", 2)}
+
+
 @dataclass(frozen=True)
 class Envelope:
     """Non-decreasing continuous bound for the derivative of f.
 
-    ``kind`` and ``params`` expose the parametric family to the analytic
-    admissibility rules; ``fn`` is the evaluator.
+    ``kind`` and ``params`` name a built-in family, and each maps once to its
+    ``shape`` (r, gamma, second, levels): exp applied ``levels`` times to
+    t^r L(t)^gamma, where L(t) is log(1 + t), or log log(e + t) for ``second``
+    = "loglog".  One scalar and one array body evaluate the shape, and the
+    analytic admissibility rules read it:
+
+      one (0, 0, log, 0); power:r,gamma,second (r, gamma, second, 0);
+      log_power:r (0, r, log, 0); exp_power:a,b (a, b, log, 1) for
+      exp(t^a log^b(1+t)); exp_exp:a (a, 0, log, 2) for exp(exp(t^a)).
+
+    Arguments below 0 read 0, L^gamma reads 0 at t = 0, and an exponent past
+    709 (past 6.5 before the inner exp of exp_exp) reads inf.  ``custom``
+    has no shape: ``fn``, set for it alone, is its evaluator.
     """
 
     kind: str
     params: dict
-    fn: Callable[[float], float]
+    fn: Optional[Callable[[float], float]] = None
+
+    @cached_property
+    def shape(self) -> Optional[_Shape]:
+        if self.kind == "custom":
+            return None
+        if self.kind not in _SHAPES:
+            raise YoungError(f"unknown envelope kind {self.kind!r}")
+        return _Shape(*_SHAPES[self.kind](self.params))
 
     def __call__(self, t: float) -> float:
-        return self.fn(max(t, 0.0))
+        shape = self.shape
+        if shape is None:
+            return self.fn(max(t, 0.0))
+        r, gamma, second, levels = shape
+        t = 0.0 if t < 0.0 else t
+        try:
+            x = t ** r
+            if gamma:
+                slow = math.log1p(t) if second == "log" else math.log(math.log(math.e + t))
+                x = x * slow ** gamma if t else 0.0
+        except (OverflowError, ZeroDivisionError):  # float ** past the range, or 0 ** -gamma
+            return float(self.values([t])[0])
+        if levels:
+            if levels == 2:
+                x = INF if x > 6.5 else math.exp(x)  # exp(exp(x)) overflows past ~6.56
+            x = INF if x > 709.0 else math.exp(x)
+        return x
 
     @classmethod
     def one(cls) -> "Envelope":
-        return cls("one", {}, lambda t: 1.0)
+        return cls("one", {})
 
     @classmethod
     def power(cls, r: float, gamma: float = 0.0, second: str = "log") -> "Envelope":
@@ -65,86 +109,46 @@ class Envelope:
         _check("power envelope", "gamma", gamma)
         if second not in ("log", "loglog"):
             raise YoungError("second-order correction must be log or loglog")
-        if gamma == 0.0:
-            fn = lambda t: t ** r
-        elif second == "log":
-            fn = lambda t: t ** r * math.log1p(t) ** gamma if t > 0 else 0.0
-        else:
-            fn = lambda t: (t ** r * math.log(math.log(math.e + t)) ** gamma
-                            if t > 0 else 0.0)
-        return cls("power", {"r": r, "gamma": gamma, "second": second}, fn)
+        return cls("power", {"r": r, "gamma": gamma, "second": second})
 
     @classmethod
     def log_power(cls, r: float) -> "Envelope":
         _check("log_power envelope", "r", r, 0.0, strict=False)
-        return cls("log_power", {"r": r}, lambda t: math.log1p(t) ** r)
+        return cls("log_power", {"r": r})
 
     @classmethod
     def exp_power(cls, a: float, log_exp: float = 0.0) -> "Envelope":
         """exp(t^a log^log_exp(1+t))."""
         _check("exp_power envelope", "a", a, 0.0)
         _check("exp_power envelope", "log_exp", log_exp)
-
-        def fn(t: float) -> float:
-            if t <= 0.0:
-                return 1.0
-            x = t ** a * (math.log1p(t) ** log_exp if log_exp else 1.0)
-            return INF if x > 709.0 else math.exp(x)
-
-        return cls("exp_power", {"a": a, "log_exp": log_exp}, fn)
+        return cls("exp_power", {"a": a, "log_exp": log_exp})
 
     @classmethod
     def exp_exp(cls, a: float) -> "Envelope":
         _check("exp_exp envelope", "a", a, 0.0)
-
-        def fn(t: float) -> float:
-            if t <= 0.0:
-                return math.e
-            x = t ** a
-            if x > 6.5:  # exp(exp(x)) overflows past ~6.56
-                return INF
-            inner = math.exp(x)
-            return INF if inner > 709.0 else math.exp(inner)
-
-        return cls("exp_exp", {"a": a}, fn)
+        return cls("exp_exp", {"a": a})
 
     @classmethod
     def custom(cls, fn: Callable[[float], float]) -> "Envelope":
         return cls("custom", {}, fn)
 
     def values(self, ts) -> np.ndarray:
-        """``__call__`` on a 1-D array, in numpy for the built-in kinds: the
-        same values at t <= 0 and the same overflow cut-offs to inf, and inf
-        where the scalar power would overflow.  ``custom`` loops over rows."""
+        """``__call__`` on a 1-D array: the shape in numpy, ``custom`` by rows."""
         t = np.maximum(np.asarray(ts, dtype=float).ravel(), 0.0)
-        kind, p = self.kind, self.params
-        if kind == "custom":
+        shape = self.shape
+        if shape is None:
             return np.array([self(x) for x in t.tolist()], dtype=float)
-        if kind == "one":
-            return np.ones(t.size)
+        r, gamma, second, levels = shape
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # masked below
-            if kind == "log_power":
-                return np.log1p(t) ** p["r"]
-            if kind == "power":
-                out = t ** p["r"]
-                if p["gamma"] == 0.0:
-                    return out
-                slow = np.log1p(t) if p["second"] == "log" else np.log(np.log(math.e + t))
-                return np.where(t > 0.0, out * slow ** p["gamma"], 0.0)
-            x = t ** p["a"]
-            if kind == "exp_power":
-                if p["log_exp"]:
-                    x = x * np.log1p(t) ** p["log_exp"]
-                out = np.exp(np.minimum(x, 709.0))
-                out[x > 709.0] = INF
-                out[t <= 0.0] = 1.0
-                return out
-            if kind == "exp_exp":
-                out = np.exp(np.exp(np.minimum(x, 6.5)))  # exp(exp(x)) overflows past ~6.56
-                out[x > 6.5] = INF
-                out[t <= 0.0] = math.e
-                return out
-        raise YoungError(f"unknown envelope kind {kind!r}")
+            x = t ** r
+            if gamma:
+                slow = np.log1p(t) if second == "log" else np.log(np.log(math.e + t))
+                x = np.where(t == 0.0, 0.0, x * slow ** gamma)
+            if levels == 2:
+                x = np.where(x > 6.5, INF, np.exp(np.minimum(x, 6.5)))
+            if levels:
+                x = np.where(x > 709.0, INF, np.exp(np.minimum(x, 709.0)))
+        return x
 
     def non_decreasing(self, lo: float = 1e-8, hi: float = 1e6,
                        points: int = 200) -> bool:

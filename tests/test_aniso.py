@@ -881,6 +881,38 @@ def check_message(check, *args):
     return None
 
 
+class TestThetaPastTheFloatRange:
+    @pytest.mark.parametrize("env,xi", [(oz.Envelope.power(1.0), 1e160),
+                                        (oz.Envelope.power(3.0), 1e160),
+                                        (oz.Envelope.exp_power(1.0), 1e300)], ids=repr)
+    def test_overflowed_sides_raise(self, env, xi):
+        # Phi_n overflows at theta = 18.864..., where Phi(xi / E) is inf; both
+        # paths returned that theta before the check
+        solver = oz.ThetaSolver(oz.Isotropic(oz.Power(2), 2), env, 2)
+        xis = np.array([[xi, 0.0]])
+        assert solve_error(solver.solve, xis[0]) == solve_error(solver.solve_many, xis)
+        assert "past the float range" in solve_error(solver.solve, xis[0])
+
+    def test_inf_right_side_at_a_finite_jump_of_phi_passes(self):
+        # Phi(xi / E) is inf past the jump of a gated Phi, not past the float
+        # range: that alone raises nothing, in either check
+        gated = Piecewise(breaks=(1.0,), branches=(lambda t: t * t, lambda t: INF),
+                          jump=1.0, zero=GrowthOrder(2.0),
+                          inf_=GrowthOrder(0.0, family="jump"))
+        conj = oz.sobolev_conjugate(oz.Power(1.5), 2)
+        env = oz.Envelope.power(1.0)
+        xi = np.array([10.0, 0.0])
+        for phi, raises in ((oz.Isotropic(gated, 2), False), (oz.Isotropic(oz.Power(2), 2), True)):
+            solver = oz.ThetaSolver(phi, env, 2, conj=conj)
+            for check in (lambda: solver._check_one(xi, 5.0, INF, False),
+                          lambda: solver._check(xi[None], np.array([5.0]), np.array([INF]), [])):
+                if raises:
+                    with pytest.raises(oz.YoungError, match="past the float range"):
+                        check()
+                else:
+                    check()
+
+
 class TestScalarTheta:
     """``solve`` reads its sides on plain floats: its residual check against
     the one-row check it replaces, and its work."""

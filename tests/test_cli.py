@@ -234,6 +234,12 @@ class TestAnisoCommand:
         assert "circ_inverse" in body and "conjugate" in body
         assert body.count("theta") == 2
 
+    def test_theta_past_the_float_range_is_unavailable(self, capsys):
+        code = run(["aniso", "--phi", "iso:power:2", "--dim", "2", "--E", "power:60",
+                    "--xi", "1e300,0", "--points", "3"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("theta unavailable: theta at xi=")
+
     def test_readme_example(self, capsys):
         line = next(ln for ln in README.read_text().splitlines()
                     if ln.startswith("orlicz aniso "))

@@ -29,12 +29,121 @@ from orlicz.young import INF, _log_root, _numeric_inverse
 UNIT_1D = oz.BoxDomain.interval(0.0, 1.0)
 
 
+def ref_envelope(env):
+    """The scalar closure each built-in kind had before the one-shape body."""
+    p = env.params
+    if env.kind == "one":
+        return lambda t: 1.0
+    if env.kind == "power":
+        r, gamma = p["r"], p["gamma"]
+        if gamma == 0.0:
+            return lambda t: t ** r
+        if p["second"] == "log":
+            return lambda t: t ** r * math.log1p(t) ** gamma if t > 0 else 0.0
+        return lambda t: t ** r * math.log(math.log(math.e + t)) ** gamma if t > 0 else 0.0
+    if env.kind == "log_power":
+        return lambda t: math.log1p(t) ** p["r"]
+    if env.kind == "exp_power":
+        def fn(t):
+            if t <= 0.0:
+                return 1.0
+            x = t ** p["a"] * (math.log1p(t) ** p["log_exp"] if p["log_exp"] else 1.0)
+            return INF if x > 709.0 else math.exp(x)
+        return fn
+
+    def fn(t):  # exp_exp
+        if t <= 0.0:
+            return math.e
+        x = t ** p["a"]
+        if x > 6.5:
+            return INF
+        inner = math.exp(x)
+        return INF if inner > 709.0 else math.exp(inner)
+    return fn
+
+
+def ref_envelope_values(env, ts):
+    """The kind switch ``Envelope.values`` had before the one-shape body."""
+    t = np.maximum(np.asarray(ts, dtype=float).ravel(), 0.0)
+    kind, p = env.kind, env.params
+    if kind == "one":
+        return np.ones(t.size)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if kind == "log_power":
+            return np.log1p(t) ** p["r"]
+        if kind == "power":
+            out = t ** p["r"]
+            if p["gamma"] == 0.0:
+                return out
+            slow = np.log1p(t) if p["second"] == "log" else np.log(np.log(math.e + t))
+            return np.where(t > 0.0, out * slow ** p["gamma"], 0.0)
+        x = t ** p["a"]
+        if kind == "exp_power":
+            if p["log_exp"]:
+                x = x * np.log1p(t) ** p["log_exp"]
+            out = np.exp(np.minimum(x, 709.0))
+            out[x > 709.0] = INF
+            out[t <= 0.0] = 1.0
+            return out
+        out = np.exp(np.exp(np.minimum(x, 6.5)))
+        out[x > 6.5] = INF
+        out[t <= 0.0] = math.e
+        return out
+
+
+BUILT_IN_ENVELOPES = (
+    [oz.Envelope.one()]
+    + [oz.Envelope.power(r, g, s) for r in (0.0, 0.5, 1.0, 2.5) for g in (0.0, -1.5, 0.5, 2.0)
+       for s in ("log", "loglog")]
+    + [oz.Envelope.log_power(r) for r in (0.0, 0.5, 1.0, 3.0)]
+    + [oz.Envelope.exp_power(a, b) for a in (0.3, 1.0, 2.0) for b in (0.0, -1.0, 0.5)]
+    + [oz.Envelope.exp_exp(a) for a in (0.3, 1.0, 2.0)])
+
+
+def envelope_grid(env):
+    """0, -0.0, the extremes of the float range, a log grid, and the points
+    around the 709 and 6.5 cut-offs of the exp kinds."""
+    ts = [0.0, -0.0, -1.0, 5e-324, 1e-300, 1e-17, 1.0, math.e - 1.0, 1e300, INF]
+    ts += np.geomspace(1e-12, 1e12, 49).tolist()
+    if env.kind == "exp_power":
+        a, b = env.params["a"], env.params["log_exp"]
+        ts.append(_numeric_inverse(lambda t: t ** a * math.log1p(t) ** b, 709.0))
+    if env.kind == "exp_exp":
+        ts += [6.5 ** (1.0 / env.params["a"]), math.log(709.0) ** (1.0 / env.params["a"])]
+    if env.kind in ("exp_power", "exp_exp"):
+        ts += [x for t in ts[-2:] for x in (np.nextafter(t, 0.0), np.nextafter(t, INF))]
+    return ts
+
+
 class TestEnvelope:
     def test_non_decreasing(self):
         for env in (oz.Envelope.one(), oz.Envelope.power(1.0),
                     oz.Envelope.power(1.0, 1.0), oz.Envelope.log_power(2.0),
                     oz.Envelope.exp_power(2.0), oz.Envelope.exp_exp(2.0)):
             assert env.non_decreasing()
+
+    @pytest.mark.parametrize("env", BUILT_IN_ENVELOPES, ids=lambda e: f"{e.kind}{e.params}")
+    def test_values_match_reference_bits(self, env):
+        ts = envelope_grid(env)
+        assert env.values(np.array(ts)).tobytes() == ref_envelope_values(env, ts).tobytes()
+
+    @pytest.mark.parametrize("env", BUILT_IN_ENVELOPES, ids=lambda e: f"{e.kind}{e.params}")
+    def test_call_matches_reference(self, env):
+        # equal to the former closure wherever it returned, and to the array
+        # body (inf, or nan for 0 * inf) where a float power made it raise
+        ref = ref_envelope(env)
+        ts = envelope_grid(env)
+        for t, v in zip(ts, env.values(np.array(ts)).tolist()):
+            try:
+                want = ref(max(t, 0.0))
+            except (OverflowError, ZeroDivisionError):
+                want = v
+            got = env(t)
+            assert got == want or (math.isnan(got) and math.isnan(want)), t
+
+    def test_power_past_the_float_range_is_inf(self):
+        assert oz.Envelope.power(2.5)(1e200) == INF
+        assert oz.Envelope.exp_power(2.0)(1e200) == INF
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -58,14 +167,11 @@ class TestEnvelope:
         near = st.sampled_from(edges).flatmap(
             lambda e: st.floats(-1e-12, 1e-12).map(lambda d: e * (1.0 + d)))
         ts = data.draw(st.lists(st.one_of(
-            st.floats(-50.0, 0.0), st.sampled_from([0.0, -0.0]), near,
+            st.floats(-50.0, 0.0), st.sampled_from([0.0, -0.0, INF]), near,
             st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)), min_size=1, max_size=16))
         got = env.values(np.array(ts))
         for t, g in zip(ts, got.tolist()):
-            try:
-                want = env(t)
-            except OverflowError:  # a power past the float range
-                want = INF
+            want = env(t)
             if want == INF or g == INF:
                 # the cut-off moves with the rounding of its exponent
                 cut = {"exp_power": math.exp(709.0), "exp_exp": math.exp(math.exp(6.5))}
