@@ -80,11 +80,10 @@ class Envelope:
         return _Shape(*_SHAPES[self.kind](self.params))
 
     def __call__(self, t: float) -> float:
-        shape = self.shape
+        shape, t = self.shape, (0.0 if t < 0.0 else t)
         if shape is None:
-            return self.fn(max(t, 0.0))
+            return self.fn(t)
         r, gamma, second, levels = shape
-        t = 0.0 if t < 0.0 else t
         try:
             x = t ** r
             if gamma:

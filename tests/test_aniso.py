@@ -550,6 +550,12 @@ def iso_solver(env_name: str):
     return oz.ThetaSolver(oz.Isotropic(oz.Power(2), 3), ENVELOPES[env_name], 3)
 
 
+def gated_square():
+    """t^2 up to 1, +inf beyond: a Young function with a finite jump."""
+    return Piecewise(breaks=(1.0,), branches=(lambda t: t * t, lambda t: INF), jump=1.0,
+                     zero=GrowthOrder(2.0), inf_=GrowthOrder(0.0, family="jump"))
+
+
 def solve_error(solve, xi) -> str:
     """The message of the YoungError ``solve(xi)`` raises, without its numbers."""
     with pytest.raises(oz.YoungError) as info:
@@ -701,9 +707,7 @@ class TestThetaMany:
     def test_saturating_conjugate_raises_the_same_error(self):
         # a gated base: the conjugate stays below 1 and then jumps to +inf,
         # so large xi have no root and fail the residual check
-        gated = Piecewise(breaks=(1.0,), branches=(lambda t: t * t, lambda t: INF),
-                          jump=1.0, zero=GrowthOrder(2.0),
-                          inf_=GrowthOrder(0.0, family="jump"))
+        gated = gated_square()
         solver = oz.ThetaSolver(oz.Isotropic(oz.Power(2), 3), oz.Envelope.one(), 3)
         solver.conj = oz.sobolev_conjugate(gated, 3)
         xis = np.array([[0.1, 0.0, 0.0], [0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
@@ -896,9 +900,7 @@ class TestThetaPastTheFloatRange:
     def test_inf_right_side_at_a_finite_jump_of_phi_passes(self):
         # Phi(xi / E) is inf past the jump of a gated Phi, not past the float
         # range: that alone raises nothing, in either check
-        gated = Piecewise(breaks=(1.0,), branches=(lambda t: t * t, lambda t: INF),
-                          jump=1.0, zero=GrowthOrder(2.0),
-                          inf_=GrowthOrder(0.0, family="jump"))
+        gated = gated_square()
         conj = oz.sobolev_conjugate(oz.Power(1.5), 2)
         env = oz.Envelope.power(1.0)
         xi = np.array([10.0, 0.0])
@@ -921,9 +923,7 @@ class TestScalarTheta:
     def gated_solver():
         # the conjugate stays below 1 and then jumps to +inf: large xi fail
         # the residual check (as in test_saturating_conjugate_raises_the_same_error)
-        gated = Piecewise(breaks=(1.0,), branches=(lambda t: t * t, lambda t: INF),
-                          jump=1.0, zero=GrowthOrder(2.0),
-                          inf_=GrowthOrder(0.0, family="jump"))
+        gated = gated_square()
         solver = oz.ThetaSolver(oz.Isotropic(oz.Power(2), 3), oz.Envelope.one(), 3)
         solver.conj = oz.sobolev_conjugate(gated, 3)
         return solver
