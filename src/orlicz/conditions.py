@@ -362,7 +362,7 @@ def _assd_analytic(a, b, env, f_young) -> Optional[tuple]:
     """Near-zero inequality decided from zero descriptors; the flat scale of
     exp(-t^-alpha) families sits far below float resolution, so grids cannot
     decide them."""
-    if env.kind not in ("one", "power") or env.shape.gamma != 0.0:
+    if env.shape is None or env.shape.levels or env.shape.gamma != 0.0:
         return None
     r = env.shape.r
     fams = {y.zero_order.family if y.zero_order is not None else None
@@ -508,7 +508,7 @@ def check_ortho(a_list: Sequence[YoungFunction], b_list: Sequence[YoungFunction]
     p_i = [GrowthOrder.pure_power(getattr(a, "inf_order", None)) for a in a_list]
     q_i = [GrowthOrder.pure_power(getattr(b, "inf_order", None)) for b in b_list]
     shape, algebra = env.shape, dict(grid="exponent algebra", analytic=True)
-    if None not in p_i + q_i and env.kind in ("one", "power", "exp_power") \
+    if None not in p_i + q_i and shape is not None and shape.levels < 2 \
             and (shape.levels or shape.gamma == 0.0):
         pbar, r = bar_p(p_i), shape.r
         if shape.levels == 0 and pbar < n:
@@ -657,7 +657,8 @@ def zygmund_table(p: float, alpha: float, n: float, envelope,
     _check("condition", "dimension n", n, 2.0, strict=False)
     _validate_zygmund_params(p, alpha)
     env = parse_envelope(envelope)
-    r, gamma, _, levels = env.shape or (0.0, 0.0, "log", 0)
+    # a custom envelope has no shape, and levels None matches no row
+    r, gamma, second, levels = env.shape or (0.0, 0.0, "log", None)
     a, log_exp = (r, gamma) if levels else (0.0, 0.0)  # the exp envelopes' exponents
     if levels:
         r = gamma = 0.0
@@ -681,7 +682,7 @@ def zygmund_table(p: float, alpha: float, n: float, envelope,
                    note="locally Lipschitz suffices; q = p, beta = alpha")
 
     if p < n:
-        if env.kind in ("one", "power", "log_power"):
+        if levels == 0:
             q_max = n * p / (n + r * (n - p))
             beta_max = n * (alpha * (1 + r) - gamma * p) / (n + r * (n - p))
             return row(q_max=q_max, beta_max=beta_max,
@@ -690,43 +691,40 @@ def zygmund_table(p: float, alpha: float, n: float, envelope,
 
     # p == n
     if variant == "log":
+        if levels == 0 and gamma == 0.0:
+            return row(q_max=n, beta_max=alpha * (1 + r) - r * (n - 1),
+                       note="beta bound applies at q = n")
         if alpha < n - 1:
-            if env.kind == "exp_power" and log_exp == 0.0:
+            if levels == 1 and log_exp == 0.0:
                 bound = n / (n - 1 - alpha)
                 if a <= bound + 1e-12:
                     return row(q_max=n, q_strict=True,
                                note="q < n, beta unrestricted")
                 return row(empty=True, note="envelope beyond the critical exponent")
-            if env.kind in ("one", "power") and gamma == 0.0:
-                return row(q_max=n, beta_max=alpha * (1 + r) - r * (n - 1),
-                           note="beta bound applies at q = n")
-            if env.kind == "power" and gamma > 0.0:
+            if levels == 0 and gamma > 0.0:
                 return row(q_max=n, q_strict=True,
                            note="q < n only; the q = n row is stated for "
                                 "power envelopes without log correction")
             return row(empty=True, note="no stated row for this envelope")
         # alpha == n - 1
-        if env.kind == "exp_exp" and a <= nprime + 1e-12:
+        if levels == 2 and a <= nprime + 1e-12:
             return row(q_max=n, q_strict=True, note="q < n, beta unrestricted")
-        if env.kind == "exp_power" and a <= nprime + 1e-12 and log_exp == 0.0:
+        if levels == 1 and a <= nprime + 1e-12 and log_exp == 0.0:
             return row(q_max=n, beta_max=n - 1, beta_strict=True,
                        note="q = n admissible with beta < n - 1")
-        if env.kind in ("one", "power") and gamma == 0.0:
-            return row(q_max=n, beta_max=alpha * (1 + r) - r * (n - 1),
-                       note="beta bound applies at q = n")
         return row(empty=True, note="no stated row for this envelope")
 
     # loglog variant, p == n (the defining integral always diverges here)
-    if env.kind == "exp_power":
+    if levels == 1:
         if a <= nprime + 1e-12 and log_exp <= alpha / (n - 1) + 1e-12:
             return row(q_max=n, q_strict=True, note="q < n, beta unrestricted")
         return row(empty=True, note="envelope beyond the critical exponent")
-    if env.kind == "log_power" and gamma > 0.0:
+    if levels == 0 and r == 0.0 and gamma > 0.0 and second == "log":
         return row(q_max=n, beta_max=alpha - n * gamma,
                    note="beta bound applies at q = n")
-    if env.kind == "one":
+    if levels == 0 and r == 0.0 and gamma == 0.0:
         return row(q_max=n, beta_max=alpha, note="identity row")
-    if env.kind == "power" and r > 0.0:
+    if levels == 0 and r > 0.0:
         return row(q_max=n, q_strict=True,
                    note="q < n only; no q = n row for power envelopes on the "
                         "double-log scale")
