@@ -559,28 +559,36 @@ class ThetaSolver:
         out[out < self._TINY] = 0.0
         return out
 
-    def _check_one(self, xi: np.ndarray, lhs: float, rhs: float, unbracketed: bool):
+    def _check_one(self, xi: np.ndarray, lhs: float, rhs: float, unbracketed: bool,
+                   lo: Optional[float] = None):
         """Raise if the root is ``unbracketed``, if a side at it is past the
         float range (an inf ``lhs``, or an inf ``rhs`` that no finite jump of
-        Phi explains), or if ``lhs``, ``rhs`` fail the residual check."""
+        Phi explains), or if ``lhs``, ``rhs`` fail the residual check and the
+        root is not a finite jump of Phi.  At such a jump the sides never meet,
+        and the right side is inf at ``lo``, the bracket's lower end, which is
+        read only here, where the residual check fails (None reads no jump)."""
         if unbracketed:
             raise YoungError(f"failed to bracket the theta root at xi={xi!r}")
         if lhs == INF or (rhs == INF and self.phi.finite_jump is None):
             raise YoungError(f"theta at xi={xi!r} is past the float range: "
                              f"Phi_n(theta) = {lhs}, Phi(xi / E(theta)) = {rhs}")
-        if math.isfinite(lhs) and math.isfinite(rhs) and abs(lhs - rhs) > 1e-6 * (1.0 + lhs):
+        if math.isfinite(lhs) and math.isfinite(rhs) and abs(lhs - rhs) > 1e-6 * (1.0 + lhs) \
+                and (lo is None or self.phi.finite_jump is None
+                     or self._rhs_many(xi[None], np.array([lo]))[0] != INF):
             raise YoungError(f"theta residual too large at xi={xi!r}: {lhs} vs {rhs}")
 
-    def _check(self, xis: np.ndarray, lhs: np.ndarray, rhs: np.ndarray, unbracketed):
-        """``_check_one`` on the first failing row of ``xis``; rows ``unbracketed`` fail."""
+    def _check(self, xis: np.ndarray, lhs: np.ndarray, rhs: np.ndarray, unbracketed,
+               lo: Optional[np.ndarray] = None):
+        """``_check_one`` on the failing rows of ``xis`` in order, each with its
+        lower end in ``lo``: the first that fails raises; rows ``unbracketed`` fail."""
         with np.errstate(invalid="ignore"):
             bad = ((lhs == INF) | ((rhs == INF) & (self.phi.finite_jump is None))
                    | (np.isfinite(lhs) & np.isfinite(rhs)
                       & (np.abs(lhs - rhs) > 1e-6 * (1.0 + lhs))))
         bad[unbracketed] = True
-        if bad.any():
-            i = int(np.argmax(bad))
-            self._check_one(xis[i], float(lhs[i]), float(rhs[i]), i in unbracketed)
+        for i in np.flatnonzero(bad):
+            self._check_one(xis[i], float(lhs[i]), float(rhs[i]), i in unbracketed,
+                            None if lo is None else float(lo[i]))
 
     def solve(self, xi) -> float:
         xi = np.asarray(xi, dtype=float)
@@ -606,7 +614,7 @@ class ThetaSolver:
                 return lo0
             lo, hi = _log_root(ratio, 1.0, True, rel_tol=1e-13)
             theta = 0.5 * (lo + hi)
-            self._check_one(xi, an(theta), rhs(theta), hi > self._cap)
+            self._check_one(xi, an(theta), rhs(theta), hi > self._cap, lo)
         return theta
 
     def solve_many(self, xis) -> np.ndarray:
@@ -637,6 +645,6 @@ class ThetaSolver:
 
         lo, hi = _log_root_many(ratio, np.ones(rows.size), True, rel_tol=1e-13)
         th = 0.5 * (lo + hi)
-        self._check(xs, an(th), self._rhs_many(xs, th), np.flatnonzero(hi > self._cap))
+        self._check(xs, an(th), self._rhs_many(xs, th), np.flatnonzero(hi > self._cap), lo)
         theta[rows] = th
         return theta

@@ -914,6 +914,18 @@ class TestThetaPastTheFloatRange:
                 else:
                     check()
 
+    def test_root_at_a_finite_jump_of_phi(self):
+        # from |xi| = sqrt 2 on, Phi_n(|xi|) > 1 = Phi(1-), so the root is
+        # Phi's jump, theta = |xi|, where the sides never meet: a midpoint on
+        # the finite side failed the residual check at 13 of these 41 points
+        solver = oz.ThetaSolver(oz.Isotropic(gated_square(), 2), oz.Envelope.power(1.0), 2,
+                                conj=oz.sobolev_conjugate(oz.Power(1.5), 2))
+        rs = np.geomspace(0.1, 100.0, 41)
+        xis = np.stack([rs, np.zeros_like(rs)], axis=-1)
+        at_jump = rs >= 1.5
+        for thetas in (np.array([solver.solve(xi) for xi in xis]), solver.solve_many(xis)):
+            np.testing.assert_allclose(thetas[at_jump], rs[at_jump], rtol=1e-12, atol=0.0)
+
 
 class TestScalarTheta:
     """``solve`` reads its sides on plain floats: its residual check against
