@@ -182,7 +182,6 @@ class LipschitzSpec:
     fprime: Callable[[np.ndarray], np.ndarray]
     kappa: float
     envelope: Envelope
-    global_lipschitz: Optional[float] = None
     label: str = "f"
 
     def __post_init__(self):
@@ -243,14 +242,12 @@ def abs_shift_spec(shift: float = 1.0) -> LipschitzSpec:
     def fp(t):
         return np.where(t >= shift, 1.0, np.where(t <= -shift, -1.0, 0.0))
 
-    return LipschitzSpec(f, fp, kappa=1.0, envelope=Envelope.one(),
-                         global_lipschitz=1.0, label=f"abs_shift{shift:g}")
+    return LipschitzSpec(f, fp, kappa=1.0, envelope=Envelope.one(), label=f"abs_shift{shift:g}")
 
 
 def identity_spec() -> LipschitzSpec:
     return LipschitzSpec(lambda t: t, lambda t: np.ones_like(t, dtype=float),
-                         kappa=1.0, envelope=Envelope.one(), global_lipschitz=1.0,
-                         label="identity")
+                         kappa=1.0, envelope=Envelope.one(), label="identity")
 
 
 def signed_square_spec() -> LipschitzSpec:

@@ -169,14 +169,15 @@ class GrowthOrder:
 
 _U_MIN = math.log(sys.float_info.min)  # the smallest normal float
 _U_MAX = math.log(sys.float_info.max)
+_MAX_STEPS = 400  # the evaluations a search may take before it raises
 
 
 def _log_root(fn: Callable[[float], float], level: float, exact: bool,
-              rel_tol: float = 1e-12, max_iter: int = 400) -> tuple:
+              rel_tol: float = 1e-12) -> tuple:
     """Bracket (lo, hi), fn(lo) <= level < fn(hi) and hi - lo <= rel_tol * hi;
     (s, s) when ``exact`` and fn(s) == level; (0, 0) or (inf, inf) when the
     crossing lies below or above the float range.  Raises YoungError when
-    ``max_iter`` evaluations leave the bracket open."""
+    ``_MAX_STEPS`` evaluations leave the bracket open."""
     log_level = math.log(level) if 0.0 < level < INF else None
 
     def gap(f: float, above: bool) -> float:
@@ -188,7 +189,7 @@ def _log_root(fn: Callable[[float], float], level: float, exact: bool,
     ul = uh = None
     lo, hi, hl, hh = 0.0, INF, -INF, INF
     u, step, side, probed = 0.0, 1.0, 0, False
-    for _ in range(max_iter):
+    for _ in range(_MAX_STEPS):
         s = math.exp(u)
         f = fn(s)
         if exact and f == level:
@@ -221,11 +222,11 @@ def _log_root(fn: Callable[[float], float], level: float, exact: bool,
             u = min(max(u, ul + 0.5 * rel_tol), uh - 0.5 * rel_tol)
         else:
             u = 0.5 * (ul + uh)
-    raise YoungError(f"root bracket [{lo!r}, {hi!r}] still open after {max_iter} steps")
+    raise YoungError(f"root bracket [{lo!r}, {hi!r}] still open after {_MAX_STEPS} steps")
 
 
 def _log_root_many(fn_many: Callable[[np.ndarray, np.ndarray], np.ndarray], levels,
-                   exact: bool, rel_tol: float = 1e-12, max_iter: int = 400) -> tuple:
+                   exact: bool, rel_tol: float = 1e-12) -> tuple:
     """``_log_root`` for every entry of ``levels``, as arrays (lo, hi): each
     row takes the scalar search's steps, with its stop, ends, exact hits and
     raise (for the first row left open).  One call ``fn_many(s, rows)`` serves
@@ -241,7 +242,7 @@ def _log_root_many(fn_many: Callable[[np.ndarray, np.ndarray], np.ndarray], leve
     u, step, side = np.zeros(m), np.ones(m), np.zeros(m, dtype=np.int8)
     probed, at_level = np.zeros(m, dtype=bool), np.zeros(m, dtype=bool)
     act = np.arange(m)
-    for _ in range(max_iter):
+    for _ in range(_MAX_STEPS):
         if not act.size:
             return lo, hi
         s = np.exp(u[act])
@@ -295,17 +296,16 @@ def _log_root_many(fn_many: Callable[[np.ndarray, np.ndarray], np.ndarray], leve
         return lo, hi
     i = act[0]
     raise YoungError(f"root bracket [{float(lo[i])!r}, {float(hi[i])!r}] "
-                     f"still open after {max_iter} steps")
+                     f"still open after {_MAX_STEPS} steps")
 
 
-def _numeric_inverse(fn: Callable[[float], float], v: float,
-                     rel_tol: float = 1e-12, max_iter: int = 400) -> float:
+def _numeric_inverse(fn: Callable[[float], float], v: float) -> float:
     """Generalized right-continuous inverse inf{s >= 0 : fn(s) > v}: plateaus
     resolve to their right endpoint, an empty set (v = inf included) to inf;
     0 below 0, and nan for nan."""
     if not v >= 0:
         return 0.0 if v < 0 else v
-    return _log_root(fn, v, False, rel_tol, max_iter)[1]
+    return _log_root(fn, v, False)[1]
 
 
 def _invert_levels(vs: np.ndarray, invert: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:

@@ -430,10 +430,11 @@ class TestLogRoot:
         assert_same_root((many[0][0], many[1][0]), (lo, hi))
         assert_same_steps(ray, [0.5], False)
 
-    def test_open_bracket_raises(self):
+    def test_open_bracket_raises(self, monkeypatch):
         # gate values are 0 or inf, so every step bisects; 5 cannot close it
+        monkeypatch.setattr(young, "_MAX_STEPS", 5)
         with pytest.raises(oz.YoungError, match="open after 5 steps"):
-            _numeric_inverse(oz.gate(1.5), 0.5, max_iter=5)
+            _numeric_inverse(oz.gate(1.5), 0.5)
         with pytest.raises(oz.YoungError):
             _log_root(lambda s: s * s, 2.0, True, rel_tol=0.0)
 
@@ -751,20 +752,21 @@ class TestArrayForms:
         assert (lo.tolist(), hi.tolist()) == ([0.0, 1.0], [0.0, 1.0])
         assert [a.shape for a in _log_root_many(rows_of(np.sqrt), [], True)] == [(0,), (0,)]
 
-    def test_log_root_many_open_bracket_raises(self):
+    def test_log_root_many_open_bracket_raises(self, monkeypatch):
         # gate values are 0 or inf, so every step bisects; 5 cannot close it
         gate = oz.gate(1.5)
+        monkeypatch.setattr(young, "_MAX_STEPS", 5)
         with pytest.raises(oz.YoungError, match="open after 5 steps"):
-            _log_root_many(rows_of(entrywise(gate)), [0.5, 0.5], False, max_iter=5)
+            _log_root_many(rows_of(entrywise(gate)), [0.5, 0.5], False)
         with scalar_rounding(), pytest.raises(oz.YoungError) as many:
-            _log_root_many(rows_of(entrywise(gate)), [0.5, 0.5], False, max_iter=5)
+            _log_root_many(rows_of(entrywise(gate)), [0.5, 0.5], False)
         with pytest.raises(oz.YoungError) as one:
-            _log_root(gate, 0.5, False, max_iter=5)
+            _log_root(gate, 0.5, False)
         assert str(many.value) == str(one.value)
         # a row that closes does not hide a later open one
+        monkeypatch.setattr(young, "_MAX_STEPS", 8)
         with pytest.raises(oz.YoungError, match="open after 8 steps"):
-            _log_root_many(rows_of(lambda s: np.where(s < 2.0, 0.0, s)), [1.0, 1e-3], False,
-                           max_iter=8)
+            _log_root_many(rows_of(lambda s: np.where(s < 2.0, 0.0, s)), [1.0, 1e-3], False)
 
 
 class TestDelta2:
