@@ -559,26 +559,25 @@ class ThetaSolver:
         out[out < self._TINY] = 0.0
         return out
 
-    def _check_one(self, xi: np.ndarray, lhs: float, rhs: float, unbracketed: bool,
-                   lo: Optional[float] = None):
+    def _check_one(self, xi: np.ndarray, lhs: float, rhs: float, unbracketed: bool, lo: float):
         """Raise if the root is ``unbracketed``, if a side at it is past the
         float range (an inf ``lhs``, or an inf ``rhs`` that no finite jump of
         Phi explains), or if ``lhs``, ``rhs`` fail the residual check and the
         root is not a finite jump of Phi.  At such a jump the sides never meet,
         and the right side is inf at ``lo``, the bracket's lower end, which is
-        read only here, where the residual check fails (None reads no jump)."""
+        read only where the residual check fails."""
         if unbracketed:
             raise YoungError(f"failed to bracket the theta root at xi={xi!r}")
         if lhs == INF or (rhs == INF and self.phi.finite_jump is None):
             raise YoungError(f"theta at xi={xi!r} is past the float range: "
                              f"Phi_n(theta) = {lhs}, Phi(xi / E(theta)) = {rhs}")
         if math.isfinite(lhs) and math.isfinite(rhs) and abs(lhs - rhs) > 1e-6 * (1.0 + lhs) \
-                and (lo is None or self.phi.finite_jump is None
+                and (self.phi.finite_jump is None
                      or self._rhs_many(xi[None], np.array([lo]))[0] != INF):
             raise YoungError(f"theta residual too large at xi={xi!r}: {lhs} vs {rhs}")
 
     def _check(self, xis: np.ndarray, lhs: np.ndarray, rhs: np.ndarray, unbracketed,
-               lo: Optional[np.ndarray] = None):
+               lo: np.ndarray):
         """``_check_one`` on the failing rows of ``xis`` in order, each with its
         lower end in ``lo``: the first that fails raises; rows ``unbracketed`` fail."""
         with np.errstate(invalid="ignore"):
@@ -587,8 +586,7 @@ class ThetaSolver:
                       & (np.abs(lhs - rhs) > 1e-6 * (1.0 + lhs))))
         bad[unbracketed] = True
         for i in np.flatnonzero(bad):
-            self._check_one(xis[i], float(lhs[i]), float(rhs[i]), i in unbracketed,
-                            None if lo is None else float(lo[i]))
+            self._check_one(xis[i], float(lhs[i]), float(rhs[i]), i in unbracketed, float(lo[i]))
 
     def solve(self, xi) -> float:
         xi = np.asarray(xi, dtype=float)

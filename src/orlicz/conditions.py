@@ -555,9 +555,8 @@ def check_ortho(a_list: Sequence[YoungFunction], b_list: Sequence[YoungFunction]
 
 def _unit_directions(n: int, count: int) -> np.ndarray:
     """``count`` directions over a half circle or, by the golden-angle
-    spiral, over the upper half sphere."""
-    if n == 1:
-        return np.array([[1.0]])
+    spiral, over the upper half sphere (n >= 2: the conjugate of check_aniso
+    refuses n = 1)."""
     if n == 2:
         ang = np.linspace(0.0, math.pi, count, endpoint=False)
         return np.stack([np.cos(ang), np.sin(ang)], axis=-1)
@@ -696,8 +695,7 @@ def zygmund_table(p: float, alpha: float, n: float, envelope,
                        note="beta bound applies at q = n")
         if alpha < n - 1:
             if levels == 1 and log_exp == 0.0:
-                bound = n / (n - 1 - alpha)
-                if a <= bound + 1e-12:
+                if a <= n / (n - 1 - alpha) + 1e-12:
                     return row(q_max=n, q_strict=True,
                                note="q < n, beta unrestricted")
                 return row(empty=True, note="envelope beyond the critical exponent")

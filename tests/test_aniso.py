@@ -906,8 +906,9 @@ class TestThetaPastTheFloatRange:
         xi = np.array([10.0, 0.0])
         for phi, raises in ((oz.Isotropic(gated, 2), False), (oz.Isotropic(oz.Power(2), 2), True)):
             solver = oz.ThetaSolver(phi, env, 2, conj=conj)
-            for check in (lambda: solver._check_one(xi, 5.0, INF, False),
-                          lambda: solver._check(xi[None], np.array([5.0]), np.array([INF]), [])):
+            for check in (lambda: solver._check_one(xi, 5.0, INF, False, 1.0),
+                          lambda: solver._check(xi[None], np.array([5.0]), np.array([INF]), [],
+                                                np.array([1.0]))):
                 if raises:
                     with pytest.raises(oz.YoungError, match="past the float range"):
                         check()
@@ -972,7 +973,7 @@ class TestScalarTheta:
         with np.errstate(over="ignore"):  # the former check of ``solve``
             want = check_message(solver._check, xi[None], np.array([solver.conj.an_value(theta)]),
                                  solver._rhs_many(xi[None], np.array([theta])),
-                                 [0] if hi > solver._cap else [])
+                                 [0] if hi > solver._cap else [], np.array([lo]))
         assert got == want
         assert (got is None) == (case in ("ordinary", "subnormal"))
 
@@ -990,9 +991,10 @@ class TestScalarTheta:
         theta = solver.solve(xi) * (1.0 + sign * 10.0 ** shift)
         lhs = solver.conj.an_value(theta)
         rhs = solver._rhs_many(xi[None], np.array([theta]))
-        got = check_message(solver._check_one, xi, lhs, float(rhs[0]), unbracketed)
+        # Phi has no jump, so the bracket's lower end is never read
+        got = check_message(solver._check_one, xi, lhs, float(rhs[0]), unbracketed, theta)
         want = check_message(solver._check, xi[None], np.array([lhs]), rhs,
-                             [0] if unbracketed else [])
+                             [0] if unbracketed else [], np.array([theta]))
         assert got == want
 
     @pytest.mark.parametrize("env_name", sorted(ENVELOPES))

@@ -22,6 +22,7 @@ from orlicz.conditions import (
     _assd_analytic,
     _assd_grid,
     _env_on,
+    _limsup_analytic,
     _limsup_probe,
     _min_constant,
 )
@@ -107,6 +108,12 @@ class TestInqAss2:
             oz.check_inq_ass2(a, oz.Power(1.2), oz.Envelope.power(1.0), 3, t0=t0)
 
 
+FLAT = oz.Custom(lambda t: 0.0, zero=oz.GrowthOrder(0.0, family="flat"), label="flat")
+LOG_AT_ZERO = oz.Custom(lambda t: t * t, zero=oz.GrowthOrder(2.0, 1.0), label="log at zero")
+EXP_AT_ZERO = oz.Custom(lambda t: t * t, zero=oz.GrowthOrder(1.0, family="exp"),
+                        label="exp at zero")
+
+
 class TestInqAssD:
     def test_flat_exponential_family(self):
         a, f = oz.ExpNegInv(1.0), oz.ExpNegInv(1.1)
@@ -141,6 +148,52 @@ class TestInqAssD:
         with pytest.raises(oz.YoungError):
             oz.check_inq_assD(oz.Power(2), oz.Power(2), oz.Envelope.one(),
                               oz.gate(1.0))
+
+    def test_target_past_its_jump_admits_no_constant(self):
+        # B = gate(0.5) is inf once t E(F^-1(A(t))) = t^2 > 0.5, so no c
+        # brings that left side under A(c t)
+        v = oz.check_inq_assD(oz.Power(2), oz.gate(0.5), oz.Envelope.power(1.0), oz.Power(2))
+        assert not v and not v.inequality and v.limsup
+        assert (v.inequality.analytic, v.inequality.constant) == (False, INF)
+        assert v.inequality.witness == pytest.approx(0.5 ** 0.5, rel=0.05)
+
+    @pytest.mark.parametrize("f,a,want", [
+        (FLAT, oz.Power(2), (True, "numerator vanishes near zero")),
+        (oz.Power(2), FLAT, (False, "denominator vanishes near zero while the numerator does not")),
+        (LOG_AT_ZERO, oz.Power(2), None),
+        (oz.Power(3), oz.Power(2), (True, "numerator decays at least as fast")),
+        (oz.Power(2), oz.Power(3), (False, "numerator decays strictly slower")),
+        (oz.ExpNegInv(1), oz.Power(2), (True, "numerator is infinitely flat at zero")),
+        (oz.Power(2), oz.ExpNegInv(1), (False, "denominator is infinitely flat at zero")),
+        (oz.ExpNegInv(2), oz.ExpNegInv(1),
+         (True, "numerator flatness order dominates for every lambda")),
+        (oz.ExpNegInv(1), oz.ExpNegInv(1),
+         (False, "flatness order too small; large lambda defeats the ratio")),
+        (EXP_AT_ZERO, oz.Power(2), None),
+    ], ids=["flat/any", "any/flat", "log/poly", "t3/t2", "t2/t3", "expinv/poly",
+            "poly/expinv", "expinv2/expinv1", "expinv1/expinv1", "exp/poly"])
+    def test_limsup_rows(self, f, a, want):
+        """Each row of the bounded-ratio rule on F(lambda t) / A(t), t -> 0:
+        flat F: 0 / A = 0, bounded.  Flat A: lambda^2 t^2 / 0, unbounded.
+        A log order at zero: no row, the probe decides.  t^3 / t^2 =
+        lambda^3 t -> 0.  t^2 / t^3 = lambda^2 / t -> inf.  exp(-1/(lambda
+        t)) / t^2 -> 0.  lambda^2 t^2 exp(1/t) -> inf.  exp(-1/(lambda t)^2)
+        / exp(-1/t) = exp(1/t - 1/(lambda^2 t^2)) -> 0 for every lambda.
+        exp(-1/(lambda t)) / exp(-1/t) = exp((1 - 1/lambda) / t) -> inf for
+        lambda > 1.  A zero order of a family no row names: the probe."""
+        assert _limsup_analytic(f, a) == want
+        v = _limsup_probe(f, a)
+        assert v.analytic is (want is not None)
+        if want is not None:
+            assert (v.holds, v.note) == want
+
+    def test_limsup_probe_without_usable_points(self):
+        # A is 0 on the whole probe window (1e-8, 1e-2], so no ratio exists
+        zero_below = oz.Custom(lambda t: max(0.0, t - 0.1), label="zero below 0.1")
+        v = _limsup_probe(oz.Power(2), zero_below)
+        assert (v.holds, v.indeterminate, v.note) == (False, True, "no usable probe points")
+        assert oz.check_inq_assD(zero_below, oz.Power(2), oz.Envelope.one(),
+                                 oz.Power(2)).indeterminate
 
     @pytest.mark.parametrize("t1", [-1.0, 0.0, INF, math.nan])
     def test_t1_must_be_positive_and_finite(self, t1):
@@ -193,6 +246,20 @@ class TestOrtho:
         assert v.constant == pytest.approx(1129.5465333032948, rel=1e-6)
         assert v.worst_margin > 0.0
 
+    def test_indeterminate_reduction_refused(self):
+        # the reduction of two wobbling components is the wobble, whose
+        # log-log slope never settles
+        wob = oz.Custom(lambda t: t ** (2.0 + 0.8 * math.sin(math.log(t))), label="wobble")
+        with pytest.raises(oz.IndeterminateError, match="reduced function"):
+            oz.check_ortho([wob, wob], [oz.Power(1.2)] * 2, oz.Envelope.one(), 2)
+
+    def test_component_without_constant(self):
+        # B_0(A_0^-1(M(t))) grows like t^(5 pbar / 1.5) against M(c t) ~ c^pbar t^pbar
+        v = oz.check_ortho([oz.Power(1.5), oz.Power(1.8)], [oz.Power(5), oz.Power(1.2)],
+                           oz.Envelope.log_power(1.0), 2)
+        assert (v.holds, v.witness, v.constant, v.analytic) == (False, 0, INF, False)
+        assert v.note == "component 0 admits no constant"
+
     @pytest.mark.parametrize("t0", [1e6, 2e6])
     def test_grid_cutoff_at_or_past_the_grid_end(self, t0):
         ps = [oz.Power(2), oz.Power(2)]
@@ -214,6 +281,30 @@ class TestAniso:
         hi = oz.check_aniso(phi, oz.Isotropic(oz.Power(1.8), 3), env, 3)
         assert lo.holds is oz.check_inq_ass2(oz.Power(2), oz.Power(1.2), env, 3).holds
         assert hi.holds is oz.check_inq_ass2(oz.Power(2), oz.Power(1.8), env, 3).holds
+
+    def test_target_below_the_source(self):
+        # with E = 1, theta solves Phi_n(theta) = Phi(xi), so the excess
+        # Psi - Phi = -Phi / 2 is negative at every sample
+        phi = oz.Isotropic(oz.Power(2), 3)
+        psi = oz.Isotropic(oz.Power(2, 0.5), 3)
+        for with_constant in (True, False):
+            v = oz.check_aniso(phi, psi, oz.Envelope.one(), 3, with_constant=with_constant)
+            assert (v.holds, v.constant, v.witness) == (True, 0.0, None)
+
+    def test_without_the_additive_constant(self):
+        # Psi = 2 Phi exceeds Phi by Phi(xi), which no sample keeps below noise
+        phi = oz.Isotropic(oz.Power(2), 3)
+        v = oz.check_aniso(phi, oz.Isotropic(oz.Power(2, 2.0), 3), oz.Envelope.one(), 3,
+                           with_constant=False)
+        assert not v.holds and v.grid == "direction-radius sampling"
+        assert v.worst_margin == pytest.approx(-oz.Power(2)(float(np.linalg.norm(v.witness))),
+                                               rel=1e-6)
+
+    def test_theta_failure_is_named(self):
+        # E decays, so Phi(xi / E) grows with theta and small rows never bracket
+        phi = oz.Isotropic(oz.Power(2), 3)
+        with pytest.raises(oz.YoungError, match="theta solver failed: failed to bracket"):
+            oz.check_aniso(phi, phi, oz.Envelope.custom(lambda t: (1.0 + t) ** -10.0), 3)
 
     def test_scaled_target_beyond_boundary_fails(self):
         phi = oz.Isotropic(oz.Power(2), 3)
@@ -288,6 +379,8 @@ class TestZygmundTable:
             oz.zygmund_table(1.0, -0.5, 3.0, oz.Envelope.one())
         with pytest.raises(oz.YoungError):
             oz.zygmund_table(0.8, 0.0, 3.0, oz.Envelope.one())
+        with pytest.raises(oz.YoungError, match="variant must be log or loglog"):
+            oz.zygmund_table(2.0, 0.0, 3.0, oz.Envelope.one(), "exp")
 
     def test_rows_cross_validated_by_checker(self):
         # emitted power-envelope rows match the analytic checker on
