@@ -1,10 +1,12 @@
 """Modular integrals, Luxemburg norms, and convergence diagnostics.
 
 Scalar fields live on axis-aligned boxes in dimension 1 to 3 and are supplied
-with analytic gradients.  Integration uses nested adaptive Gauss panels with
-geometric refinement toward faces declared singular; a panel trend of one
-sign that stops decaying is reported as a divergent integral, +inf or -inf
-with that sign, rather than ground through endless refinement.
+with analytic gradients.  Integration nests adaptive 21-node Gauss-Kronrod
+panels, one axis in another: a panel is kept when its K21 sum and its
+embedded 10-node Gauss sum agree to the relative tolerance, and is halved
+otherwise.  Toward faces declared singular it refines geometrically; a panel
+trend of one sign that stops decaying is reported as a divergent integral,
++inf or -inf with that sign, rather than ground through endless refinement.
 
 Integrands are batch functions.  ``integrate_box(fn, box)`` calls ``fn`` on
 an (m, n) array of points and expects their (m,) values; a panel whose
@@ -280,9 +282,11 @@ def integrate_box(fn: Callable[[np.ndarray], np.ndarray], box: BoxDomain,
 
     ``fn`` maps an (m, n) array of points to their (m,) values: this is the
     one-row case of ``_integrate_rows``.  Axis i is integrated for all points
-    of the outer axes at once, each innermost panel in one call of ``fn``, and
-    toward a singular face by geometric panels, several at once.  Finiteness
-    is checked once per Gauss panel, on its sum.
+    of the outer axes at once, toward a singular face by geometric panels,
+    several at once.  Each panel is K21 (``quad_rows``), accepted when
+    |K21 - G10| <= rel |K21| plus a floor that halves with each split, with
+    rel = rel_tol, or rel_tol / 10 toward a singular face, and halved
+    otherwise.  Finiteness is checked once per panel, on its sum.
 
     Half-infinite boxes are refused unless a truncation radius is supplied;
     the result is then the integral over the clipped box (a lower bound for
@@ -376,7 +380,12 @@ def _integrand(u: TestFunction, y, gradient: bool):
     from .aniso import NDimYoung  # local import avoids a hard dependency
     if isinstance(y, NDimYoung):
         return lambda X, lam: y.values(u.gradients(X) / np.expand_dims(lam, -1))
-    return lambda X, lam: y.values(np.linalg.norm(u.gradients(X), axis=1) / lam)
+    return lambda X, lam: y.values(_lengths(u.gradients(X)) / lam)
+
+
+def _lengths(G: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(G, axis=1)`` bit for bit: squares summed from the left."""
+    return np.sqrt(sum(c * c for c in G.T))
 
 
 _LAM_FLOOR, _LAM_CAP = 1e-12, 1e12  # the lambda range of luxemburg_norm's search

@@ -42,7 +42,7 @@ class PreconditionError(YoungError):
 
 _Shape = NamedTuple("_Shape", [("r", float), ("gamma", float), ("second", str), ("levels", int)])
 _SHAPES = {"one": lambda p: (0.0, 0.0, "log", 0),
-           "power": lambda p: (p["r"], p["gamma"], p["second"], 0),
+           "power": lambda p: (p["r"], p["gamma"], p["second"] if p["gamma"] else "log", 0),
            "log_power": lambda p: (0.0, p["r"], "log", 0),
            "exp_power": lambda p: (p["a"], p["log_exp"], "log", 1),
            "exp_exp": lambda p: (p["a"], 0.0, "log", 2)}
@@ -58,9 +58,10 @@ class Envelope:
     = "loglog".  One scalar and one array body evaluate the shape, and the
     analytic admissibility rules read it:
 
-      one (0, 0, log, 0); power:r,gamma,second (r, gamma, second, 0);
-      log_power:r (0, r, log, 0); exp_power:a,b (a, b, log, 1) for
-      exp(t^a log^b(1+t)); exp_exp:a (a, 0, log, 2) for exp(exp(t^a)).
+      one (0, 0, log, 0); power:r,gamma,second (r, gamma, second, 0), with
+      second = log at gamma = 0; log_power:r (0, r, log, 0); exp_power:a,b
+      (a, b, log, 1) for exp(t^a log^b(1+t)); exp_exp:a (a, 0, log, 2) for
+      exp(exp(t^a)).
 
     Arguments below 0 read 0, L^gamma reads 0 at t = 0, and an exponent past
     709 (past 6.5 before the inner exp of exp_exp) reads inf.  ``custom``

@@ -122,6 +122,10 @@ class TestEnvelope:
                     oz.Envelope.exp_power(2.0), oz.Envelope.exp_exp(2.0)):
             assert env.non_decreasing()
 
+    def test_one_shape_per_function(self):
+        # at gamma = 0 there is no second factor, so its name cannot split the shape
+        assert oz.Envelope.power(1, 0, "loglog").shape == oz.Envelope.power(1).shape
+
     @pytest.mark.parametrize("env", BUILT_IN_ENVELOPES, ids=lambda e: f"{e.kind}{e.params}")
     def test_values_match_reference_bits(self, env):
         ts = envelope_grid(env)

@@ -14,10 +14,11 @@ from hypothesis import strategies as st
 
 import orlicz as oz
 from orlicz import corpus
-from orlicz._quad import (G15_W, _nodes, _panel_sums, gauss15, gauss_legendre, quad_interval,
-                          quad_rows, tensor_rule)
-from orlicz.modular import (_BLOCK_POINTS, _FACE_BATCH, _MAX_PANELS, QuadratureError, _face_rules,
-                            _integrand, _integrate_rows, constant_function, integrate_box)
+from orlicz._quad import (G10_W, G15_W, K21_W, K21_X, _kronrod, _panel_sums, gauss15,
+                          gauss_legendre, quad_interval, quad_rows, tensor_rule)
+from orlicz import modular
+from orlicz.modular import (QuadratureError, _integrand, _integrate_rows, _lengths,
+                            constant_function, integrate_box)
 from orlicz.nemytskii import abs_shift_spec, signed_square_spec, singular_log_field
 
 INF = math.inf
@@ -262,20 +263,29 @@ class TestFieldBatches:
 # The row engine against the recursive panel rule
 # ---------------------------------------------------------------------------
 
-def ref_gauss15(f, a, b):
-    """Scalar 15-node rule: samples one at a time; non-finite samples give
+def ref_panel(f, a, b, x, w):
+    """Scalar panel rule: samples one at a time; non-finite samples give
     -inf when they are all -inf, else +inf."""
     h, mid = 0.5 * (b - a), 0.5 * (a + b)
     total, signs = 0.0, set()
-    for x, w in zip(*np.polynomial.legendre.leggauss(15)):
-        v = f(mid + h * x)
+    for xi, wi in zip(x, w):
+        v = f(mid + h * xi)
         if not math.isfinite(v):
             signs.add(v == -INF)
             continue
-        total += w * v
+        total += wi * v
     if signs:
         return -INF if signs == {True} else INF
     return total * h
+
+
+def ref_gauss15(f, a, b):
+    return ref_panel(f, a, b, *np.polynomial.legendre.leggauss(15))
+
+
+def ref_kronrod21(f, a, b):
+    """The scalar K21 panel and its G10 panel on the odd nodes."""
+    return ref_panel(f, a, b, K21_X, K21_W), ref_panel(f, a, b, K21_X[1::2], G10_W)
 
 
 def ref_add(x, y):
@@ -283,19 +293,16 @@ def ref_add(x, y):
 
 
 def ref_quad(f, a, b, rel=1e-10, depth=14, floor=0.0):
-    """Recursive bisection that recomputes each child's whole panel."""
-    whole = ref_gauss15(f, a, b)
-    if math.isinf(whole):
-        return whole
+    """Recursive bisection of the K21 panel, each panel stopped by its own
+    |K21 - G10|."""
+    k, g = ref_kronrod21(f, a, b)
+    if not math.isfinite(k):
+        return k
     if floor == 0.0:
-        floor = rel * (abs(whole) + 1e-300)
+        floor = rel * (abs(k) + 1e-300)
+    if abs(k - g) <= rel * abs(k) + floor or depth <= 0:
+        return k
     mid = 0.5 * (a + b)
-    left, right = ref_gauss15(f, a, mid), ref_gauss15(f, mid, b)
-    if math.isinf(left) or math.isinf(right):
-        return ref_add(left, right)
-    halves = left + right
-    if abs(halves - whole) <= rel * abs(halves) + floor or depth <= 0:
-        return halves
     return ref_add(ref_quad(f, a, mid, rel, depth - 1, 0.5 * floor),
                    ref_quad(f, mid, b, rel, depth - 1, 0.5 * floor))
 
@@ -370,6 +377,29 @@ class TestQuadRows:
             vals = np.ones((1, 15))
             vals[0, 3:3 + len(bad)] = bad
             assert _panel_sums(vals, np.array([0.5]))[0, 0] == want
+
+    def test_kronrod_constants(self):
+        # K21 is exact through degree 31 and G10 through 19, to rounding;
+        # neither is exact one degree further
+        for x, w, degree in ((K21_X, K21_W, 31), (K21_X[1::2], G10_W, 19)):
+            for d in range(degree + 2):
+                err = abs(float(np.sum(w * x ** d)) - (2.0 / (d + 1) if d % 2 == 0 else 0.0))
+                assert err <= 4e-16 if d <= degree else err > 1e-12
+        gx = np.polynomial.legendre.leggauss(10)[0]
+        assert (np.abs(K21_X[1::2] - gx) <= 2 * np.spacing(np.abs(gx))).all()
+
+    def test_kronrod_panel_sign(self):
+        # the rule of test_panel_sign for the K21 and G10 sums, and a row with a
+        # non-finite panel stops there: |K21 - G10| of +-inf does not warn
+        for at in (3, 2):  # G10 nodes (odd positions), or nodes only K21 has
+            for bad, want in (((-INF,), -INF), ((-INF, INF), INF), ((-INF, math.nan), INF),
+                              ((math.nan,), INF)):
+                vals = np.ones((1, 21))
+                vals[0, at:at + 2 * len(bad):2] = bad
+                k, g = _kronrod(vals, np.array([0.5]))
+                assert k[0, 0] == want
+                assert g[0, 0] == want if at == 3 else np.isfinite(g[0, 0])
+                assert quad_rows(lambda xs, idx: vals, 0.0, 1.0, 1e-10, 3)[0] == want
 
 
 # ---------------------------------------------------------------------------
@@ -605,10 +635,10 @@ class TestTensorRule:
 # The panel kernel and the row passes against the one-row engine, bit for bit
 # ---------------------------------------------------------------------------
 
-# Frozen copies of the engine as it was before finiteness was checked once per
-# panel and before box integration took many integrands per pass: every
-# sample searched for +-inf and nan, every live row copied, one integrand per
-# box.  The library must match them bit for bit.
+# A frozen copy of the 15-node panel kernel as it was before finiteness was
+# checked once per panel: every sample searched for +-inf and nan.  The
+# library, which still sums the conjugate tables' fixed 15-node panels with
+# it, must match it bit for bit.
 
 def frozen_panel_sums(vals, halfwidths):
     v = vals.reshape(vals.shape[0], -1, 15)
@@ -618,128 +648,6 @@ def frozen_panel_sums(vals, halfwidths):
     total[(v == -INF).any(axis=2)] = -INF
     total[(np.isnan(v) | (v == INF)).any(axis=2)] = INF
     return total
-
-
-def frozen_quad_rows(F, a, b, rel=1e-10, depth=14, rows=1):
-    idx = np.arange(rows)
-    mid = 0.5 * (a + b)
-    xs = np.concatenate([_nodes(a, b), _nodes(a, mid), _nodes(mid, b)])
-    sums = frozen_panel_sums(np.asarray(F(xs, idx), dtype=float),
-                             np.array([0.5 * (b - a), 0.5 * (mid - a), 0.5 * (b - mid)]))
-    whole = sums[:, 0]
-    out = whole.copy()
-    ok = np.isfinite(whole)
-    if ok.any():
-        out[ok] = frozen_refine(F, idx[ok], a, b, whole[ok], sums[ok, 1], sums[ok, 2],
-                                rel, depth, np.zeros(np.count_nonzero(ok)))
-    return out
-
-
-def frozen_refine(F, idx, a, b, whole, left, right, rel, depth, floor):
-    floor = np.where(floor == 0.0, rel * (np.abs(whole) + 1e-300), floor)
-    out = frozen_add(left, right)
-    go = np.isfinite(out) & ~(np.abs(out - whole) <= rel * np.abs(out) + floor)
-    if depth <= 0 or not go.any():
-        return out
-    sub, fl, mid = idx[go], 0.5 * floor[go], 0.5 * (a + b)
-    out[go] = frozen_add(frozen_split(F, sub, a, mid, left[go], rel, depth - 1, fl),
-                         frozen_split(F, sub, mid, b, right[go], rel, depth - 1, fl))
-    return out
-
-
-def frozen_add(x, y):
-    with np.errstate(invalid="ignore"):
-        s = x + y
-    s[np.isnan(s)] = INF
-    return s
-
-
-def frozen_split(F, idx, a, b, whole, rel, depth, floor):
-    mid = 0.5 * (a + b)
-    sums = frozen_panel_sums(np.asarray(F(np.concatenate([_nodes(a, mid), _nodes(mid, b)]), idx),
-                                        dtype=float),
-                             np.array([0.5 * (mid - a), 0.5 * (b - mid)]))
-    return frozen_refine(F, idx, a, b, whole, sums[:, 0], sums[:, 1], rel, depth, floor)
-
-
-def frozen_toward_face(F, idx, a, b, rel_tol):
-    x = a + (b - a) * 2.0 ** -np.arange(_MAX_PANELS + 1.0)
-    end = int(np.cumprod((x[1:] > a) & (x[:-1] > x[1:])).sum())
-    lo, width = x[1:end + 1], (x[:-1] - x[1:])[:end]
-    out = np.empty(len(idx))
-    walks = {r: _face_rules(rel_tol) for r in range(len(idx))}
-    for walk in walks.values():
-        next(walk)
-    for j0 in range(0, end, _FACE_BATCH):
-        x0, w0, open_rows = lo[j0:j0 + _FACE_BATCH], width[j0:j0 + _FACE_BATCH], [*walks]
-        row, panel = np.divmod(np.arange(len(open_rows) * len(x0)), len(x0))
-
-        def pairs(ts, q):
-            h = w0[panel[q], None]
-            return F(x0[panel[q], None] + h * ts, idx[open_rows][row[q]]) * h
-
-        vals = frozen_quad_rows(pairs, 0.0, 1.0, rel_tol * 0.1, rows=len(row))
-        zero = {}
-        for r, panel_vals in zip(open_rows, vals.reshape(-1, len(x0)).tolist()):
-            try:
-                for k, I in enumerate(panel_vals):
-                    total = walks[r].send(I)
-                    if total is not None and r not in zero:
-                        zero[r] = (lo[j0 + k] - a, total)
-            except StopIteration as done:
-                out[r] = done.value
-                del walks[r]
-                zero.pop(r, None)
-        if zero:  # a zero pair ends a walk only where the rest integrates to 0
-            rest = [*zero]
-            h = np.array([zero[r][0] for r in rest])[:, None]
-            tails = frozen_quad_rows(lambda ts, q: F(a + h[q] * ts, idx[rest][q]) * h[q],
-                                     0.0, 1.0, rel_tol * 0.1, rows=len(rest))
-            for r, tail in zip(rest, tails.tolist()):
-                if tail == 0.0:
-                    out[r] = zero[r][1]
-                    del walks[r]
-        if not walks:
-            return out
-    raise QuadratureError("no convergence or divergence signature at singular face")
-
-
-def frozen_integrate_box(fn, box, rel_tol=1e-8):
-    n = box.n
-    sing = set(box.singular_faces)
-
-    def level(i, prefix):
-        if i == n:
-            return np.asarray(fn(prefix), dtype=float)
-
-        def grid(rows, xs):
-            pts = np.empty((len(rows), xs.shape[1], i + 1))
-            pts[:, :, :i] = rows[:, None, :]
-            pts[:, :, i] = xs
-            return level(i + 1, pts.reshape(-1, i + 1)).reshape(xs.shape)
-
-        def block(xs, idx):
-            rows = prefix[idx]
-            xs = np.broadcast_to(xs, (len(rows), np.shape(xs)[-1]))
-            step = max(1, _BLOCK_POINTS // xs.shape[1])
-            return np.concatenate([grid(rows[s:s + step], xs[s:s + step])
-                                   for s in range(0, len(rows), step)])
-
-        lo, hi = box.lower[i], box.upper[i]
-        sing_lo, sing_hi = (i, "lower") in sing, (i, "upper") in sing
-        if not (sing_lo or sing_hi):
-            return frozen_quad_rows(block, lo, hi, rel_tol, rows=len(prefix))
-        rows, flip = np.arange(len(prefix)), (lambda xs, idx: block(lo + hi - xs, idx))
-        if not (sing_lo and sing_hi):
-            return frozen_toward_face(block if sing_lo else flip, rows, lo, hi, rel_tol)
-        mid = 0.5 * (lo + hi)
-        out = frozen_toward_face(block, rows, lo, mid, rel_tol)
-        fin = ~np.isinf(out)
-        if fin.any():
-            out[fin] += frozen_toward_face(flip, np.flatnonzero(fin), lo, mid, rel_tol)
-        return out
-
-    return float(level(0, np.empty((1, 0)))[0])
 
 
 def same_bits(got, want):
@@ -797,18 +705,6 @@ class TestPanelKernelBits:
         with np.errstate(over="ignore", invalid="ignore"):
             assert _panel_sums(vals, np.array([0.0, 0.0]))[2, 0] == -INF
 
-    @settings(max_examples=30, deadline=None)
-    @given(rows=ROWS, rel=st.sampled_from([1e-6, 1e-10, 1e-13]),
-           depth=st.integers(0, 9), a=st.floats(-1.0, 0.0), b=st.floats(1.0, 2.0))
-    def test_quad_rows(self, rows, rel, depth, a, b):
-        fs = [row_family(kind, c) for kind, c in rows]
-
-        def F(xs, idx):
-            return np.array([[fs[i](float(x)) for x in xs] for i in idx])
-
-        assert same_bits(quad_rows(F, a, b, rel, depth, rows=len(fs)),
-                         frozen_quad_rows(F, a, b, rel, depth, rows=len(fs)))
-
 
 def signed_face_family(X, P):
     """Row p: sign(p) (x0 (1 - x0))^-|p| (1 + x_last^2 / 2); |p| >= 1 diverges
@@ -840,9 +736,6 @@ class TestRowPassBits:
     def test_faces_and_divergent_rows(self, ps, j):
         box = FACE_BOXES[j]
         got = _integrate_rows(signed_face_family, np.array(ps), box, 1e-8)
-        want = [frozen_integrate_box(lambda X, p=p: signed_face_family(X, np.full(len(X), p)),
-                                     box) for p in ps]
-        assert same_bits(got, want)
         assert same_bits(got, [integrate_box(
             lambda X, p=p: signed_face_family(X, np.full(len(X), p)), box) for p in ps])
         for p, v in zip(ps, got):
@@ -854,18 +747,18 @@ class TestRowPassBits:
         for box in (oz.BoxDomain.interval(-0.5, 1.0), oz.BoxDomain.unit(2),
                     oz.BoxDomain.unit(2, singular=((1, "upper"),))):
             got = _integrate_rows(peaked_family, np.array(ps), box, 1e-8)
-            want = [frozen_integrate_box(
-                lambda X, p=p: peaked_family(X, np.full(len(X), p)), box) for p in ps]
-            assert same_bits(got, want)
+            assert same_bits(got, [integrate_box(
+                lambda X, p=p: peaked_family(X, np.full(len(X), p)), box) for p in ps])
 
-    def test_one_row_box_matches_frozen_engine(self):
+    def test_one_row_box_matches_nested_reference(self):
         for fn, box in ((smooth_batch([0.3, -1.0, 2.0]), oz.BoxDomain.unit(3)),
                         (power_face(1, 0.4, [0.5, 0.5]),
                          oz.BoxDomain.unit(2, singular=((1, "lower"),))),
                         (lambda X: -1.0 / X[:, 1], oz.BoxDomain.unit(2, singular=((1, "lower"),))),
                         (lambda X: (X[:, 0] * (1 - X[:, 0])) ** -0.5,
                          oz.BoxDomain.unit(1, singular=((0, "lower"), (0, "upper"))))):
-            assert same_bits(integrate_box(fn, box), frozen_integrate_box(fn, box))
+            got, want = integrate_box(fn, box), ref_integrate_box(fn, box)
+            assert got == want if math.isinf(want) else got == pytest.approx(want, rel=1e-12)
 
     def test_modular_grid_matches_one_modular_per_lambda(self):
         box = oz.BoxDomain.unit(2, singular=((0, "lower"),))
@@ -891,20 +784,66 @@ class TestRowPassBits:
             assert same_bits(got, [oz.modular_integral_gradient(u, y, lam, box) for lam in lams])
 
 
-class TestCounterexampleWork:
-    def test_same_points_in_fewer_calls(self, monkeypatch):
-        # the one-row engine passed 302,400 points to A in 62 calls; the check
-        # that the rest of a face walk integrates to 0 after two zero panels
-        # adds 20,250 (the top-level 45 nodes of 450 rows)
+class TestWorkCounts:
+    """Exact point counts of two runs; each count repeats between runs."""
+
+    @staticmethod
+    def counting(monkeypatch, cls):
         calls, points = [0], [0]
-        values = oz.PowerExp.values
+        values = cls.values
 
         def counted(self, t):
             calls[0] += 1
             points[0] += np.size(t)
             return values(self, t)
 
-        monkeypatch.setattr(oz.PowerExp, "values", counted)
-        oz.counterexample_run((8, 64), (10 ** -3.1, 10 ** -4.1), dim=2)
-        assert points[0] == 302_400 + 20_250
-        assert calls[0] <= 62
+        monkeypatch.setattr(cls, "values", counted)
+        return calls, points
+
+    def test_counterexample_points(self, monkeypatch):
+        # the G15 whole-against-halves engine passed 302,400 + 20,250 points
+        # to A in 60 calls; the zero-tail check after two zero panels is part
+        # of each count
+        calls, points = self.counting(monkeypatch, oz.PowerExp)
+        for _ in range(2):
+            calls[0] = points[0] = 0
+            oz.counterexample_run((8, 64), (10 ** -3.1, 10 ** -4.1), dim=2)
+            assert points[0] == 80_262
+            assert calls[0] <= 34
+
+    def test_smooth_3d_modular_points(self, monkeypatch):
+        # one K21 panel per axis: 21^3 points of A, and 21^3 + 21^2 + 21 nodes
+        # over the three nested axes (the G15 engine: 45^3 and 93,195)
+        calls, points = self.counting(monkeypatch, oz.Power)
+        nodes = [0]
+        quad_rows = modular.quad_rows
+
+        def counted_rows(F, *args, **kwargs):
+            def G(xs, idx):
+                vals = F(xs, idx)
+                nodes[0] += np.size(vals)
+                return vals
+            return quad_rows(G, *args, **kwargs)
+
+        monkeypatch.setattr(modular, "quad_rows", counted_rows)
+        for _ in range(2):
+            points[0] = nodes[0] = 0
+            v = oz.modular_integral(corpus.product_sine(3), oz.Power(2), 0.8, oz.BoxDomain.unit(3))
+            assert v == pytest.approx(0.125 / 0.8 ** 2, rel=1e-14)
+            assert (points[0], nodes[0]) == (21 ** 3, 9_723)
+
+
+class TestGradientLengths:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_lengths_are_linalg_norm_bits(self, n):
+        # magnitudes 1e-200 to 1e200: squares that overflow and underflow
+        rng = np.random.default_rng(n)
+        G = rng.standard_normal((20_000, n)) * 10.0 ** rng.uniform(-200.0, 200.0, (20_000, n))
+        G[:4] = [[INF] * n, [-INF] + [1.0] * (n - 1), [math.nan] * n, [0.0] * n]
+        with np.errstate(over="ignore"):
+            got, want = _lengths(G), np.linalg.norm(G, axis=1)
+        assert np.isinf(got).sum() > 1000
+        assert same_bits(got, want)
+        for lengths in (_lengths, lambda G: np.linalg.norm(G, axis=1)):
+            with pytest.warns(RuntimeWarning, match="overflow"):
+                lengths(G)
