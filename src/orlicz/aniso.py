@@ -36,7 +36,8 @@ from .young import (
 
 class NDimYoung:
     """Base class for Young functions of a vector argument: ``__call__`` takes
-    a vector of length ``n``, ``values`` an (m, n) array; other shapes raise."""
+    a vector of length ``n``, ``values`` an (m, n) array; other shapes raise.
+    ``ray`` and ``rays`` read Phi(xi / e) for a fixed xi, its own work done once."""
 
     n: int
     finite_jump: Optional[float] = None  # the least jump to +inf of a scalar part
@@ -55,6 +56,16 @@ class NDimYoung:
     def values(self, points) -> np.ndarray:
         """One value per row of an (m, n) array of points."""
         return np.array([self(p) for p in np.asarray(points, dtype=float)], dtype=float)
+
+    def ray(self, xi) -> Callable[[float], float]:
+        """e -> Phi(xi / e) for a float e > 0."""
+        xi = np.asarray(xi, dtype=float)
+        return np.errstate(over="ignore")(lambda e: self(xi / e))
+
+    def rays(self, xis) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+        """(rows, es) -> Phi(xis[rows] / es) row by row, for an (m, n) ``xis``."""
+        xis = np.asarray(xis, dtype=float)
+        return np.errstate(over="ignore")(lambda rows, es: self.values(xis[rows] / es[:, None]))
 
     def scalar_profile(self) -> YoungFunction:
         raise YoungError(f"{type(self).__name__} has no scalar reduction")
@@ -93,6 +104,27 @@ class Isotropic(NDimYoung):
         out = self.a.values(r)
         out[np.isinf(points).any(axis=1)] = INF
         return out
+
+    def ray(self, xi) -> Callable[[float], float]:
+        """A(r / e), r = |xi| once, by ``math.hypot``: no overflow where xi / e has none."""
+        x, a = self._checked(xi).tolist(), self.a
+        r = math.hypot(*x)
+        if r != r:  # a nan entry: inf where another entry of xi / e is, as in __call__
+            top = max([abs(v) for v in x if v == v], default=0.0)
+            return lambda e: INF if top / e == INF else a(r / e)
+        return lambda e: a(r / e)
+
+    def rays(self, xis) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+        """``ray`` on rows, with ``np.hypot``."""
+        xis = np.abs(self._checked(xis, rows=True))
+        big = np.fmax.reduce(xis, axis=1)
+        with np.errstate(over="ignore"):  # a huge row reads inf
+            r = np.hypot.reduce(xis, axis=1)
+
+        def along(rows: np.ndarray, es: np.ndarray) -> np.ndarray:  # nan rows as in ``ray``
+            return np.where(big[rows] / es == INF, INF, self.a.values(r[rows] / es))
+
+        return np.errstate(over="ignore")(along)
 
     def scalar_profile(self) -> YoungFunction:
         return self.a
@@ -289,18 +321,12 @@ def _half_sphere_rule(n: int, m: int) -> tuple:
     return _read_only(dirs.reshape(-1, 3), wts.ravel())
 
 
-def _values_of(phi) -> Callable[[np.ndarray], np.ndarray]:
-    """``phi.values``, or the row loop of ``NDimYoung.values`` for an object
-    that has only ``n`` and ``__call__``."""
-    values = getattr(phi, "values", None)
-    return values if values is not None else partial(NDimYoung.values, phi)
-
-
 def _ray_extents(phi: NDimYoung, levels: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """sup{s : phi(s p) <= level} for each row p of ``pts`` at its entry of
     ``levels``, all rows in one batched search; rays from the origin are
     monotone.  An extent above 1e10 raises: the set is unbounded."""
-    values = _values_of(phi)
+    # an object with only n and __call__ reads by the row loop of NDimYoung.values
+    values = getattr(phi, "values", None) or partial(NDimYoung.values, phi)
 
     def along(s: np.ndarray, rows: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore"):  # an inf coordinate reads phi = inf
@@ -514,13 +540,14 @@ class ThetaSolver:
     The left side is continuous and strictly increasing from 0 to infinity
     (this needs the defining integral to diverge at infinity), the right side
     is non-increasing in theta, so the root is unique.  Both paths run the
-    log-space root finder on the ratio Phi_n / Phi(xi / E): they search
-    theta >= the smallest scale with E > 0, read a right side below the
-    smallest normal float as 0, and stop once the bracket is within 1e-13
-    of its upper end: ``solve`` by the scalar finder on plain floats,
-    ``solve_many`` by the batched one, each checking the sides its search
-    reads.  A root above 2**120 max(that scale, 1) fails to bracket and a
-    theta whose sides differ by more than 1e-6 (1 + Phi_n) fails the
+    log-space root finder on the ratio Phi_n / Phi(xi / E), read along the
+    ray of xi (``phi.ray``, ``phi.rays``) by the search and its checks alike:
+    they search theta >= the smallest scale with E > 0, read a right side
+    below the smallest normal float as 0, and stop once the bracket is
+    within 1e-13 of its upper end: ``solve`` by the scalar finder on plain
+    floats, ``solve_many`` by the batched one, each checking the sides its
+    search reads.  A root above 2**120 max(that scale, 1) fails to bracket
+    and a theta whose sides differ by more than 1e-6 (1 + Phi_n) fails the
     residual check; both raise YoungError.
     """
 
@@ -548,14 +575,13 @@ class ThetaSolver:
         self._t_pos = t
         self._cap = 2.0 ** 120 * max(t, 1.0)
 
-    def _rhs_many(self, xis: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        """Phi(xi / E(t)) for nonzero rows ``xis`` at scales ``ts``, 0 where
-        it is below the smallest normal float."""
+    def _rhs_rays(self, rays, rows: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        """Phi(xi / E(t)) for the rows ``rows`` of ``rays = phi.rays(xis)`` at
+        scales ``ts``, 0 where it is below the smallest normal float."""
         e = self.envelope.values(ts)
         out = np.full(len(ts), INF)
         pos = e > 0.0
-        with np.errstate(over="ignore"):  # inf, as for floats
-            out[pos] = self.phi.values(xis[pos] / e[pos, None])
+        out[pos] = rays(rows[pos], e[pos])
         out[out < self._TINY] = 0.0
         return out
 
@@ -572,8 +598,8 @@ class ThetaSolver:
             raise YoungError(f"theta at xi={xi!r} is past the float range: "
                              f"Phi_n(theta) = {lhs}, Phi(xi / E(theta)) = {rhs}")
         if math.isfinite(lhs) and math.isfinite(rhs) and abs(lhs - rhs) > 1e-6 * (1.0 + lhs) \
-                and (self.phi.finite_jump is None
-                     or self._rhs_many(xi[None], np.array([lo]))[0] != INF):
+                and (self.phi.finite_jump is None or self._rhs_rays(
+                    self.phi.rays(xi[None]), np.zeros(1, int), np.array([lo]))[0] != INF):
             raise YoungError(f"theta residual too large at xi={xi!r}: {lhs} vs {rhs}")
 
     def _check(self, xis: np.ndarray, lhs: np.ndarray, rhs: np.ndarray, unbracketed,
@@ -588,15 +614,16 @@ class ThetaSolver:
         for i in np.flatnonzero(bad):
             self._check_one(xis[i], float(lhs[i]), float(rhs[i]), i in unbracketed, float(lo[i]))
 
+    @np.errstate(over="ignore")  # a custom envelope's numpy float past the range reads inf
     def solve(self, xi) -> float:
         xi = np.asarray(xi, dtype=float)
         if not xi.any():
             return 0.0
-        an, envelope, phi, lo0 = self.conj.an_value, self.envelope, self.phi, self._t_pos
+        an, envelope, ray, lo0 = self.conj.an_value, self.envelope, self.phi.ray(xi), self._t_pos
 
         def rhs(t: float) -> float:
             e = envelope(t)
-            r = phi(xi / e) if e > 0.0 else INF
+            r = ray(e) if e > 0.0 else INF
             return 0.0 if r < self._TINY else r
 
         def ratio(t: float) -> float:
@@ -606,13 +633,12 @@ class ThetaSolver:
             a, r = an(t), rhs(t)
             return a / r if a < r or 0.0 < r < INF else INF
 
-        with np.errstate(over="ignore"):  # xi / E past the float range reads inf
-            if lo0 > 0.0 and ratio(lo0) >= 1.0:
-                # root sits inside the zero-envelope plateau edge
-                return lo0
-            lo, hi = _log_root(ratio, 1.0, True, rel_tol=1e-13)
-            theta = 0.5 * (lo + hi)
-            self._check_one(xi, an(theta), rhs(theta), hi > self._cap, lo)
+        if lo0 > 0.0 and ratio(lo0) >= 1.0:
+            # root sits inside the zero-envelope plateau edge
+            return lo0
+        lo, hi = _log_root(ratio, 1.0, True, rel_tol=1e-13)
+        theta = 0.5 * (lo + hi)
+        self._check_one(xi, an(theta), rhs(theta), hi > self._cap, lo)
         return theta
 
     def solve_many(self, xis) -> np.ndarray:
@@ -624,25 +650,25 @@ class ThetaSolver:
         xis = np.asarray(xis, dtype=float)
         theta = np.zeros(len(xis))
         rows = np.flatnonzero(np.any(xis, axis=1))
-        lo0 = self._t_pos
+        rays, an, lo0 = self.phi.rays(xis), self.conj.an_values, self._t_pos
         if lo0 > 0.0 and rows.size:
-            at_lo = (self._rhs_many(xis[rows], np.full(rows.size, lo0))
+            at_lo = (self._rhs_rays(rays, rows, np.full(rows.size, lo0))
                      <= self.conj.an_value(lo0))
             theta[rows[at_lo]] = lo0
             rows = rows[~at_lo]
-        an, xs = self.conj.an_values, xis[rows]
 
         def ratio(ts: np.ndarray, r: np.ndarray) -> np.ndarray:
-            # solve's ratio for the rows r of xs
+            # solve's ratio for the entries r of rows
             out = np.zeros(ts.size)
             up = ts >= lo0
-            a, b = an(ts[up]), self._rhs_many(xs[r[up]], ts[up])
+            a, b = an(ts[up]), self._rhs_rays(rays, rows[r[up]], ts[up])
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 out[up] = np.where((a < b) | ((0.0 < b) & (b < INF)), a / b, INF)
             return out
 
         lo, hi = _log_root_many(ratio, np.ones(rows.size), True, rel_tol=1e-13)
         th = 0.5 * (lo + hi)
-        self._check(xs, an(th), self._rhs_many(xs, th), np.flatnonzero(hi > self._cap), lo)
+        self._check(xis[rows], an(th), self._rhs_rays(rays, rows, th),
+                    np.flatnonzero(hi > self._cap), lo)
         theta[rows] = th
         return theta

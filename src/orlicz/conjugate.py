@@ -10,16 +10,16 @@ H is tabulated once on a geometric grid at build time (15-node Gauss panels
 on a log axis, exponent-fit extrapolation at the improper endpoint) and
 wrapped in an in-house Fritsch–Carlson monotone cubic, so conjugate
 evaluations inside modular integrals stay cheap.  ``an`` and the plain-float
-copy of the table are cached on first use; each is a pure function of the
-object that holds it, so two threads that first use it at once may both
-build it but read the same values.  The integrand is an array function with one
-``values`` call of the base per call.  A build evaluates the nodes and right
-ends of 256 panels at a time, sums each panel in node order and accumulates
-the sums; it stops at the first panel that ends 3 zero panels in a row,
-takes ln H past ln 1e12, or ends beyond x = 690, and raises only for a
-non-finite panel at or before that stop.  Scalar queries run on plain
-floats; ``inverse_many`` and ``an_values`` run the same Newton iteration on
-whole arrays.
+copies of the table are cached on first use, not made by a build; each is a
+pure function of the object that holds it, so two threads that first use it
+at once may both build it but read the same values.  The integrand is an
+array function with one ``values`` call of the base per call.  A build
+evaluates the nodes and right ends of 256 panels at a time, sums each panel
+in node order and accumulates the sums; it stops at the first panel that
+ends 3 zero panels in a row, takes ln H past ln 1e12, or ends beyond
+x = 690, and raises only for a non-finite panel at or before that stop.
+H^{-1} runs Newton on the one cubic piece that brackets the level, on plain
+floats for a scalar and on whole arrays in ``inverse_many`` and ``an_values``.
 """
 
 from __future__ import annotations
@@ -178,8 +178,8 @@ class _MonotoneCubic:
     at interior knots, the three-point rule at the ends (the PCHIP rule).
 
     The coefficients of s^0..s^3 on each interval and those of the derivative
-    are kept twice: as float tuples for ``at`` and as arrays for ``at_many``;
-    both evaluate the same expressions, so they agree bit for bit.
+    are kept as arrays, and as float tuples made on the first scalar read;
+    each scalar method and its array twin agree bit for bit.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
@@ -200,9 +200,10 @@ class _MonotoneCubic:
         c2, c3 = (m - d[:-1]) / h - t, t / h
         self.x = x
         self.coef = np.array([y[:-1], d[:-1], c2, c3, 2.0 * c2, 3.0 * c3])
-        self._x = x.tolist()
-        self._coef = list(zip(*self.coef.tolist()))
-        self._last = len(self._x) - 2
+        self._last = len(x) - 2
+
+    _x = cached_property(lambda self: self.x.tolist())  # made on the first scalar read
+    _coef = cached_property(lambda self: list(zip(*self.coef.tolist())))
 
     def at(self, x: float) -> tuple:
         """(value, derivative) at a float inside the knot range."""
@@ -219,6 +220,42 @@ class _MonotoneCubic:
         s = x - self.x[i]
         s2 = s * s
         return c0 + c1 * s + c2 * s2 + c3 * (s2 * s), c1 + d2 * s + d3 * s2
+
+    def root(self, i: int, x: float, y: float) -> float:
+        """Newton's iteration for the value ``y`` from x on the monotone piece
+        i, which holds the root, each iterate clamped to it; it stops after 12
+        steps, at a step below 1e-14 max(1, |x|) or a derivative <= 0."""
+        c0, c1, c2, c3, d2, d3 = self._coef[i]
+        a, b = self._x[i], self._x[i + 1]
+        for _ in range(12):
+            s = x - a
+            s2 = s * s
+            slope = c1 + d2 * s + d3 * s2
+            if slope <= 0.0:
+                break
+            step = (c0 + c1 * s + c2 * s2 + c3 * (s2 * s) - y) / slope
+            x = min(max(x - step, a), b)
+            if abs(step) < 1e-14 * max(1.0, abs(x)):
+                break
+        return x
+
+    def root_many(self, i: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """``root`` entry by entry on arrays, each entry frozen where it stops."""
+        c0, c1, c2, c3, d2, d3 = self.coef[:, i]
+        a, b = self.x[i], self.x[i + 1]
+        live = np.ones(x.shape, dtype=bool)
+        for _ in range(12):
+            s = x - a
+            s2 = s * s
+            slope = c1 + d2 * s + d3 * s2
+            live &= slope > 0.0
+            with np.errstate(divide="ignore", invalid="ignore"):  # not live: unused
+                step = (c0 + c1 * s + c2 * s2 + c3 * (s2 * s) - y) / slope
+            x = np.where(live, np.minimum(np.maximum(x - step, a), b), x)
+            live &= np.abs(step) >= 1e-14 * np.maximum(1.0, np.abs(x))
+            if not live.any():
+                break
+        return x
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +352,7 @@ class HnTable:
             self._I_total = math.exp(self._lnI[-1]) + tail
         self.limit = (self._I_total ** (1.0 / self.nprime)
                       if self._I_total != INF else INF)
-        # plain-float copies of the knots and the table ends for the scalar paths
-        self._x_list = self._cubic._x
+        # the table ends for the scalar paths
         self._x_lo, self._x_hi = float(self._xs[0]), float(self._xs[-1])
         self._lnH_lo, self._lnH_hi = float(self._lnH[0]), float(self._lnH[-1])
         self._lnI_lo = float(self._lnI[0])
@@ -344,9 +380,9 @@ class HnTable:
         x = math.log(s)
         if x < self._x_lo:
             return self(s)
-        j = bisect_right(self._x_list, x) - 1
+        j = bisect_right(self._cubic._x, x) - 1
         base = math.exp(self._lnI[j])
-        inc = _quad_interval(_in_log_variable(self._g), self._x_list[j], x, rel=1e-11)
+        inc = _quad_interval(_in_log_variable(self._g), self._cubic._x[j], x, rel=1e-11)
         if inc == INF:
             return INF
         total = base + inc
@@ -355,21 +391,19 @@ class HnTable:
         return total ** (1.0 / self.nprime)
 
     # -- inverse -----------------------------------------------------------
-    @cached_property
-    def _lnH_list(self) -> list:  # made on the first scalar inverse, not by a build
-        return self._lnH.tolist()
+    _lnH_list = cached_property(lambda self: self._lnH.tolist())  # made on the first scalar read
 
-    def _chord(self, lt: float) -> float:
-        """``np.interp(lt, lnH, xs)`` inside the table, bit for bit, on plain floats."""
-        xs, lnH = self._x_list, self._lnH_list
+    def _chord(self, lt: float) -> tuple:
+        """(np.interp(lt, lnH, xs) bit for bit, the last j with lnH_j <= lt), on plain floats."""
+        xs, lnH = self._cubic._x, self._lnH_list
         j = bisect_right(lnH, lt) - 1
         if lt == lnH[j]:
-            return xs[j]
-        return (xs[j + 1] - xs[j]) / (lnH[j + 1] - lnH[j]) * (lt - lnH[j]) + xs[j]
+            return xs[j], j
+        return (xs[j + 1] - xs[j]) / (lnH[j + 1] - lnH[j]) * (lt - lnH[j]) + xs[j], j
 
     def inverse(self, t: float) -> float:
         """H^{-1}(t): closed forms beyond the table ends, Newton from ``_chord``
-        inside; nan for nan."""
+        inside, on the piece that brackets ln t (the last for the top knot); nan for nan."""
         if not t > 0.0:
             return 0.0 if t <= 0.0 else t
         if self.limit != INF and t >= self.limit:
@@ -384,24 +418,14 @@ class HnTable:
                 return INF
             x = self._x_hi + (lt - self._lnH_hi) / self._tail_slope
             return INF if x > 700.0 else math.exp(x)
-        x = self._chord(lt)
-        at = self._cubic.at
-        for _ in range(12):
-            fx, dfx = at(x)
-            if dfx <= 0.0:
-                break
-            step = (fx - lt) / dfx
-            x -= step
-            x = min(max(x, self._x_lo), self._x_hi)
-            if abs(step) < 1e-14 * max(1.0, abs(x)):
-                break
-        return math.exp(x)
+        x, j = self._chord(lt)
+        return math.exp(self._cubic.root(min(j, self._cubic._last), x, lt))
 
     def inverse_many(self, ts) -> np.ndarray:
-        """``inverse`` on an array: its branches, chord start and Newton
-        iteration, run on the entries that have not yet stopped.  The two
-        agree to 1e-12 relative, not bit for bit: ``inverse`` rounds exp and
-        log through libm, this method through numpy."""
+        """``inverse`` on an array: its branches, chord start, piece and
+        Newton iteration, entry by entry.  The two agree to 1e-12 relative,
+        not bit for bit: ``inverse`` rounds exp and log through libm, this
+        method through numpy; with numpy's in both they agree exactly."""
         ts = np.asarray(ts, dtype=float)
         t = ts.ravel()
         out = np.where(np.isnan(t), t, 0.0)
@@ -422,18 +446,8 @@ class HnTable:
         idx = np.flatnonzero(live & ~head & ~tail)
         target = lt[idx]
         x = np.interp(target, self._lnH, self._xs)
-        act = np.arange(idx.size)
-        for _ in range(12):
-            if not act.size:
-                break
-            fx, dfx = self._cubic.at_many(x[act])
-            up = dfx > 0.0
-            act = act[up]
-            step = (fx[up] - target[act]) / dfx[up]
-            xa = np.clip(x[act] - step, self._x_lo, self._x_hi)
-            x[act] = xa
-            act = act[np.abs(step) >= 1e-14 * np.maximum(1.0, np.abs(xa))]
-        out[idx] = np.exp(x)
+        j = np.searchsorted(self._lnH, target, side="right") - 1
+        out[idx] = np.exp(self._cubic.root_many(np.minimum(j, self._cubic._last), x, target))
         return out.reshape(ts.shape)
 
 

@@ -681,13 +681,13 @@ class TestThetaMany:
         # check makes one call of its own
         solver = iso_solver("one")
         calls = [0]
-        rhs_many = oz.ThetaSolver._rhs_many
+        rhs_rays = oz.ThetaSolver._rhs_rays
 
-        def counted(self, xis, ts):
+        def counted(self, rays, rows, ts):
             calls[0] += 1
-            return rhs_many(self, xis, ts)
+            return rhs_rays(self, rays, rows, ts)
 
-        monkeypatch.setattr(oz.ThetaSolver, "_rhs_many", counted)
+        monkeypatch.setattr(oz.ThetaSolver, "_rhs_rays", counted)
         xi = np.array([xi])
         theta = solver.solve_many(xi)[0]
         assert calls[0] <= most
@@ -876,6 +876,89 @@ class TestQuietOverflow:
         assert quietly(phi.values, np.array([row, [0.0] * len(row)])).tolist() == [INF, 0.0]
 
 
+# an entry: 0, or +-10^u over most of the float range
+RAY_ENTRY = st.tuples(st.sampled_from([-1.0, 0.0, 1.0]), st.floats(-300.0, 300.0)).map(
+    lambda su: su[0] * 10.0 ** su[1])
+# up to two entries of a row replaced by inf, -inf or nan
+RAY_SPOILS = st.lists(st.tuples(st.integers(0, 2), st.sampled_from([INF, -INF, math.nan])),
+                      max_size=2)
+
+
+def spoiled(entries, spoils) -> np.ndarray:
+    xi = np.array(entries, dtype=float)
+    for i, v in spoils:
+        xi[i] = v
+    return xi
+
+
+def same_read(got: float, want: float) -> bool:
+    """Equal where either is nan or inf; else within 1e-14 relative, where a
+    value below the smallest normal float, which theta reads as 0, matches
+    any other such value, 0 among them."""
+    if math.isnan(got) or math.isnan(want) or INF in (got, want):
+        return same(got, want)
+    return abs(got - want) <= 1e-14 * abs(want) + np.finfo(float).tiny
+
+
+class TestRays:
+    """Phi(xi / e) read along the ray of xi against the reads it replaces."""
+
+    # A(r) = r^2 overflows and underflows where the squared norm of xi / e
+    # does, so A(|xi| / e) and A(|xi / e|) can agree at both ends
+    PHI = oz.Isotropic(oz.Power(2), 3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(entries=st.tuples(RAY_ENTRY, RAY_ENTRY, RAY_ENTRY), spoils=RAY_SPOILS,
+           es=st.lists(log_uniform(1e-300, 1e300), min_size=1, max_size=4))
+    def test_isotropic_ray_is_phi_of_xi_over_e(self, entries, spoils, es):
+        xi = spoiled(entries, spoils)
+        ray = quietly(self.PHI.ray, xi)
+        for e in es:
+            with np.errstate(over="ignore", under="ignore"):
+                want = self.PHI(xi / e)
+            assert same_read(quietly(ray, e), want), (xi, e)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.lists(st.tuples(st.tuples(RAY_ENTRY, RAY_ENTRY, RAY_ENTRY), RAY_SPOILS,
+                                   log_uniform(1e-300, 1e300)), min_size=1, max_size=8),
+           data=st.data())
+    def test_isotropic_rays_match_ray(self, rows, data):
+        xis = np.array([spoiled(entries, spoils) for entries, spoils, _ in rows])
+        es = np.array([e for *_, e in rows])
+        pick = np.array(data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=8)),
+                        dtype=int)
+        got = quietly(self.PHI.rays(xis), pick, es[pick])
+        for i, g in zip(pick.tolist(), got.tolist()):
+            assert same_read(g, self.PHI.ray(xis[i])(float(es[i])))
+
+    @pytest.mark.parametrize("kind", ["orthotropic", "linear_image", "black_box"])
+    def test_other_kinds_divide_and_call(self, kind):
+        # the base forms, bit for bit: no other kind overrides them
+        phi = {"orthotropic": oz.Orthotropic((oz.Power(1.5), oz.PowerLog(2, 1), oz.Exp(1.0))),
+               "linear_image": TestQuietOverflow.linear_image(3),
+               "black_box": oz.BlackBox(lambda x: float(np.sum(np.abs(x) ** 1.5)), 3)}[kind]
+        assert type(phi).ray is oz.NDimYoung.ray and type(phi).rays is oz.NDimYoung.rays
+        rng = np.random.default_rng(19)
+        xis = np.concatenate([rng.normal(size=(20, 3)) * 10.0 ** rng.uniform(-3, 3, (20, 1)),
+                              [[INF, 0.0, 1.0], [1e200, 1e200, 0.0], [0.0, 0.0, 0.0]]])
+        es = 10.0 ** rng.uniform(-3, 3, len(xis))
+        rows = np.arange(len(xis))[::-1]
+        with np.errstate(over="ignore"):
+            want = phi.values(xis[rows] / es[rows, None])
+            want_one = [phi(xi / e) for xi, e in zip(xis, es.tolist())]
+        assert np.array_equal(quietly(phi.rays(xis), rows, es[rows]), want, equal_nan=True)
+        assert [quietly(phi.ray(xi), e) for xi, e in zip(xis, es.tolist())] == want_one
+
+    def test_huge_xi_reads_its_norm(self):
+        # |xi| = 1.7e160 overflows a squared norm; math.hypot and np.hypot
+        # do not, so A(|xi| / e) is finite once e is large enough
+        xi = np.array([1e160, 1e160, 1e160])
+        want = 3.0  # (|xi| / e)^2
+        assert quietly(self.PHI.ray(xi), 1e160) == pytest.approx(want, rel=1e-15)
+        assert quietly(self.PHI.rays(xi[None]), np.array([0]),
+                       np.array([1e160]))[0] == pytest.approx(want, rel=1e-15)
+
+
 def check_message(check, *args):
     """The message of the YoungError ``check(*args)`` raises, or None."""
     try:
@@ -972,7 +1055,8 @@ class TestScalarTheta:
         theta = 0.5 * (lo + hi)
         with np.errstate(over="ignore"):  # the former check of ``solve``
             want = check_message(solver._check, xi[None], np.array([solver.conj.an_value(theta)]),
-                                 solver._rhs_many(xi[None], np.array([theta])),
+                                 solver._rhs_rays(solver.phi.rays(xi[None]), np.array([0]),
+                                                  np.array([theta])),
                                  [0] if hi > solver._cap else [], np.array([lo]))
         assert got == want
         assert (got is None) == (case in ("ordinary", "subnormal"))
@@ -990,7 +1074,7 @@ class TestScalarTheta:
         xi = np.array(xi[:3]) * 10.0 ** xi[3]
         theta = solver.solve(xi) * (1.0 + sign * 10.0 ** shift)
         lhs = solver.conj.an_value(theta)
-        rhs = solver._rhs_many(xi[None], np.array([theta]))
+        rhs = solver._rhs_rays(solver.phi.rays(xi[None]), np.array([0]), np.array([theta]))
         # Phi has no jump, so the bracket's lower end is never read
         got = check_message(solver._check_one, xi, lhs, float(rhs[0]), unbracketed, theta)
         want = check_message(solver._check, xi[None], np.array([lhs]), rhs,
@@ -1000,7 +1084,7 @@ class TestScalarTheta:
     @pytest.mark.parametrize("env_name", sorted(ENVELOPES))
     def test_one_conjugate_value_per_step_and_no_rows(self, env_name, monkeypatch):
         solver = iso_solver(env_name)
-        calls = {"an_value": 0, "ratio": 0, "_rhs_many": 0, "values": 0}
+        calls = {"an_value": 0, "ratio": 0, "_rhs_rays": 0, "values": 0, "__call__": 0}
 
         def counting(owner, name):
             original = getattr(owner, name)
@@ -1012,8 +1096,9 @@ class TestScalarTheta:
             monkeypatch.setattr(owner, name, counted)
 
         counting(type(solver.conj), "an_value")
-        counting(oz.ThetaSolver, "_rhs_many")
+        counting(oz.ThetaSolver, "_rhs_rays")
         counting(oz.Isotropic, "values")
+        counting(oz.Isotropic, "__call__")  # the ray reads A(|xi| / E) instead
         log_root = aniso._log_root
 
         def steps(fn, *args, **kwargs):
@@ -1031,4 +1116,4 @@ class TestScalarTheta:
             if edge and theta == solver._t_pos:
                 continue  # the plateau-edge exit: one step, no search, no check
             assert calls["an_value"] == calls["ratio"] + edge + 1
-            assert calls["_rhs_many"] == calls["values"] == 0
+            assert calls["_rhs_rays"] == calls["values"] == calls["__call__"] == 0

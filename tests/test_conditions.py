@@ -333,13 +333,13 @@ class TestAniso:
         # every row of a sampling grid shares each step of one search, so
         # the calls do not grow with the steps a lone row would take
         calls = [0]
-        rhs_many = oz.ThetaSolver._rhs_many
+        rhs_rays = oz.ThetaSolver._rhs_rays
 
-        def counted(self, xis, ts):
+        def counted(self, rays, rows, ts):
             calls[0] += 1
-            return rhs_many(self, xis, ts)
+            return rhs_rays(self, rays, rows, ts)
 
-        monkeypatch.setattr(oz.ThetaSolver, "_rhs_many", counted)
+        monkeypatch.setattr(oz.ThetaSolver, "_rhs_rays", counted)
         oz.check_aniso(oz.Isotropic(oz.Power(2), 3), oz.Isotropic(oz.Power(1.3), 3),
                        oz.Envelope.power(1.0), 3)
         assert calls[0] <= 24

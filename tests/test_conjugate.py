@@ -406,7 +406,8 @@ class TestPlainFloatReads:
         lts = np.concatenate([rng.uniform(lo, hi, 4000), hn._lnH,  # every knot exactly
                               [np.nextafter(lo, INF), np.nextafter(hi, -INF)]])
         for lt in lts.tolist():
-            assert hn._chord(lt) == float(np.interp(lt, hn._lnH, hn._xs))
+            j = int(np.searchsorted(hn._lnH, lt, side="right")) - 1
+            assert hn._chord(lt) == (float(np.interp(lt, hn._lnH, hn._xs)), j)
 
     @plain_tables
     def test_inverse_many_matches_inverse_bit_for_bit(self, name, n, monkeypatch):
@@ -425,6 +426,44 @@ class TestPlainFloatReads:
         assert (lts < hn._lnH_lo).any() and ((lts >= hn._lnH_lo) & (lts <= hn._lnH_hi)).any()
         # a saturating table ends at its limit: it has no tail branch
         assert (lts > hn._lnH_hi).any() or hn.limit != INF
+
+    @plain_tables
+    def test_newton_stays_on_the_bracketing_piece(self, name, n, monkeypatch):
+        # with exp the identity, inverse returns Newton's x = ln H^{-1}(t)
+        hn = plain_table(name, n)
+        kernel = hn._cubic
+        rng = np.random.default_rng(17)
+        ts = np.exp(rng.uniform(hn._lnH_lo, hn._lnH_hi, 2000)).tolist()
+        monkeypatch.setattr(conjugate, "math", types.SimpleNamespace(log=math.log,
+                                                                     exp=lambda x: x))
+        for t in ts:
+            x, lt = hn.inverse(t), math.log(t)
+            j = int(np.searchsorted(hn._lnH, lt, side="right")) - 1
+            i = min(j, len(hn._xs) - 2)
+            assert hn._xs[i] <= x <= hn._xs[i + 1]
+            # the piece's cubic meets ln t: one more Newton step would stop
+            c0, c1, c2, c3, d2, d3 = kernel.coef[:, i].tolist()
+            s = x - hn._xs[i]
+            value, slope = c0 + c1 * s + c2 * s * s + c3 * s ** 3, c1 + d2 * s + d3 * s * s
+            assert abs(value - lt) < 1e-14 * max(1.0, abs(x)) * slope
+
+    def test_flat_top_knot_hit(self):
+        # the last three knots of this table share one ln H: a level at it
+        # reads the last of them, 1.43e153, not the 1.07e153 before it
+        hn = plain_table("power_log", 2)
+        assert hn._lnH[-3] == hn._lnH[-2] == hn._lnH[-1]
+        t = math.exp(hn._lnH_hi)
+        assert hn.inverse(t) == math.exp(hn._xs[-1]) == pytest.approx(1.433e153, rel=1e-3)
+        assert hn.inverse_many(np.array([t])).tolist() == [float(np.exp(hn._xs[-1]))]
+
+    def test_array_reads_make_no_plain_float_copies(self):
+        conj = oz.sobolev_conjugate(oz.Power(1.7), 2)
+        conj.an_values(np.geomspace(1e-3, 1e3, 50))
+        assert not {"_x", "_coef"} & vars(conj.hn._cubic).keys()
+        assert "_lnH_list" not in vars(conj.hn)
+        conj.an_value(1.0)  # the first scalar read makes them
+        assert {"_x", "_coef"} <= vars(conj.hn._cubic).keys()
+        assert "_lnH_list" in vars(conj.hn)
 
     @plain_tables
     def test_refined_reads_the_searchsorted_panel(self, name, n, monkeypatch):
