@@ -65,17 +65,40 @@ def _panel_sums(vals: np.ndarray, halfwidths, w: np.ndarray = G15_W) -> np.ndarr
         total = np.cumsum(terms, axis=2, out=terms)[:, :, -1] * halfwidths
     bad = ~np.isfinite(total)  # a non-finite sample makes the sum non-finite
     if bad.any():
-        vb = v[bad]
-        total[bad] = np.where((np.isnan(vb) | (vb == INF)).any(axis=1), INF,
-                              np.where((vb == -INF).any(axis=1), -INF, total[bad]))
+        total[bad] = _signed(v[bad], total[bad])
     return total
+
+
+def _signed(samples: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    """Non-finite panel ``sums`` with the rule's sign: -inf when every
+    non-finite sample of the panel's row of ``samples`` is -inf, else +inf."""
+    return np.where((np.isnan(samples) | (samples == INF)).any(axis=1), INF,
+                    np.where((samples == -INF).any(axis=1), -INF, sums))
+
+
+# K21's weights and G10's stacked, G10's zero at the nodes only K21 has
+_KG_W = np.stack([K21_W, np.zeros(21)])
+_KG_W[1, 1::2] = G10_W
 
 
 def _kronrod(vals: np.ndarray, halfwidths) -> tuple:
     """The K21 and the G10 sums of consecutive 21-node panels, each as
-    ``_panel_sums`` gives them."""
-    gauss = vals.reshape(len(vals), -1, 21)[:, :, 1::2].reshape(len(vals), -1)
-    return _panel_sums(vals, halfwidths, K21_W), _panel_sums(gauss, halfwidths, G10_W)
+    ``_panel_sums`` gives them, from one running sum over both rules.
+
+    G10's terms at the nodes only K21 has are -0.0, not 0 times a sample
+    that may be infinite: x + -0.0 is x bit for bit, a zero of either sign
+    included.
+    """
+    v = vals.reshape(len(vals), -1, 1, 21)
+    with np.errstate(invalid="ignore"):  # 0 * inf, overwritten; an inf and a -inf: set below
+        terms = v * _KG_W
+        terms[:, :, 1, ::2] = -0.0
+        total = np.cumsum(terms, axis=3, out=terms)[..., -1] * np.reshape(halfwidths, (-1, 1))
+    bad = ~np.isfinite(total)
+    if bad.any():  # each rule's sign from the samples it reads
+        row, panel, rule = np.nonzero(bad)
+        total[bad] = _signed(np.where(_KG_W[rule] != 0.0, v[row, panel, 0], 0.0), total[bad])
+    return total[..., 0], total[..., 1]
 
 
 def gauss15(f, a: float, b: float) -> float:

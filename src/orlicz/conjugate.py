@@ -179,7 +179,7 @@ class _MonotoneCubic:
 
     The coefficients of s^0..s^3 on each interval and those of the derivative
     are kept as arrays, and as float tuples made on the first scalar read;
-    each scalar method and its array twin agree bit for bit.
+    ``root`` and its array twin ``root_many`` agree bit for bit.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
@@ -210,14 +210,6 @@ class _MonotoneCubic:
         i = min(max(bisect_right(self._x, x) - 1, 0), self._last)
         c0, c1, c2, c3, d2, d3 = self._coef[i]
         s = x - self._x[i]
-        s2 = s * s
-        return c0 + c1 * s + c2 * s2 + c3 * (s2 * s), c1 + d2 * s + d3 * s2
-
-    def at_many(self, x: np.ndarray) -> tuple:
-        """Array version of ``at``."""
-        i = np.clip(np.searchsorted(self.x, x, side="right") - 1, 0, self._last)
-        c0, c1, c2, c3, d2, d3 = self.coef[:, i]
-        s = x - self.x[i]
         s2 = s * s
         return c0 + c1 * s + c2 * s2 + c3 * (s2 * s), c1 + d2 * s + d3 * s2
 

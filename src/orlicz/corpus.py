@@ -29,7 +29,7 @@ def coordinate_field(dim: int, axis: int = 0) -> TestFunction:
         return g
 
     return TestFunction.from_batch(lambda X: X[:, axis].copy(), gradients,
-                                   f"x{axis + 1}")
+                                   f"x{axis + 1}", (axis,))
 
 
 def product_sine(dim: int) -> TestFunction:

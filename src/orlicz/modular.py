@@ -101,6 +101,11 @@ class TestFunction:
     optional ``batch_value(X)`` and ``batch_gradient(X)`` act on an (m, n)
     array of points and return the (m,) values and the (m, n) gradients;
     without them, ``values`` and ``gradients`` loop over the rows.
+
+    ``axes``, when given, is a tuple of the coordinates the field reads: its
+    value and gradient do not change with any other coordinate, and its
+    gradient is 0 on them.  Box integration then evaluates the field once
+    per row of an unread axis.  ``None`` means every axis.
     """
 
     value: Callable[[np.ndarray], float]
@@ -108,12 +113,14 @@ class TestFunction:
     label: str = ""
     batch_value: Optional[Callable[[np.ndarray], np.ndarray]] = None
     batch_gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    axes: Optional[tuple] = None
 
     @classmethod
-    def from_batch(cls, values, gradients, label: str = "") -> "TestFunction":
+    def from_batch(cls, values, gradients, label: str = "",
+                   axes: Optional[tuple] = None) -> "TestFunction":
         """Field given by its batch forms; one point is a batch of one row."""
         return cls(lambda x: float(values(_one_row(x))[0]),
-                   lambda x: gradients(_one_row(x))[0], label, values, gradients)
+                   lambda x: gradients(_one_row(x))[0], label, values, gradients, axes)
 
     def values(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -131,19 +138,20 @@ class TestFunction:
         return TestFunction.from_batch(
             lambda X: self.values(X) - other.values(X),
             lambda X: self.gradients(X) - other.gradients(X),
-            f"{self.label}-{other.label}")
+            f"{self.label}-{other.label}",
+            None if None in (self.axes, other.axes) else tuple(sorted({*self.axes, *other.axes})))
 
     def scaled(self, c: float) -> "TestFunction":
         return TestFunction.from_batch(
             lambda X: c * self.values(X),
             lambda X: c * self.gradients(X),
-            f"{c:g}*{self.label}")
+            f"{c:g}*{self.label}", self.axes)
 
     def shifted(self, c: float, label: Optional[str] = None) -> "TestFunction":
         """u + c, with the gradient of u."""
         return TestFunction.from_batch(
             lambda X: self.values(X) + c, self.gradients,
-            label if label is not None else f"{self.label}+{c:g}")
+            label if label is not None else f"{self.label}+{c:g}", self.axes)
 
     def gradient_consistent(self, box: BoxDomain, points: int = 32,
                             rel_tol: float = 1e-4, seed: int = 7,
@@ -170,7 +178,7 @@ def _one_row(x) -> np.ndarray:
 
 def constant_function(c: float, n: int) -> TestFunction:
     return TestFunction.from_batch(lambda X: np.full(len(X), float(c)),
-                                   lambda X: np.zeros((len(X), n)), f"const{c:g}")
+                                   lambda X: np.zeros((len(X), n)), f"const{c:g}", ())
 
 
 def sup_norm(u: TestFunction, box: BoxDomain) -> float:
@@ -296,11 +304,17 @@ def integrate_box(fn: Callable[[np.ndarray], np.ndarray], box: BoxDomain,
                                  truncation_radius)[0])
 
 
-def _integrate_rows(fn, params, box: BoxDomain, rel_tol: float, truncation_radius=None):
+def _integrate_rows(fn, params, box: BoxDomain, rel_tol: float, truncation_radius=None,
+                    reads=None):
     """The integrals of x -> fn(x, p) for each p in ``params``, one top row
     each, in one pass; each equals its own ``integrate_box`` bit for bit.
     ``fn(X, P)`` takes the (m, n) points and their parameters, one per point
-    or, when all points share one, a single one."""
+    or, when all points share one, a single one.
+
+    ``reads``, when given, holds the axes fn reads.  On any other axis the
+    inner axes are integrated once per row, at the axis midpoint, and that
+    value is every node's sample: the samples fn would give there anyway.
+    """
     if not box.finite:
         if truncation_radius is None:
             raise DomainError(
@@ -317,23 +331,30 @@ def _integrate_rows(fn, params, box: BoxDomain, rel_tol: float, truncation_radiu
         if i == n:
             return np.asarray(fn(prefix, ps), dtype=float)
 
-        def grid(idx, xs):
-            pts = np.empty((len(idx), np.shape(xs)[-1], i + 1))
-            pts[:, :, :i] = prefix[idx, None, :]
-            pts[:, :, i] = xs
-            own = ps if len(ps) == 1 else np.repeat(ps[idx], pts.shape[1])
-            return level(i + 1, pts.reshape(-1, i + 1), own).reshape(pts.shape[:2])
-
-        def block(xs, idx):
-            """Rows ``idx`` at nodes xs: shared, or one row of nodes per row."""
-            step = max(1, _BLOCK_POINTS // np.shape(xs)[-1])
-            if len(idx) <= step:
-                return grid(idx, xs)
-            xs = np.broadcast_to(xs, (len(idx), np.shape(xs)[-1]))
-            return np.concatenate([grid(idx[s:s + step], xs[s:s + step])
-                                   for s in range(0, len(idx), step)])
-
         lo, hi = box.lower[i], box.upper[i]
+        if reads is not None and i not in reads:  # one inner pass per row serves every node
+            mids = np.concatenate([prefix, np.full((len(prefix), 1), 0.5 * (lo + hi))], axis=1)
+            inner = level(i + 1, mids, ps)
+
+            def block(xs, idx):
+                return inner[idx, None].repeat(np.shape(xs)[-1], axis=1)
+        else:
+            def grid(idx, xs):
+                pts = np.empty((len(idx), np.shape(xs)[-1], i + 1))
+                pts[:, :, :i] = prefix[idx, None, :]
+                pts[:, :, i] = xs
+                own = ps if len(ps) == 1 else np.repeat(ps[idx], pts.shape[1])
+                return level(i + 1, pts.reshape(-1, i + 1), own).reshape(pts.shape[:2])
+
+            def block(xs, idx):
+                """Rows ``idx`` at nodes xs: shared, or one row of nodes per row."""
+                step = max(1, _BLOCK_POINTS // np.shape(xs)[-1])
+                if len(idx) <= step:
+                    return grid(idx, xs)
+                xs = np.broadcast_to(xs, (len(idx), np.shape(xs)[-1]))
+                return np.concatenate([grid(idx[s:s + step], xs[s:s + step])
+                                       for s in range(0, len(idx), step)])
+
         sing_lo, sing_hi = (i, "lower") in sing, (i, "upper") in sing
         if not (sing_lo or sing_hi):
             return quad_rows(block, lo, hi, rel_tol, rows=len(prefix))
@@ -358,19 +379,24 @@ def modular_integral(u: TestFunction, y: YoungFunction, lam: float,
                      box: BoxDomain, rel_tol: float = 1e-8,
                      truncation_radius: Optional[float] = None) -> float:
     """int_box A(|u(x)| / lambda) dx, +inf allowed."""
-    _check("modular", "scale lambda", lam, 0.0)
-    f = _integrand(u, y, False)
-    return integrate_box(lambda X: f(X, lam), box, rel_tol,
-                         truncation_radius=truncation_radius)
+    return _modular(u, y, lam, box, rel_tol, False, truncation_radius)
 
 
 def modular_integral_gradient(u: TestFunction, y, lam: float,
                               box: BoxDomain, rel_tol: float = 1e-8) -> float:
     """Gradient modular; isotropic A acts on |grad u|, an n-dimensional
     Young function acts on the full gradient vector."""
+    return _modular(u, y, lam, box, rel_tol, True)
+
+
+def _modular(u: TestFunction, y, lam: float, box: BoxDomain, rel_tol: float,
+             gradient: bool, truncation_radius: Optional[float] = None) -> float:
+    """``integrate_box`` of the modular's integrand, skipping the axes u does
+    not read."""
     _check("modular", "scale lambda", lam, 0.0)
-    f = _integrand(u, y, True)
-    return integrate_box(lambda X: f(X, lam), box, rel_tol)
+    f = _integrand(u, y, gradient)
+    return float(_integrate_rows(lambda X, P: f(X, lam), np.zeros(1), box, rel_tol,
+                                 truncation_radius, u.axes)[0])
 
 
 def _integrand(u: TestFunction, y, gradient: bool):
@@ -517,8 +543,10 @@ def modular_convergence(seq: Sequence[TestFunction], limit: TestFunction,
     grad_m = np.zeros((K, L))
     scales = np.array(lams)
     for i, d in enumerate(diffs):  # one pass over the lambda grid per modular
-        value_m[i] = _integrate_rows(_integrand(d, y, False), scales, box, rel_tol)
-        grad_m[i] = _integrate_rows(_integrand(d, y, True), scales, box, rel_tol)
+        value_m[i] = _integrate_rows(_integrand(d, y, False), scales, box, rel_tol,
+                                     reads=d.axes)
+        grad_m[i] = _integrate_rows(_integrand(d, y, True), scales, box, rel_tol,
+                                    reads=d.axes)
     combined = value_m + grad_m
 
     converging = tuple(lams[j] for j in range(L) if trajectory_converges(combined[:, j]))

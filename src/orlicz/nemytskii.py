@@ -216,7 +216,7 @@ def compose(spec: LipschitzSpec, u: TestFunction) -> TestFunction:
     return TestFunction.from_batch(
         lambda X: _elementwise(spec.f, u.values(X)),
         lambda X: _elementwise(spec.fprime, u.values(X))[:, None] * u.gradients(X),
-        f"{spec.label}({u.label})")
+        f"{spec.label}({u.label})", u.axes)
 
 
 def truncate(u: TestFunction, s: float) -> TestFunction:
@@ -231,7 +231,7 @@ def truncate(u: TestFunction, s: float) -> TestFunction:
         keep = np.abs(u.values(X)) >= s
         return np.where(keep[:, None], u.gradients(X), 0.0)
 
-    return TestFunction.from_batch(values, gradients, f"trunc{s:g}({u.label})")
+    return TestFunction.from_batch(values, gradients, f"trunc{s:g}({u.label})", u.axes)
 
 
 def abs_shift_spec(shift: float = 1.0) -> LipschitzSpec:
@@ -404,7 +404,7 @@ def singular_log_field(dim: int) -> TestFunction:
         g[:, 0] = np.where(pos, np.log(np.where(pos, t, 1.0)), -INF)
         return g
 
-    return TestFunction.from_batch(values, gradients, "one_plus_xlogx")
+    return TestFunction.from_batch(values, gradients, "one_plus_xlogx", (0,))
 
 
 @dataclass(frozen=True)

@@ -335,11 +335,9 @@ class TestMonotoneCubic:
         ref = interpolate.PchipInterpolator(hn._xs, hn._lnH, extrapolate=False)
         xs = np.concatenate([hn._xs, hn._xs[0] + np.array(us) * (hn._xs[-1] - hn._xs[0])])
         kernel = _MonotoneCubic(hn._xs, hn._lnH)
-        value, slope = kernel.at_many(xs)
+        value, slope = np.array([kernel.at(x) for x in xs.tolist()]).T
         np.testing.assert_allclose(value, ref(xs), rtol=1e-14, atol=0.0)
         np.testing.assert_allclose(slope, ref.derivative()(xs), rtol=1e-14, atol=0.0)
-        # the scalar path evaluates the same expressions
-        assert [kernel.at(x) for x in xs.tolist()] == list(zip(value.tolist(), slope.tolist()))
 
 
 class TestArrayPaths:

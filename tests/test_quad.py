@@ -660,15 +660,15 @@ FINITE = st.floats(-1e3, 1e3)
 HUGE = st.floats(1e306, 1.7e308).flatmap(lambda x: st.sampled_from([x, -x]))
 
 
-def panels(samples, max_panels=4):
-    """(m, 15 p) sample arrays; p and m are drawn too."""
+def panels(samples, max_panels=4, nodes=15):
+    """(m, nodes p) sample arrays; p and m are drawn too."""
     return st.integers(1, 3).flatmap(lambda m: st.integers(1, max_panels).flatmap(
-        lambda p: st.lists(samples, min_size=15 * m * p, max_size=15 * m * p).map(
-            lambda xs: np.array(xs).reshape(m, 15 * p))))
+        lambda p: st.lists(samples, min_size=nodes * m * p, max_size=nodes * m * p).map(
+            lambda xs: np.array(xs).reshape(m, nodes * p))))
 
 
-def halfwidths(vals):
-    p = vals.shape[1] // 15
+def halfwidths(vals, nodes=15):
+    p = vals.shape[1] // nodes
     return st.lists(st.sampled_from([0.0, 0.5, 1e-3, 2.0, 1e300]), min_size=p,
                     max_size=p).map(np.array)
 
@@ -704,6 +704,24 @@ class TestPanelKernelBits:
             assert same_bits(got, want)
         with np.errstate(over="ignore", invalid="ignore"):
             assert _panel_sums(vals, np.array([0.0, 0.0]))[2, 0] == -INF
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data(), mix=st.sampled_from([(-INF,), (-INF, INF), (math.nan,), (-0.0, 0.0)]))
+    def test_kronrod_is_two_panel_sums(self, data, mix):
+        # the one running sum of K21 and G10 against each rule's own panel sum,
+        # through non-finite samples, overflow and zeros of either sign
+        vals = data.draw(panels(st.one_of(FINITE, HUGE, st.sampled_from(mix)), nodes=21))
+        hw = data.draw(halfwidths(vals, nodes=21))
+        with np.errstate(over="ignore", invalid="ignore"):
+            k, g = _kronrod(vals, hw)
+            want_g = _panel_sums(vals.reshape(len(vals), -1, 21)[:, :, 1::2].reshape(len(vals), -1),
+                                 hw, G10_W)
+            assert same_bits(k, _panel_sums(vals, hw, K21_W)) and same_bits(g, want_g)
+
+    def test_kronrod_keeps_negative_zero_sums(self):
+        # a panel of -0.0 samples sums to -0.0 under both rules
+        k, g = _kronrod(np.full((1, 21), -0.0), 0.5)
+        assert same_bits(k, [[-0.0]]) and same_bits(g, [[-0.0]])
 
 
 def signed_face_family(X, P):
@@ -784,6 +802,103 @@ class TestRowPassBits:
             assert same_bits(got, [oz.modular_integral_gradient(u, y, lam, box) for lam in lams])
 
 
+# ---------------------------------------------------------------------------
+# Fields that declare the axes they read
+# ---------------------------------------------------------------------------
+
+def axes_fields():
+    """(field, dimension): the library fields that declare ``axes``, and the
+    combinators of them."""
+    out = []
+    for n in (1, 2, 3):
+        out += [(corpus.coordinate_field(n, i), n) for i in range(n)]
+        out += [(singular_log_field(n), n), (constant_function(1.5, n), n)]
+    s, x3 = singular_log_field(3), corpus.coordinate_field(3, 2)
+    out += [(f, 3) for f in (s - x3, s.shifted(0.3), x3.scaled(-2.0), oz.truncate(s, 0.4),
+                             oz.compose(abs_shift_spec(0.5), s.shifted(0.6)))]
+    return out
+
+
+def read_fields(n):
+    """The five combinators over fields that read axis 0, axis n - 1 or none."""
+    s, x = singular_log_field(n), corpus.coordinate_field(n, n - 1)
+    spec = abs_shift_spec(0.5)
+    return [s.shifted(0.2) - s, (x - constant_function(0.3, n)).scaled(1.5),
+            oz.compose(spec, s.shifted(0.6)) - oz.compose(spec, s), oz.truncate(x, 0.3),
+            constant_function(0.7, n)]
+
+
+READ_BOXES = [
+    oz.BoxDomain.unit(2),
+    oz.BoxDomain.unit(2, singular=((0, "lower"),)),  # a face on an axis the fields read
+    oz.BoxDomain((0.1, -1.0), (0.7, 2.0), ((0, "lower"), (0, "upper"))),
+    oz.BoxDomain.unit(3),
+    # a face on an axis no field reads; the kinks of compose and truncate lie outside
+    oz.BoxDomain((0.3, -1.0, 0.35), (1.0, 2.0, 0.8), ((1, "upper"),)),
+]
+
+
+class TestReadAxes:
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2 ** 31))
+    def test_unread_coordinates_change_nothing(self, seed):
+        rng = np.random.default_rng(seed)
+        for u, n in axes_fields():
+            X = points(seed, n)
+            unread = [j for j in range(n) if j not in u.axes]
+            Y = X.copy()
+            Y[:, unread] = 3.0 * rng.standard_normal((len(X), len(unread)))
+            G = u.gradients(X)
+            assert same_bits(u.values(Y), u.values(X))
+            assert same_bits(u.gradients(Y), G)
+            assert (G[:, unread] == 0.0).all()
+
+    def test_combinators_carry_axes(self):
+        s, x3, sine = singular_log_field(3), corpus.coordinate_field(3, 2), corpus.product_sine(3)
+        assert (x3 - s).axes == (s - x3).axes == (0, 2)
+        assert (x3 - constant_function(1.0, 3)).axes == (2,)
+        assert (x3 - sine).axes is None and (sine - x3).axes is None
+        assert x3.scaled(2.0).axes == x3.shifted(1.0).axes == (2,)
+        assert oz.compose(signed_square_spec(), s).axes == oz.truncate(s, 0.3).axes == (0,)
+        assert scalar_only(x3).axes is None
+
+    @pytest.mark.parametrize("box", READ_BOXES, ids=lambda b: f"{b.n}d{len(b.singular_faces)}")
+    def test_reads_match_every_axis(self, box):
+        lams = np.array([0.5, 1.0, 3.0])
+        ortho = oz.Orthotropic(tuple(oz.Power(2.0 + j) for j in range(box.n)))
+        for u in read_fields(box.n):
+            for y, gradient in ((oz.PowerExp(1.0), False), (oz.PowerExp(1.0), True),
+                                (ortho, True)):
+                f = _integrand(u, y, gradient)
+                got = _integrate_rows(f, lams, box, 1e-8, reads=u.axes)
+                assert same_bits(got, _integrate_rows(f, lams, box, 1e-8))
+        u = read_fields(box.n)[0]
+        want = integrate_box(lambda X: _integrand(u, oz.Power(2), False)(X, 0.5), box)
+        assert oz.modular_integral(u, oz.Power(2), 0.5, box) == want
+
+    def test_unread_panels_that_refine(self, monkeypatch):
+        # at rel_tol 1e-16 equal samples fail |K21 - G10| on some rows; the cap
+        # of two levels keeps the every-axis pass short
+        calls = [0, 0]
+
+        def capped(F, a, b, rel, rows):
+            def G(xs, idx):
+                calls[1] += 1
+                return F(xs, idx)
+            calls[0] += 1
+            return quad_rows(G, a, b, rel, 2, rows)
+
+        monkeypatch.setattr(modular, "quad_rows", capped)
+        lams = np.linspace(0.3, 3.0, 40)
+        for u in (constant_function(0.7, 2), corpus.coordinate_field(2, 0)):
+            f = _integrand(u, oz.Power(2.5), False)
+            for box in (oz.BoxDomain((0.1, -1.0), (0.7, 2.0)), READ_BOXES[1]):
+                calls[:] = [0, 0]
+                got = _integrate_rows(f, lams, box, 1e-16, reads=u.axes)
+                assert calls[1] > calls[0]  # some panels were split
+                assert same_bits(got, _integrate_rows(f, lams, box, 1e-16))
+
+
 class TestWorkCounts:
     """Exact point counts of two runs; each count repeats between runs."""
 
@@ -802,14 +917,26 @@ class TestWorkCounts:
 
     def test_counterexample_points(self, monkeypatch):
         # the G15 whole-against-halves engine passed 302,400 + 20,250 points
-        # to A in 60 calls; the zero-tail check after two zero panels is part
-        # of each count
+        # to A in 60 calls, and K21 on every node of x2 80,262; the zero-tail
+        # check after two zero panels is part of each count.  The fields read
+        # x1 alone, so x2 takes one sample per row
         calls, points = self.counting(monkeypatch, oz.PowerExp)
         for _ in range(2):
             calls[0] = points[0] = 0
             oz.counterexample_run((8, 64), (10 ** -3.1, 10 ** -4.1), dim=2)
-            assert points[0] == 80_262
+            assert points[0] == 3_822
             assert calls[0] <= 34
+
+    def test_unread_axes_3d_modular_points(self, monkeypatch):
+        # x1 reads one axis: one K21 panel along it and one sample of each
+        # of its rows, where every node of the cube took 21^3 = 9,261
+        calls, points = self.counting(monkeypatch, oz.Power)
+        for _ in range(2):
+            points[0] = 0
+            v = oz.modular_integral(corpus.coordinate_field(3), oz.Power(2), 0.8,
+                                    oz.BoxDomain.unit(3))
+            assert v == pytest.approx(1.0 / 3.0 / 0.8 ** 2, rel=1e-14)
+            assert points[0] == 21
 
     def test_smooth_3d_modular_points(self, monkeypatch):
         # one K21 panel per axis: 21^3 points of A, and 21^3 + 21^2 + 21 nodes
