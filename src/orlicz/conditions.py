@@ -54,87 +54,63 @@ class ConditionVerdict:
 # Growth triples
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Triple:
-    power: float
-    log: float = 0.0
-    loglog: float = 0.0
-
-    def scale(self, c: float) -> "_Triple":
-        return _Triple(c * self.power, c * self.log, c * self.loglog)
-
-    def plus(self, other: "_Triple") -> "_Triple":
-        return _Triple(self.power + other.power, self.log + other.log,
-                       self.loglog + other.loglog)
-
-    def compare(self, other: "_Triple", tol: float = 1e-12):
-        """(first nonzero signed gap other - self, slot name); <= means holds."""
-        for slot in ("power", "log", "loglog"):
-            gap = getattr(other, slot) - getattr(self, slot)
-            if abs(gap) > tol:
-                return gap, slot
-        return 0.0, "equal"
-
-
-def _inf_triple(y: YoungFunction) -> Optional[_Triple]:
+def _inf_triple(y: YoungFunction) -> Optional[GrowthOrder]:
     o = y.inf_order
-    if o is None or o.family != "poly":
-        return None
-    return _Triple(o.power, o.log_exp, o.loglog_exp)
+    return o if o is not None and o.family == "poly" else None
 
 
-def _h_triple(p: float, alog: float, aloglog: float, n: float) -> Optional[_Triple]:
+def _h_triple(p: float, alog: float, aloglog: float, n: float) -> Optional[GrowthOrder]:
     """Near-infinity growth of the monotone map H built from A ~ t^p L^a."""
     if p < n:
-        return _Triple((n - p) / n, -alog / n, -aloglog / n)
+        return GrowthOrder((n - p) / n, -alog / n, -aloglog / n)
     if p == n:
         if alog > n - 1:
             return None  # convergent regime, handled upstream
         if alog < n - 1:
-            return _Triple(0.0, (n - 1 - alog) / n, -aloglog / n)
-        return _Triple(0.0, 0.0, (n - 1 - aloglog) / n)
+            return GrowthOrder(0.0, (n - 1 - alog) / n, -aloglog / n)
+        return GrowthOrder(0.0, 0.0, (n - 1 - aloglog) / n)
     return None
 
 
-def _log_of(triple: _Triple) -> _Triple:
+def _log_of(triple: GrowthOrder) -> GrowthOrder:
     """Leading behaviour of log(1 + X) for X with the given triple."""
     if triple.power > 0:
-        return _Triple(0.0, 1.0, 0.0)
-    if triple.log > 0:
-        return _Triple(0.0, 0.0, 1.0)
-    return _Triple(0.0, 0.0, 0.0)  # slower than any log power: negligible
+        return GrowthOrder(0.0, 1.0, 0.0)
+    if triple.log_exp > 0:
+        return GrowthOrder(0.0, 0.0, 1.0)
+    return GrowthOrder(0.0, 0.0, 0.0)  # slower than any log power: negligible
 
 
-def _classify_exp(x: _Triple):
+def _classify_exp(x: GrowthOrder):
     """Effect of exp(X) for an exponent X with the growth triple ``x``."""
     eps = 1e-12
     if x.power > eps:
         return ("superpoly",)
     if x.power < -eps:
-        return ("triple", _Triple(0.0))
-    if x.log > 1 + eps:
+        return ("triple", GrowthOrder(0.0))
+    if x.log_exp > 1 + eps:
         return ("superpoly",)
-    if abs(x.log - 1.0) <= eps:
-        if x.loglog > eps:
+    if abs(x.log_exp - 1.0) <= eps:
+        if x.loglog_exp > eps:
             return ("superpoly",)
-        if x.loglog < -eps:
+        if x.loglog_exp < -eps:
             return ("subpoly",)
         return ("critical",)
-    if x.log > eps:
+    if x.log_exp > eps:
         return ("subpoly",)
-    if x.log < -eps:
-        return ("triple", _Triple(0.0))
+    if x.log_exp < -eps:
+        return ("triple", GrowthOrder(0.0))
     # log slot empty: decide on the loglog slot
-    if x.loglog > 1 + eps:
+    if x.loglog_exp > 1 + eps:
         return ("subpoly",)
-    if abs(x.loglog - 1.0) <= eps:
+    if abs(x.loglog_exp - 1.0) <= eps:
         return ("polylog_c",)
-    if x.loglog > eps:
+    if x.loglog_exp > eps:
         return ("sublog",)
-    return ("triple", _Triple(0.0))
+    return ("triple", GrowthOrder(0.0))
 
 
-def _env_on(env: Envelope, h: _Triple, n: float):
+def _env_on(env: Envelope, h: GrowthOrder, n: float):
     """Effect of the envelope composed with H.
 
     Returns ("triple", t) for power-scale results, or a marker among
@@ -169,12 +145,12 @@ def _ass2_analytic(a: YoungFunction, b: YoungFunction, env: Envelope,
     tb = _inf_triple(b)
     if ta is None or tb is None:
         return None
-    if ta.log != 0.0 and ta.loglog != 0.0:
+    if ta.log_exp != 0.0 and ta.loglog_exp != 0.0:
         return None
-    if tb.log != 0.0 and tb.loglog != 0.0:
+    if tb.log_exp != 0.0 and tb.loglog_exp != 0.0:
         return None
     p, q = ta.power, tb.power
-    h = _h_triple(p, ta.log, ta.loglog, n)
+    h = _h_triple(p, ta.log_exp, ta.loglog_exp, n)
     if h is None:
         return None
     effect = _env_on(env, h, n)
@@ -182,8 +158,8 @@ def _ass2_analytic(a: YoungFunction, b: YoungFunction, env: Envelope,
         return None
 
     if effect[0] == "triple":
-        arg = _Triple(1.0).plus(effect[1])
-        lhs = arg.scale(q).plus(_Triple(0.0, tb.log, tb.loglog))
+        arg = GrowthOrder(1.0).plus(effect[1])
+        lhs = arg.scale(q).plus(GrowthOrder(0.0, tb.log_exp, tb.loglog_exp))
         gap, slot = lhs.compare(ta)
         return (gap >= -1e-12, gap, f"exponent algebra, decisive slot {slot}")
     if effect[0] == "superpoly":
@@ -199,8 +175,8 @@ def _ass2_analytic(a: YoungFunction, b: YoungFunction, env: Envelope,
             return (True, p - q, "sub-logarithmic envelope factor, strict power gap")
         if q > p + 1e-12:
             return (False, p - q, "power excess")
-        gap, slot = _Triple(0.0, tb.log, tb.loglog).compare(
-            _Triple(0.0, ta.log, ta.loglog))
+        gap, slot = GrowthOrder(0.0, tb.log_exp, tb.loglog_exp).compare(
+            GrowthOrder(0.0, ta.log_exp, ta.loglog_exp))
         return (gap > 1e-12, gap,
                 f"sub-logarithmic factor needs a strict {slot} gap")
     if effect[0] == "polylog_c":
@@ -208,12 +184,12 @@ def _ass2_analytic(a: YoungFunction, b: YoungFunction, env: Envelope,
             return (True, p - q, "poly-logarithmic envelope factor, strict power gap")
         if q > p + 1e-12:
             return (False, p - q, "power excess")
-        if p == n and abs(ta.log - (n - 1)) <= 1e-12 and env.shape.r <= n / (n - 1) + 1e-12:
+        if p == n and abs(ta.log_exp - (n - 1)) <= 1e-12 and env.shape.r <= n / (n - 1) + 1e-12:
             # published row at the critical correction order (a single exp,
             # since exp_exp reads this effect as critical): strictly smaller
             # target correction is admissible
-            holds = tb.log < n - 1 - 1e-12
-            return (holds, (n - 1) - tb.log,
+            holds = tb.log_exp < n - 1 - 1e-12
+            return (holds, (n - 1) - tb.log_exp,
                     "published borderline row (strict correction order)")
         return None  # remaining ties depend on integration constants
     # critical: the envelope exactly matches the conjugate growth; the

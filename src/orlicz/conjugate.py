@@ -542,36 +542,6 @@ def sobolev_conjugate_sigma(y: YoungFunction, sigma: float, n: float = 2.0) -> S
     return sobolev_conjugate(y, sigma)
 
 
-def h_n(y: YoungFunction, n: float, s: float) -> float:
-    """Accurate single evaluation of H(s); relative error target 1e-8.
-
-    Requires the defining integral to converge at the origin; apply
-    modify_near_zero first otherwise.
-    """
-    if s < 0:
-        raise YoungError("H is defined on [0, inf)")
-    if s == 0.0:
-        return 0.0
-    cz = classify_integral_zero(y, n)
-    if cz is IntegralClass.DIVERGES:
-        raise YoungError("integral diverges at the origin; modify near zero first")
-    if cz is IntegralClass.INDETERMINATE:
-        raise IndeterminateError("origin behaviour of the integrand is unclear")
-    g = _integrand(y, n)
-    s_min = min(1e-10, s * 1e-6)
-    total, _ = _head_integral(g, s_min)
-    x0, x1 = math.log(s_min), math.log(s)
-    steps = max(1, int(math.ceil((x1 - x0) / (math.log(10.0) / 16.0))))
-    edges = np.linspace(x0, x1, steps + 1)
-    for a, b in zip(edges[:-1], edges[1:]):
-        inc = _quad_interval(_in_log_variable(g),
-                             float(a), float(b), rel=1e-11)
-        if inc == INF:
-            return INF
-        total += inc
-    return total ** ((n - 1.0) / n)
-
-
 def hat_an(y: YoungFunction, n: float) -> Glued:
     """Two-regime function equal to the base near zero and to a scalar
     multiple of its conjugate near infinity.

@@ -133,16 +133,32 @@ class GrowthOrder:
     loglog_exp: float = 0.0
     family: str = "poly"
 
-    def matches(self, other: "GrowthOrder", tol: float = 1e-12) -> bool:
+    def matches(self, other: "GrowthOrder") -> bool:
         if self.family != other.family:
             return False
         if self.family in ("flat", "jump"):
             return True
-        return (
-            abs(self.power - other.power) <= tol
-            and abs(self.log_exp - other.log_exp) <= tol
-            and abs(self.loglog_exp - other.loglog_exp) <= tol
+        return (  # a nan exponent never matches
+            abs(self.power - other.power) <= 1e-12
+            and abs(self.log_exp - other.log_exp) <= 1e-12
+            and abs(self.loglog_exp - other.loglog_exp) <= 1e-12
         )
+
+    # exponent algebra on poly orders: the verdicts of conditions.py
+    def scale(self, c: float) -> "GrowthOrder":
+        return GrowthOrder(c * self.power, c * self.log_exp, c * self.loglog_exp)
+
+    def plus(self, other: "GrowthOrder") -> "GrowthOrder":
+        return GrowthOrder(self.power + other.power, self.log_exp + other.log_exp,
+                           self.loglog_exp + other.loglog_exp)
+
+    def compare(self, other: "GrowthOrder") -> tuple:
+        """(first signed gap other - self above 1e-12, slot name), or (0.0, "equal")."""
+        for slot, attr in (("power", "power"), ("log", "log_exp"), ("loglog", "loglog_exp")):
+            gap = getattr(other, attr) - getattr(self, attr)
+            if abs(gap) > 1e-12:
+                return gap, slot
+        return 0.0, "equal"
 
     @staticmethod
     def pure_power(order: Optional["GrowthOrder"]) -> Optional[float]:
@@ -970,11 +986,6 @@ def evaluate(y: YoungFunction, t: float) -> float:
     if t < 0:
         raise YoungError("Young functions are defined on [0, inf)")
     return y(t)
-
-
-def inverse(y: YoungFunction, v: float) -> float:
-    """Generalized right-continuous inverse inf{s : A(s) > v}, inf the empty inf."""
-    return y.inverse(v)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ import orlicz as oz
 from orlicz.conditions import (
     _TOL,
     ConditionVerdict,
-    _Triple,
     _ass2_analytic,
     _ass2_grid,
     _assd_analytic,
@@ -772,7 +771,7 @@ def _plain(effect):
     if effect is None or effect[0] != "triple":
         return effect and list(effect)
     t = effect[1]
-    return ["triple", t.power + 0.0, t.log + 0.0, t.loglog + 0.0]
+    return ["triple", t.power + 0.0, t.log_exp + 0.0, t.loglog_exp + 0.0]
 
 
 def _fields(row):
@@ -814,7 +813,7 @@ def frozen_verdicts() -> dict:
                 out[f"ass2 {n} {_key(a)} {_key(b)} {_key(env)}"] = _ass2_analytic(a, b, env, n)
             for h in ((0.5, -0.5, 0.0), (-0.5, 0.0, 0.0), (0.0, 0.5, 0.0), (0.0, -0.5, 0.0),
                       (0.0, 0.5, -0.5), (0.0, 0.0, 0.5), (0.0, 0.0, -0.5), (0.0, 0.0, 0.0)):
-                out[f"env_on {n} {h} {_key(env)}"] = _plain(_env_on(env, _Triple(*h), n))
+                out[f"env_on {n} {h} {_key(env)}"] = _plain(_env_on(env, oz.GrowthOrder(*h), n))
         ortho = [[n] * n, [n + 1] * n, [n - 0.5] * n, [1.5, 3] if n == 2 else [2, 3, 6],
                  [1.2, 1.8] if n == 2 else [2, 2.5, 2]]
         qs = [[q] * n for q in (1.2, n - 0.5, n, n + 0.5)] + [[1.0] + [n + 0.5] * (n - 1)]

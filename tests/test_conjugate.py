@@ -28,20 +28,22 @@ class TestHMap:
     @pytest.mark.parametrize("p,n", [(1, 2), (2, 3), (3, 4), (1.5, 3)])
     def test_power_closed_form(self, p, n):
         c = closed_form_h_constant(p, n)
+        hn = oz.sobolev_conjugate(oz.Power(p), n).hn
         for s in (1.0, 3.7, 40.0):
             expect = c * s ** ((n - p) / n)
-            assert oz.h_n(oz.Power(p), n, s) == pytest.approx(expect, rel=1e-8)
+            assert hn.refined(s) == pytest.approx(expect, rel=1e-8)
 
     def test_empty_integral(self):
-        assert oz.h_n(oz.Power(2), 3, 0.0) == 0.0
+        assert oz.sobolev_conjugate(oz.Power(2), 3).hn.refined(0.0) == 0.0
 
     def test_linear_constant_integrand(self):
         # integrand is identically 1 for A(t) = t, n = 2
-        assert oz.h_n(oz.linear(), 2, 4.0) == pytest.approx(2.0, rel=1e-9)
+        hn = oz.sobolev_conjugate(oz.linear(), 2).hn
+        assert hn.refined(4.0) == pytest.approx(2.0, rel=1e-9)
 
     def test_divergent_origin_refused(self):
         with pytest.raises(oz.YoungError):
-            oz.h_n(oz.Power(4), 3, 1.0)
+            HnTable(oz.Power(4), 3)
 
 
 # (zero, inf) class at n = 2, 3, 4 (C converges, D diverges, I indeterminate),
