@@ -460,7 +460,8 @@ class _LogCorrected(YoungFunction):
     log for ``PowerLogLog``.  Each subclass holds the fields p, alpha and c,
     and sets ``_loglog`` on the instance, where a call reads it faster than
     on the class.  At the base c = 1 (c = e for log log) the factor vanishes
-    at 0 like t, so the correction shifts the power there."""
+    at 0 like t, so the correction shifts the power there; at c = 1 it is
+    computed as log1p(t), which does not cancel there."""
 
     def __call__(self, t: float) -> float:
         if t <= 0.0:
@@ -468,7 +469,7 @@ class _LogCorrected(YoungFunction):
         body = _pow(t, self.p)
         if body == INF or self.alpha == 0:  # L^0 = 1, also where L rounds to 0
             return body
-        lg = math.log(self.c + t)
+        lg = math.log1p(t) if self.c == 1.0 else math.log(self.c + t)
         if self._loglog:
             lg = math.log(lg)
         if lg == 0.0:
@@ -479,7 +480,7 @@ class _LogCorrected(YoungFunction):
         t = np.asarray(ts, dtype=float).ravel()
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             body = np.power(t, self.p)
-            lg = np.log(self.c + t)
+            lg = np.log1p(t) if self.c == 1.0 else np.log(self.c + t)
             if self._loglog:
                 lg = np.log(lg)
             out = body * np.power(lg, self.alpha)
