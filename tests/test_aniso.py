@@ -395,6 +395,19 @@ class TestInputErrors:
         box = oz.BlackBox(lambda xi: float(np.sum(xi * xi)), 2)
         assert_raises(oz.YoungError, "BlackBox has no scalar reduction", box.scalar_profile)
 
+    def test_singular_linear_image(self):
+        assert_raises(oz.YoungError, "linear-image matrices must be square and nonsingular",
+                      oz.LinearImage, ((np.array([[1.0, 2.0], [2.0, 4.0]]), oz.Power(2)),), 2)
+
+    @pytest.mark.parametrize("phi,envelope,message", [
+        (oz.Isotropic(oz.gate(1.0), 2), oz.Envelope.one(),
+         "theta needs a nondegenerate vector Young function"),
+        (oz.Isotropic(oz.Power(1.5), 2), oz.Envelope.custom(lambda t: 0.0),
+         "envelope is identically zero"),
+    ])
+    def test_theta_solver_refuses(self, phi, envelope, message):
+        assert_raises(oz.YoungError, message, oz.ThetaSolver, phi, envelope, 2)
+
 
 class TestPhiN:
     def test_orthotropic_exponent(self):

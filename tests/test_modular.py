@@ -13,6 +13,7 @@ from orlicz.corpus import interval_vanishing_corpus, unit_ball_corpus
 from orlicz.modular import constant_function, sup_norm, trajectory_converges
 from orlicz.nemytskii import singular_log_field
 from orlicz.young import INF
+from test_young import assert_raises
 
 UNIT_1D = oz.BoxDomain.interval(0.0, 1.0)
 
@@ -60,6 +61,15 @@ class TestModularIntegral:
         box = oz.BoxDomain((0.0,), (INF,))
         with pytest.raises(Exception):
             oz.modular_integral(constant_function(1.0, 1), oz.linear(), 1.0, box)
+
+    @pytest.mark.parametrize("lower,upper,singular,message", [
+        ((0.0,) * 4, (1.0,) * 4, (), "quadrature supports dimensions 1 to 3"),
+        ((0.0, 1.0), (1.0, 1.0), (), "need lower < upper on every axis"),
+        ((0.0,), (1.0,), ((1, "lower"),), "bad singular face (1, lower)"),
+        ((0.0,), (1.0,), ((0, "middle"),), "bad singular face (0, middle)"),
+    ])
+    def test_bad_box_refused(self, lower, upper, singular, message):
+        assert_raises(modular.DomainError, message, oz.BoxDomain, lower, upper, singular)
 
     def test_infinite_box_with_truncation(self):
         box = oz.BoxDomain((0.0,), (INF,))
@@ -316,6 +326,15 @@ class TestConvergence:
     def test_rows_non_increasing_matches_point_loop(self, m):
         rep = oz.ModularReport((), (), None, None, np.array(m), (), False, INF)
         assert rep.rows_non_increasing_in_lambda() is ref_rows_non_increasing(m)
+
+    @pytest.mark.parametrize("lams,indices,message", [
+        ((1.0, 0.5), None, "lambda grid must be positive and increasing"),
+        ((0.5, 1.0), (1, 2), "indices must align with the sequence"),
+    ])
+    def test_input_errors(self, lams, indices, message):
+        seq = [constant_function(1.0 / k, 1) for k in (1, 2, 4)]
+        assert_raises(oz.YoungError, message, oz.modular_convergence,
+                      seq, constant_function(0.0, 1), oz.Power(2), UNIT_1D, lams, indices)
 
     def test_trajectory_rule(self):
         assert trajectory_converges([1.0, 0.1, 0.01, 0.0005])

@@ -25,6 +25,7 @@ from orlicz.nemytskii import (
     singular_log_field,
 )
 from orlicz.young import INF, _log_root, _numeric_inverse
+from test_young import assert_raises
 
 UNIT_1D = oz.BoxDomain.interval(0.0, 1.0)
 
@@ -232,6 +233,16 @@ class TestEnvelope:
                 if isinstance(value, float):
                     with pytest.raises(oz.YoungError, match=key):
                         oz.parse_envelope({**record, key: bad})
+
+
+class TestInputErrors:
+    def test_unknown_envelope_kind(self):
+        assert_raises(oz.YoungError, "unknown envelope kind 'bogus'",
+                      lambda: oz.Envelope("bogus", {}).shape)
+
+    def test_counterexample_dimension(self):
+        assert_raises(oz.YoungError, "counterexample runs in dimensions 1 to 3",
+                      oz.counterexample_run, dim=4)
 
 
 class TestLipschitzSpec:

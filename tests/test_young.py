@@ -163,6 +163,20 @@ class TestLogFamilies:
         assert math.isnan(y(math.nan))
         assert math.isnan(y.values(np.array([math.nan]))[0])
 
+    @pytest.mark.parametrize("p", [2, 1])
+    def test_matches_mpmath_table(self, p):
+        # tests/freeze_power_log.py wrote the table from mpmath at 50 digits;
+        # log(1 + t) cancels near 0 unless it is computed as log1p(t)
+        table = json.loads((pathlib.Path(__file__).parent / "golden"
+                            / "power_log_mpmath.json").read_text())
+        ts = np.array([float.fromhex(h) for h in table["t"]])
+        y = oz.PowerLog(p, 1)
+        want = np.array([float(v) for v in table[f"PowerLog({p}, 1)"]])
+        normal = (want >= sys.float_info.min) & (want < INF)
+        assert normal.sum() > 500
+        for got in (y.values(ts), np.array([y(t) for t in ts.tolist()])):
+            assert np.max(np.abs(got[normal] - want[normal]) / want[normal]) <= 1e-15
+
 
 class TestInverse:
     def test_square_root(self):
