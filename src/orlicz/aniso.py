@@ -450,8 +450,8 @@ class _ChordTable(YoungFunction):
         self._inv = (lts, lrs, slopes)  # ln t to ln r, and back
         self._fwd = (lrs, lts, [1.0 / k for k in slopes])
         self._inv_a, self._fwd_a = (tuple(map(np.array, c)) for c in (self._inv, self._fwd))
-        self._zero = GrowthOrder(1.0 / slopes[0]) if slopes[0] > 1e-9 else None
-        self._inf = GrowthOrder(1.0 / slopes[-1]) if slopes[-1] > 1e-9 else None
+        self.zero = GrowthOrder(1.0 / slopes[0]) if slopes[0] > 1e-9 else None
+        self.inf_ = GrowthOrder(1.0 / slopes[-1]) if slopes[-1] > 1e-9 else None
 
     @staticmethod
     def _read(x: float, chords: tuple) -> float:
@@ -486,14 +486,6 @@ class _ChordTable(YoungFunction):
 
     def inverse_values(self, ts: np.ndarray) -> np.ndarray:
         return self._read_many(ts, self._inv_a)
-
-    @property
-    def zero_order(self):
-        return self._zero
-
-    @property
-    def inf_order(self):
-        return self._inf
 
 
 def _phi_circ_young(phi: NDimYoung, t_lo: float = 1e-3, t_hi: float = 1e4,

@@ -266,25 +266,24 @@ def _grid_start(t0: float, t_hi: float) -> float:
 
 
 def _ass2_grid(a: YoungFunction, b: YoungFunction, env: Envelope, n: float,
-               t0: float, conj: Optional[SobolevConjugate] = None,
-               points: int = 512, t_hi: float = 1e6):
-    t_lo = _grid_start(t0, t_hi)
+               t0: float, conj: Optional[SobolevConjugate] = None):
+    t_lo = _grid_start(t0, 1e6)
     conj = conj if conj is not None else sobolev_conjugate(a, n)
-    ts = np.geomspace(t_lo, t_hi, points)
-    lhs = _composed(b, ts, env.values([conj.hn(t) for t in ts.tolist()]))
-    spans = [t for t in (1e2, 1e4, t_hi) if t > t_lo]
+    ts = np.geomspace(t_lo, 1e6, 512)
+    lhs = _composed(b, ts, env.values(conj.hn.values(ts)))
+    spans = [t for t in (1e2, 1e4, 1e6) if t > t_lo]
     cs, growing = _window_constants(lhs, ts, a, [ts <= s * (1 + 1e-12) for s in spans])
     c = cs[-1]
     if c is None:
         return ConditionVerdict(
             False, -INF, float(ts[int(np.argmax(lhs))]),
-            grid=f"log grid [{t_lo:g}, {spans[len(cs) - 1]:g}], {points} points",
+            grid=f"log grid [{t_lo:g}, {spans[len(cs) - 1]:g}], 512 points",
             analytic=False, constant=INF,
             note="no admissible constant up to 1e8")
     margin, witness = _margin(lhs, ts, a, c)
     return ConditionVerdict(
         not growing, margin, float(ts[-1]) if growing else witness,
-        grid=f"log grid [{t_lo:g}, {t_hi:g}], {points} points", analytic=False, constant=c,
+        grid=f"log grid [{t_lo:g}, 1e+06], 512 points", analytic=False, constant=c,
         note="required constant grows with the grid span: asymptotic failure" if growing else "")
 
 
@@ -355,8 +354,8 @@ def _assd_analytic(a, b, env, f_young) -> Optional[tuple]:
             else "near-zero exponent algebra")
 
 
-def _assd_grid(a, b, env, f_young, t1: float, points: int = 512):
-    master = np.geomspace(t1 * 1e-9, t1, points)
+def _assd_grid(a, b, env, f_young, t1: float):
+    master = np.geomspace(t1 * 1e-9, t1, 512)
     lhs = _composed(b, master, env.values(f_young.inverse_values(a.values(master))))
     cutoffs = (t1 * 1e-3, t1 * 1e-6, t1 * 1e-9)
     cs, growing = _window_constants(lhs, master, a,
@@ -364,11 +363,11 @@ def _assd_grid(a, b, env, f_young, t1: float, points: int = 512):
     c = cs[-1]
     if c is None:
         return ConditionVerdict(False, -INF, float(master[int(np.argmax(lhs))]),
-                                grid=f"log grid near zero, {points} points",
+                                grid="log grid near zero, 512 points",
                                 analytic=False, constant=INF)
     margin, witness = _margin(lhs, master, a, c)
     return ConditionVerdict(not growing, margin, witness,
-                            grid=f"log grid (0, {t1:g}], {points} points",
+                            grid=f"log grid (0, {t1:g}], 512 points",
                             analytic=False, constant=c,
                             note="constant trend over shrinking spans" if growing else "")
 
@@ -400,16 +399,14 @@ def _limsup_analytic(f_young: YoungFunction, a: YoungFunction) -> Optional[tuple
     return None
 
 
-def _limsup_probe(f_young: YoungFunction, a: YoungFunction,
-                  lambdas=(1.0, 10.0, 100.0), lo: float = 1e-8,
-                  hi: float = 1e-2, points: int = 64) -> ConditionVerdict:
+def _limsup_probe(f_young: YoungFunction, a: YoungFunction) -> ConditionVerdict:
     ana = _limsup_analytic(f_young, a)
     if ana is not None:
         holds, note = ana
         return ConditionVerdict(holds, 0.0 if holds else -INF, None,
                                 grid="zero-growth descriptors", analytic=True,
                                 note=note)
-    ts = np.geomspace(lo, hi, points)
+    ts = np.geomspace(1e-8, 1e-2, 64)
     at = a.values(ts)
     # points where A is 0 lie below the representable range of the
     # denominator; the trend detector on the remaining window decides
@@ -420,7 +417,7 @@ def _limsup_probe(f_young: YoungFunction, a: YoungFunction,
                                 note="no usable probe points")
     half = int(keep.sum()) // 2
     worst_bound = 0.0
-    for lam in lambdas:
+    for lam in (1.0, 10.0, 100.0):
         # as for floats: inf past the float range, and nan at inf / inf
         with np.errstate(over="ignore", invalid="ignore"):
             ratios = f_young.values(lam * ts[keep]) / at[keep]
@@ -508,7 +505,7 @@ def check_ortho(a_list: Sequence[YoungFunction], b_list: Sequence[YoungFunction]
     ts = np.geomspace(_grid_start(t0, 1e6), 1e6, 256)
     conj = sobolev_conjugate(bar, n)
     ms = bar.values(ts)
-    es = env.values([conj.hn(t) for t in ts.tolist()])
+    es = env.values(conj.hn.values(ts))
     worst, witness, consts = INF, None, []
     for i, (ai, bi) in enumerate(zip(a_list, b_list)):
         lhs = _composed(bi, ai.inverse_values(ms), es)

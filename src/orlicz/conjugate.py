@@ -205,14 +205,6 @@ class _MonotoneCubic:
     _x = cached_property(lambda self: self.x.tolist())  # made on the first scalar read
     _coef = cached_property(lambda self: list(zip(*self.coef.tolist())))
 
-    def at(self, x: float) -> tuple:
-        """(value, derivative) at a float inside the knot range."""
-        i = min(max(bisect_right(self._x, x) - 1, 0), self._last)
-        c0, c1, c2, c3, d2, d3 = self._coef[i]
-        s = x - self._x[i]
-        s2 = s * s
-        return c0 + c1 * s + c2 * s2 + c3 * (s2 * s), c1 + d2 * s + d3 * s2
-
     def root(self, i: int, x: float, y: float) -> float:
         """Newton's iteration for the value ``y`` from x on the monotone piece
         i, which holds the root, each iterate clamped to it; it stops after 12
@@ -354,16 +346,28 @@ class HnTable:
 
     # -- forward -----------------------------------------------------------
     def __call__(self, s: float) -> float:
-        if s <= 0.0:
-            return 0.0
-        x = math.log(s)
-        if x < self._x_lo:
-            # head power law: I ~ c s^{m0+1}
-            lnI = self._lnI_lo + (self._m0 + 1.0) * (x - self._x_lo)
-            return math.exp(lnI / self.nprime)
-        if x > self._x_hi:
-            return self.refined(s)
-        return math.exp(self._cubic.at(x)[0])
+        return float(self.values([s])[0])
+
+    def values(self, ss) -> np.ndarray:
+        """H on a flat array: 0 for s <= 0 and nan for nan; the head power law
+        I ~ c s^{m0+1} below the table, the cubic on it, ``refined`` past it."""
+        s = np.asarray(ss, dtype=float).ravel()
+        out = np.where(np.isnan(s), s, 0.0)
+        live = s > 0.0
+        x = np.log(s, where=live, out=np.zeros(s.shape))
+        head = live & (x < self._x_lo)
+        lnI = self._lnI_lo + (self._m0 + 1.0) * (x[head] - self._x_lo)
+        out[head] = np.exp(lnI / self.nprime)
+        on = live & ~head & (x <= self._x_hi)
+        c = self._cubic
+        i = np.minimum(np.searchsorted(c.x, x[on], side="right") - 1, c._last)
+        c0, c1, c2, c3 = c.coef[:4, i]
+        d = x[on] - c.x[i]
+        d2 = d * d
+        out[on] = np.exp(c0 + c1 * d + c2 * d2 + c3 * (d2 * d))
+        for k in np.flatnonzero(live & (x > self._x_hi)).tolist():
+            out[k] = self.refined(float(s[k]))
+        return out
 
     def refined(self, s: float) -> float:
         """H(s) from the cumulative table plus an exact local panel."""
@@ -552,11 +556,11 @@ def hat_an(y: YoungFunction, n: float) -> Glued:
     """
     conj = sobolev_conjugate(y, n)
 
-    def log_slope(f, t: float, h: float = 1e-5) -> float:
-        v0, v1 = f(t), f(t * (1.0 + h))
+    def log_slope(f, t: float) -> float:
+        v0, v1 = f(t), f(t * (1.0 + 1e-5))
         if v0 == INF or v1 == INF or v0 <= 0.0 or v1 <= 0.0:
             return INF
-        return (math.log(v1) - math.log(v0)) / math.log1p(h)
+        return (math.log(v1) - math.log(v0)) / math.log1p(1e-5)
 
     t = 1.0
     for _ in range(64):

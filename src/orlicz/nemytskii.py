@@ -475,14 +475,14 @@ def counterexample_run(k_list: Sequence[int] = (8, 64, 512),
         skipped=tuple(skipped), divergence_certified=certified)
 
 
-def _certify_divergence(values: dict, expected: dict, rel: float = 1e-5) -> bool:
+def _certify_divergence(values: dict, expected: dict) -> bool:
     """Divergence is certified when the quadrature tracks the analytically
     divergent antiderivative and grows as the cutoff shrinks."""
     if not values:
         return False
     for key, v in values.items():
         e = expected[key]
-        if not math.isfinite(v) or abs(v - e) > rel * max(1.0, abs(e)):
+        if not math.isfinite(v) or abs(v - e) > 1e-5 * max(1.0, abs(e)):
             return False
     by_k = {}
     for (k, delta), v in values.items():

@@ -353,19 +353,22 @@ class YoungFunction:
     def __call__(self, t: float) -> float:  # pragma: no cover - abstract
         raise NotImplementedError
 
-    # asymptotic descriptors; None means unknown (grid probes take over)
+    # asymptotic descriptors; None means unknown (grid probes take over).  A
+    # kind whose caller supplies them declares the fields zero, inf_ and jump
+    zero = inf_ = jump = None
+
     @property
     def zero_order(self) -> Optional[GrowthOrder]:
-        return None
+        return self.zero
 
     @property
     def inf_order(self) -> Optional[GrowthOrder]:
-        return None
+        return self.inf_
 
     @property
     def finite_jump(self) -> Optional[float]:
         """Smallest t with A(t) = inf, when the function jumps to infinity."""
-        return None
+        return self.jump
 
     def inverse(self, v: float) -> float:
         """Generalized right-continuous inverse, inf{s : A(s) > v}."""
@@ -753,18 +756,6 @@ class Piecewise(YoungFunction):
                            else [br(x) for x in t[on].tolist()])
         return out
 
-    @property
-    def finite_jump(self):
-        return self.jump
-
-    @property
-    def zero_order(self):
-        return self.zero
-
-    @property
-    def inf_order(self):
-        return self.inf_
-
 
 def _zero(t: float) -> float:
     return 0.0
@@ -875,18 +866,6 @@ class Custom(YoungFunction):
             return _numeric_inverse(self.__call__, v)
         return self.inverse_fn(v)
 
-    @property
-    def zero_order(self):
-        return self.zero
-
-    @property
-    def inf_order(self):
-        return self.inf_
-
-    @property
-    def finite_jump(self):
-        return self.jump
-
 
 @dataclass(frozen=True, repr=False)
 class FromInverse(YoungFunction):
@@ -922,14 +901,6 @@ class FromInverse(YoungFunction):
 
     def inverse_values(self, vs: np.ndarray) -> np.ndarray:
         return _invert_levels(vs, self.inv_many)
-
-    @property
-    def zero_order(self):
-        return self.zero
-
-    @property
-    def inf_order(self):
-        return self.inf_
 
 
 # ---------------------------------------------------------------------------
@@ -1079,15 +1050,15 @@ class EquivalenceVerdict:
         return self.equivalent
 
 
-def _sandwich_ok(y1, y2, c: float, ts: np.ndarray, tol: float = 1e-9):
+def _sandwich_ok(y1, y2, c: float, ts: np.ndarray):
     for t in ts:
         t = float(t)
         b = y2(t)
         lo = y1(t / c)
-        if not (lo <= b * (1 + tol) + 1e-300):
+        if not (lo <= b * (1 + 1e-9) + 1e-300):
             return False, t
         hi = y1(c * t)
-        if not (b <= hi * (1 + tol) + 1e-300):
+        if not (b <= hi * (1 + 1e-9) + 1e-300):
             return False, t
     return True, None
 

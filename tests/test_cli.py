@@ -115,6 +115,9 @@ class TestInputErrors:
         "converge --field x1 --A power:2 --dim 1 --kmax -1",
         "counterexample --dim 1 --kmax 4",
         "experiment --config {no_indices}",
+        "norm --field x1 --A power:2 --dim 2 --box 0,1,2",
+        "conjugate --A power:2 --n 3 --t-lo 10 --t-hi 1",
+        "converge --field x1 --A power:2 --seq bogus",
     ])
     def test_bad_input_is_an_error_line(self, argv, tmp_path, capsys):
         configs = {"list_config": [1, 2],
@@ -362,6 +365,21 @@ def mutated_config(draw):
 
 
 class TestContract:
+    @pytest.mark.parametrize("argv, line", [
+        ("norm --field x1 --A power:2 --dim 2 --box 0,0,1,1", None),
+        ("norm --field x1 --A power:2 --dim 1 --out {out}", "x1,false,0.57735026919"),
+        ("check --cond inq-assD --A power:2 --B power:3 --E one --F power:2", None),
+        # the strip (0.5, 1/8] is empty: the run reports it and goes on
+        ("counterexample --dim 1 --ks 8 --deltas 0.5 --lambdas 1",
+         "skipped,8,0.5,,,strip is empty: 1/k <= delta"),
+    ])
+    def test_exits_zero(self, argv, line, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert run(shlex.split(argv.format(out=out))) == 0
+        if line is not None:
+            text = out.read_text() if "{out}" in argv else capsys.readouterr().out
+            assert line in text.splitlines()
+
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(case=st.one_of(mutated_argv(), mutated_config()))
     @example(case=("argv", shlex.split(

@@ -337,12 +337,46 @@ class TestMonotoneCubic:
         ref = interpolate.PchipInterpolator(hn._xs, hn._lnH, extrapolate=False)
         xs = np.concatenate([hn._xs, hn._xs[0] + np.array(us) * (hn._xs[-1] - hn._xs[0])])
         kernel = _MonotoneCubic(hn._xs, hn._lnH)
-        value, slope = np.array([kernel.at(x) for x in xs.tolist()]).T
+        i = np.clip(np.searchsorted(hn._xs, xs, side="right") - 1, 0, len(hn._xs) - 2)
+        c0, c1, c2, c3, d2, d3 = kernel.coef[:, i]
+        s = xs - hn._xs[i]
+        value, slope = c0 + c1 * s + c2 * s * s + c3 * s ** 3, c1 + d2 * s + d3 * s * s
         np.testing.assert_allclose(value, ref(xs), rtol=1e-14, atol=0.0)
         np.testing.assert_allclose(slope, ref.derivative()(xs), rtol=1e-14, atol=0.0)
 
 
+def scalar_h(hn, s: float) -> float:
+    """The former scalar ``HnTable.__call__``, one point at a time, with
+    numpy's exp and log in place of libm's."""
+    if not s > 0.0:
+        return 0.0 if s <= 0.0 else s
+    x = float(np.log(s))
+    if x < hn._x_lo:
+        return float(np.exp((hn._lnI_lo + (hn._m0 + 1.0) * (x - hn._x_lo)) / hn.nprime))
+    if x > hn._x_hi:
+        return hn.refined(s)
+    i = min(int(np.searchsorted(hn._xs, x, side="right")) - 1, len(hn._xs) - 2)
+    c0, c1, c2, c3 = hn._cubic.coef[:4, i].tolist()
+    d = x - float(hn._xs[i])
+    return float(np.exp(c0 + c1 * d + c2 * (d * d) + c3 * (d * d * d)))
+
+
+FORWARD_BRANCHES = ("nonpositive", "head", "table", "past")
+
+
 class TestArrayPaths:
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(sorted(FAMILIES)),
+           points=st.lists(st.tuples(st.sampled_from(FORWARD_BRANCHES), st.floats(0.0, 1.0)),
+                           min_size=1, max_size=12))
+    def test_values_matches_scalar_reads(self, name, points):
+        hn = conjugate_of(name).hn
+        span = {"nonpositive": (-10.0, None), "head": (hn._x_lo - 30.0, hn._x_lo),
+                "table": (hn._x_lo, hn._x_hi), "past": (hn._x_hi, 709.0)}
+        ss = [-10.0 * u if b == "nonpositive" else
+              math.exp(span[b][0] + u * (span[b][1] - span[b][0])) for b, u in points]
+        assert hn.values(ss).tolist() == [scalar_h(hn, s) for s in ss]
+
     def test_two_knot_table(self):
         hn = conjugate_of("power_tiny_scale").hn
         assert len(hn._xs) == 2
@@ -369,7 +403,7 @@ class TestArrayPaths:
     def test_nan_passes_through(self, name):
         conj = conjugate_of(name)
         ts = np.array([math.nan, 0.0, 1.0])
-        for got in (conj.hn.inverse_many(ts), conj.an_values(ts),
+        for got in (conj.hn.values(ts), conj.hn.inverse_many(ts), conj.an_values(ts),
                     [conj.hn.inverse(t) for t in ts.tolist()],
                     [conj.an_value(t) for t in ts.tolist()], [conj.an(t) for t in ts.tolist()]):
             assert math.isnan(got[0]) and got[1] == 0.0 and got[2] > 0.0

@@ -452,6 +452,12 @@ class TestLemmaGrids:
                                  oz.Power(2))
         assert v.holds and v.worst_margin >= 0.0
 
+    def test_split_bound_refused_without_hypothesis(self):
+        # near zero B(t E(F^{-1}(A(t)))) = t^1.5 against A(t) = t^2: the
+        # exponent gap 1.5 - 2 < 0 fails the near-zero inequality
+        with pytest.raises(oz.PreconditionError, match="near-zero admissibility pair"):
+            oz.lemma_split_bound(oz.Power(2), oz.Power(1.5), oz.Envelope.one(), oz.Power(2))
+
 
 def ref_lemma_grid(a, b, row, div, c, lo, hi, count):
     """The former double loop of ``_lemma_grid``, row(s) on one s."""
@@ -573,6 +579,16 @@ class TestContinuityExperiment:
         assert rep.converged
         expect = 24.0 * 1.0 * max(rep.base_lambda, rep.norm_limit)
         assert rep.predicted_constant == pytest.approx(expect, rel=1e-12)
+
+    def test_refused_by_exponent_algebra(self):
+        # n = 3 and A(t) = t^2 give H(t) ~ t^{1/3}, so B(t E(H(t))) = t^{1.9 * 4/3}
+        # outgrows A(ct) = c^2 t^2 at infinity: the condition fails before any run
+        base = corpus.coordinate_field(3)
+        seq = corpus.shifted_sequence(base, [2, 4], lambda k: 1.0 / k)
+        with pytest.raises(oz.PreconditionError, match="admissibility condition fails"):
+            oz.continuity_experiment(signed_square_spec(), seq, base,
+                                     oz.Power(2), oz.Power(1.9),
+                                     oz.BoxDomain.unit(3), 3, indices=[2, 4])
 
     def test_refused_on_failed_condition(self):
         base = corpus.coordinate_field(2)

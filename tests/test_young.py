@@ -968,6 +968,56 @@ class TestModifyNearZero:
             oz.modify_near_zero(oz.gate(1.0), 2)
 
 
+def _poly(p, log_exp=0.0, loglog_exp=0.0):
+    return repr(oz.GrowthOrder(p, log_exp, loglog_exp))
+
+
+_FLAT, _JUMP = (repr(oz.GrowthOrder(0.0, family=f)) for f in ("flat", "jump"))
+DESCRIBED = {  # (zero_order, inf_order, finite_jump) reprs, frozen from the per-kind properties
+    "power": (oz.Power(2.5, 3.0), _poly(2.5), _poly(2.5), "None"),
+    "power_log": (oz.PowerLog(2, 1), _poly(3), _poly(2, 1), "None"),
+    "power_loglog": (oz.PowerLogLog(3, -0.5), _poly(3), _poly(3, 0.0, -0.5), "None"),
+    "power_exp": (oz.PowerExp(1.5), _poly(1.5), repr(oz.GrowthOrder(1.0, family="exp")),
+                  "None"),
+    "exp": (oz.Exp(2.0), _poly(2.0), repr(oz.GrowthOrder(2.0, family="exp")), "None"),
+    "exp_neg_inv": (oz.ExpNegInv(0.5), repr(oz.GrowthOrder(0.5, family="exp_neg_inv")),
+                    _poly(1.0), "None"),
+    "gate": (oz.gate(0.5), _FLAT, _JUMP, "0.5"),
+    "glued": (oz.Glued(oz.Power(2), oz.PowerLog(3, 1), 1.0, 2.0), _poly(2), _poly(3, 1), "None"),
+    "linear": (oz.linear(), _poly(1.0), _poly(1.0), "None"),
+    "custom": (oz.Custom(lambda t: t * t), "None", "None", "None"),
+    "custom_described": (oz.Custom(lambda t: t * t, zero=oz.GrowthOrder(2.0),
+                                   inf_=oz.GrowthOrder(2.0, 1.0), jump=7.0),
+                         _poly(2.0), _poly(2.0, 1.0), "7.0"),
+    "piecewise": (oz.Piecewise((1.0,), (lambda t: t, lambda t: t * t)), "None", "None", "None"),
+    "piecewise_described": (oz.Piecewise((1.0,), (lambda t: t, lambda t: INF), 1.0,
+                                         oz.GrowthOrder(1.0), oz.GrowthOrder(0.0, family="jump")),
+                            _poly(1.0), _JUMP, "1.0"),
+    "from_inverse": (FromInverse(np.sqrt), "None", "None", "None"),
+    "from_inverse_described": (FromInverse(np.sqrt, oz.GrowthOrder(2.0), oz.GrowthOrder(2.0)),
+                               _poly(2.0), _poly(2.0), "None"),
+    "gate_2": (oz.gate(2.0), _FLAT, _JUMP, "2.0"),
+    "glued_jump": (oz.Glued(oz.Power(2), oz.gate(3.0), 1.0), _poly(2), _JUMP, "3.0"),
+    "ortho_bar": (oz.orthotropic_bar([oz.PowerLog(2, 1), oz.Power(3)]), _poly(3.0), "None",
+                  "None"),
+    "conjugate_an": (lambda: oz.sobolev_conjugate(oz.Power(3), 2).an, _poly(2.0), _JUMP,
+                     "1.4142135623730947"),
+    "chord_table": (circ_table, _poly(1.8749999999997222), _poly(1.8750000000009348), "None"),
+}
+
+
+class TestDescriptors:
+    @pytest.mark.parametrize("name", DESCRIBED)
+    def test_frozen_descriptors(self, name):
+        y, *want = DESCRIBED[name]
+        y = y if isinstance(y, oz.YoungFunction) else y()
+        assert [repr(y.zero_order), repr(y.inf_order), repr(y.finite_jump)] == want
+
+    def test_covers_every_registered_kind(self):
+        assert set(young._FAMILIES) <= set(DESCRIBED) | {
+            alias for cls in REGISTERED for alias in cls.aliases}
+
+
 class TestShapeInvariants:
     def test_convexity_probe(self):
         ts = np.geomspace(1e-6, 1e6, 64)
